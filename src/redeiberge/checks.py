@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .digraph import Digraph, has_even_directed_cycle
+from .errors import SizeLimitError
 from .invariant import (
-    MAX_DELETION_CONTRACTION,
-    MAX_PERMUTATION_ALGORITHM,
+    ROUTE_CAPACITY,
     count_friendly,
     rb_by_colorings,
     rb_by_deletion_contraction,
@@ -45,8 +45,6 @@ ALL_CHECKS = (
     "redei-parity",
 )
 
-# the coloring-definition oracle is the slowest route; cap it lower here
-MAX_CROSS_ALGORITHM_DEFINITION = 6
 MAX_SUBSET_EDGES = 10
 MAX_COUNTING_LEMMA_VERTICES = 4
 MAX_COUNTING_LEMMA_EDGES = 6
@@ -70,24 +68,26 @@ class VerificationReport:
         return self.status == "pass"
 
 
-def _element_witness(lhs, rhs) -> str:
-    keys = sorted(set(lhs.terms) | set(rhs.terms))
-    for key in keys:
+def _difference(lhs, rhs) -> str | None:
+    """None when two expansions in a common basis agree, else the first
+    coefficient where they differ."""
+    if lhs == rhs:
+        return None
+    for key in sorted(set(lhs.terms) | set(rhs.terms)):
         a, b = lhs.coefficient(key), rhs.coefficient(key)
         if a != b:
             return f"coefficient at {key}: {a} != {b}"
-    return "elements are equal"
+    return "elements differ in degree or basis"
 
 
 def compare_elements(check: str, instance: str, lhs, rhs) -> VerificationReport:
     """Pass/fail report from two expansions already in a common basis."""
-    if lhs == rhs:
-        return VerificationReport(check, instance, "pass")
-    return VerificationReport(check, instance, "fail", _element_witness(lhs, rhs))
+    witness = _difference(lhs, rhs)
+    return VerificationReport(check, instance, "pass" if witness is None else "fail", witness)
 
 
-def _skip(check: str, instance: str, reason: str) -> VerificationReport:
-    return VerificationReport(check, instance, "skipped", reason)
+class _Skip(Exception):
+    """Raised by a check whose hypothesis the instance does not meet."""
 
 
 def check_identities(
@@ -111,7 +111,12 @@ def check_identities(
 
 
 class _CheckRunner:
-    """Caches the permutation expansion across the checks of one instance."""
+    """Caches the permutation expansion across the checks of one instance.
+
+    Each check_* returns None on a pass or a witness on a failure, and raises
+    _Skip when its hypothesis is unmet; run() turns those, and any size
+    refusal from a route, into the one report per check.
+    """
 
     def __init__(self, dg: Digraph, other: Digraph | None, instance: str):
         self.dg = dg
@@ -125,64 +130,62 @@ class _CheckRunner:
         return self._cache[dg]
 
     def run(self, check: str) -> VerificationReport:
-        return getattr(self, "check_" + check.replace("-", "_"))()
+        try:
+            witness = getattr(self, "check_" + check.replace("-", "_"))()
+        except (_Skip, SizeLimitError) as reason:
+            return VerificationReport(check, self.instance, "skipped", str(reason))
+        return VerificationReport(check, self.instance, "pass" if witness is None else "fail", witness)
 
-    def check_opposite(self) -> VerificationReport:
-        if self.dg.n > MAX_PERMUTATION_ALGORITHM:
-            return _skip("opposite", self.instance, f"n > {MAX_PERMUTATION_ALGORITHM}")
-        return compare_elements("opposite", self.instance, self.w(self.dg), self.w(self.dg.opposite()))
+    def check_opposite(self) -> str | None:
+        if self.dg.n > ROUTE_CAPACITY["permutations"]:
+            raise _Skip(f"n > {ROUTE_CAPACITY['permutations']}")
+        return _difference(self.w(self.dg), self.w(self.dg.opposite()))
 
-    def check_tournament_complement(self) -> VerificationReport:
+    def check_tournament_complement(self) -> str | None:
         if not self.dg.is_tournament():
-            return _skip("tournament-complement", self.instance, "hypothesis unmet: not a tournament")
-        return compare_elements(
-            "tournament-complement", self.instance, self.w(self.dg), self.w(self.dg.complement())
-        )
+            raise _Skip("hypothesis unmet: not a tournament")
+        return _difference(self.w(self.dg), self.w(self.dg.complement()))
 
-    def check_product(self) -> VerificationReport:
+    def check_product(self) -> str | None:
         right = self.other if self.other is not None else self.dg
         total = self.dg.n + right.n
-        if total > MAX_PERMUTATION_ALGORITHM:
-            return _skip("product", self.instance, f"combined size {total} > {MAX_PERMUTATION_ALGORITHM}")
-        lhs = self.w(self.dg.product(right))
-        rhs = multiply(self.w(self.dg), self.w(right))
-        return compare_elements("product", self.instance, lhs, rhs)
+        if total > ROUTE_CAPACITY["permutations"]:
+            raise _Skip(f"combined size {total} > {ROUTE_CAPACITY['permutations']}")
+        return _difference(self.w(self.dg.product(right)), multiply(self.w(self.dg), self.w(right)))
 
-    def check_deletion_contraction(self) -> VerificationReport:
+    def check_deletion_contraction(self) -> str | None:
         non_loop = self.dg.non_loop_edges()
         if not non_loop:
-            return _skip("deletion-contraction", self.instance, "hypothesis unmet: no non-loop edge")
+            raise _Skip("hypothesis unmet: no non-loop edge")
         n = self.dg.n
         for u, v in non_loop:
             delta = _move_to_last_pair(u, v, n)
             moved = self.dg.relabel(delta)
             lhs = self.w(moved)
             rhs = self.w(moved.delete_edges([(n - 1, n)])) - self.w(moved.contract_last_edge()).induct()
-            if lhs != rhs:
-                witness = f"edge ({u},{v}): " + _element_witness(lhs, rhs)
-                return VerificationReport("deletion-contraction", self.instance, "fail", witness)
-        return VerificationReport("deletion-contraction", self.instance, "pass")
+            witness = _difference(lhs, rhs)
+            if witness is not None:
+                return f"edge ({u},{v}): " + witness
+        return None
 
-    def check_subset_decomposition(self) -> VerificationReport:
+    def check_subset_decomposition(self) -> str | None:
         if self.dg.is_disjoint_union_of_paths():
-            return _skip("subset-decomposition", self.instance, "hypothesis unmet: disjoint union of paths")
+            raise _Skip("hypothesis unmet: disjoint union of paths")
         edges = self.dg.sorted_edges()
         if len(edges) > MAX_SUBSET_EDGES:
-            return _skip("subset-decomposition", self.instance, f"|E| > {MAX_SUBSET_EDGES}")
-        rhs = self._alternating_deletion_sum(edges)
-        return compare_elements("subset-decomposition", self.instance, self.w(self.dg), rhs)
+            raise _Skip(f"|E| > {MAX_SUBSET_EDGES}")
+        return _difference(self.w(self.dg), self._alternating_deletion_sum(edges))
 
-    def check_cycle_decomposition(self) -> VerificationReport:
+    def check_cycle_decomposition(self) -> str | None:
         cycle = self.dg.find_directed_cycle()
         if cycle is None:
-            return _skip("cycle-decomposition", self.instance, "hypothesis unmet: no directed cycle")
-        rhs = self._alternating_deletion_sum(cycle)
-        return compare_elements("cycle-decomposition", self.instance, self.w(self.dg), rhs)
+            raise _Skip("hypothesis unmet: no directed cycle")
+        return _difference(self.w(self.dg), self._alternating_deletion_sum(cycle))
 
-    def check_triangle(self) -> VerificationReport:
+    def check_triangle(self) -> str | None:
         triangle = _find_triangle(self.dg)
         if triangle is None:
-            return _skip("triangle", self.instance, "hypothesis unmet: no directed triangle")
+            raise _Skip("hypothesis unmet: no directed triangle")
         e1, e2, e3 = triangle
         rhs = (
             self.w(self.dg.delete_edges([e1]))
@@ -193,17 +196,15 @@ class _CheckRunner:
             - self.w(self.dg.delete_edges([e3, e1]))
             + self.w(self.dg.delete_edges([e1, e2, e3]))
         )
-        return compare_elements("triangle", self.instance, self.w(self.dg), rhs)
+        return _difference(self.w(self.dg), rhs)
 
-    def check_counting_lemma(self) -> VerificationReport:
+    def check_counting_lemma(self) -> str | None:
         n = self.dg.n
         edges = self.dg.sorted_edges()
         if n > MAX_COUNTING_LEMMA_VERTICES or len(edges) > MAX_COUNTING_LEMMA_EDGES:
-            return _skip(
-                "counting-lemma",
-                self.instance,
+            raise _Skip(
                 f"instance too large for the exhaustive check (n <= {MAX_COUNTING_LEMMA_VERTICES}, "
-                f"|E| <= {MAX_COUNTING_LEMMA_EDGES})",
+                f"|E| <= {MAX_COUNTING_LEMMA_EDGES})"
             )
         qualifying = [
             F
@@ -211,7 +212,7 @@ class _CheckRunner:
             if F and not Digraph(n, F).is_disjoint_union_of_paths()
         ]
         if not qualifying:
-            return _skip("counting-lemma", self.instance, "hypothesis unmet: no qualifying edge subset")
+            raise _Skip("hypothesis unmet: no qualifying edge subset")
         for colors in itertools.product(range(1, n + 1), repeat=n):
             counts = {S: count_friendly(self.dg.delete_edges(S), colors) for S in _subsets(edges)}
             base = counts[()]
@@ -221,75 +222,62 @@ class _CheckRunner:
                     if S:
                         total += (-1) ** (len(S) - 1) * counts[S]
                 if total != base:
-                    witness = f"coloring {colors}, subset {list(F)}: {total} != {base}"
-                    return VerificationReport("counting-lemma", self.instance, "fail", witness)
-        return VerificationReport("counting-lemma", self.instance, "pass")
+                    return f"coloring {colors}, subset {list(F)}: {total} != {base}"
+        return None
 
-    def check_cross_algorithm(self) -> VerificationReport:
+    def check_cross_algorithm(self) -> str | None:
         n = self.dg.n
-        if n > MAX_DELETION_CONTRACTION:
-            return _skip("cross-algorithm", self.instance, "only the permutation algorithm applies")
+        if n > ROUTE_CAPACITY["deletion-contraction"]:
+            raise _Skip("only the permutation algorithm applies")
         in_m = self.w(self.dg).to_basis("M")
-        report = compare_elements(
-            "cross-algorithm", self.instance, in_m, rb_by_deletion_contraction(self.dg)
-        )
-        if report.status == "fail" or n > MAX_CROSS_ALGORITHM_DEFINITION:
-            return report
-        return compare_elements("cross-algorithm", self.instance, in_m, rb_by_colorings(self.dg))
+        witness = _difference(in_m, rb_by_deletion_contraction(self.dg))
+        if witness is not None or n > ROUTE_CAPACITY["definition"]:
+            return witness
+        return _difference(in_m, rb_by_colorings(self.dg))
 
-    def check_commutative(self) -> VerificationReport:
+    def check_commutative(self) -> str | None:
         image = self.w(self.dg).to_basis("M").commutative_image()
-        return compare_elements("commutative", self.instance, image, rb_commutative(self.dg))
+        return _difference(image, rb_commutative(self.dg))
 
-    def check_integrality(self) -> VerificationReport:
+    def check_integrality(self) -> str | None:
         wp = self.w(self.dg)
         for element, label in ((wp, "P"), (wp.to_basis("M"), "M")):
             if not element.is_integral():
                 bad = next(k for k, c in element.terms.items() if c.denominator != 1)
-                witness = f"{label}-basis coefficient at {bad} is {element.terms[bad]}"
-                return VerificationReport("integrality", self.instance, "fail", witness)
-        return VerificationReport("integrality", self.instance, "pass")
+                return f"{label}-basis coefficient at {bad} is {element.terms[bad]}"
+        return None
 
-    def check_p_nonnegativity(self) -> VerificationReport:
+    def check_p_nonnegativity(self) -> str | None:
         if has_even_directed_cycle(self.dg):
-            return _skip("p-nonnegativity", self.instance, "hypothesis unmet: has an even directed cycle")
+            raise _Skip("hypothesis unmet: has an even directed cycle")
         wp = self.w(self.dg)
         for key, coeff in wp.terms.items():
             if coeff < 0:
-                witness = f"negative power-sum coefficient {coeff} at {key}"
-                return VerificationReport("p-nonnegativity", self.instance, "fail", witness)
+                return f"negative power-sum coefficient {coeff} at {key}"
         bottom = wp.coefficient(singletons(self.dg.n)) if self.dg.n else 1
         if bottom < 1:
-            witness = f"coefficient at the all-singletons partition is {bottom}, expected >= 1"
-            return VerificationReport("p-nonnegativity", self.instance, "fail", witness)
-        return VerificationReport("p-nonnegativity", self.instance, "pass")
+            return f"coefficient at the all-singletons partition is {bottom}, expected >= 1"
+        return None
 
-    def check_tournament_formula(self) -> VerificationReport:
+    def check_tournament_formula(self) -> str | None:
         if not self.dg.is_tournament():
-            return _skip("tournament-formula", self.instance, "hypothesis unmet: not a tournament")
-        return compare_elements(
-            "tournament-formula", self.instance, rb_tournament(self.dg), self.w(self.dg)
-        )
+            raise _Skip("hypothesis unmet: not a tournament")
+        return _difference(rb_tournament(self.dg), self.w(self.dg))
 
-    def check_berge_parity(self) -> VerificationReport:
+    def check_berge_parity(self) -> str | None:
         count = self.dg.hamiltonian_path_count()
         complement = self.dg.complement()
         loopless = Digraph(complement.n, {(u, v) for u, v in complement.edges if u != v})
         other = loopless.hamiltonian_path_count()
-        if count % 2 == other % 2:
-            return VerificationReport("berge-parity", self.instance, "pass")
-        witness = f"Hamiltonian path counts {count} and {other} differ mod 2"
-        return VerificationReport("berge-parity", self.instance, "fail", witness)
+        if count % 2 != other % 2:
+            return f"Hamiltonian path counts {count} and {other} differ mod 2"
+        return None
 
-    def check_redei_parity(self) -> VerificationReport:
+    def check_redei_parity(self) -> str | None:
         if not self.dg.is_tournament():
-            return _skip("redei-parity", self.instance, "hypothesis unmet: not a tournament")
+            raise _Skip("hypothesis unmet: not a tournament")
         count = self.dg.hamiltonian_path_count()
-        if count % 2 == 1:
-            return VerificationReport("redei-parity", self.instance, "pass")
-        return VerificationReport(
-            "redei-parity", self.instance, "fail", f"Hamiltonian path count {count} is even"
-        )
+        return f"Hamiltonian path count {count} is even" if count % 2 == 0 else None
 
     def _alternating_deletion_sum(self, edges: Sequence[tuple[int, int]]) -> NCSymElement:
         total = NCSymElement.zero(self.dg.n, "P")

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .checks import ALL_CHECKS, check_identities
@@ -26,36 +25,26 @@ from .digraph import (
     random_tournament,
 )
 from .errors import SizeLimitError
-from .invariant import redei_berge
+from .invariant import ROUTE_CAPACITY, redei_berge, resolve_route
+from .ncsym import _coeff_str
+from .setpart import MAX_GROUND_SET
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 
-ALGORITHM_CAPACITY = {
-    "definition": 6,
-    "permutations": 8,
-    "deletion-contraction": 7,
-}
-
 GENERATOR_KINDS = ("complete", "discrete", "path", "cycle", "random", "tournament")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str
-    basis: str = "p"
-    commutative: bool = False
-    algorithm: str = "auto"
-    checks: tuple[str, ...] = ALL_CHECKS
-    seed: int = 0
-    output: str = "text"
-    count: int = 10
 
 
 class UsageError(Exception):
     pass
+
+
+def _generator_size(text: str) -> int:
+    n = int(text)
+    if n > MAX_GROUND_SET:
+        raise ValueError(f"size {n} exceeds {MAX_GROUND_SET}")
+    return n
 
 
 def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
@@ -66,7 +55,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind in ("complete", "discrete", "path", "cycle"):
             if len(parts) != 2:
                 raise UsageError(f"generator {kind!r} takes one argument: {kind}:n")
-            n = int(parts[1])
+            n = _generator_size(parts[1])
             return {
                 "complete": complete_digraph,
                 "discrete": discrete_digraph,
@@ -76,13 +65,15 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind == "random":
             if len(parts) not in (3, 4):
                 raise UsageError("generator 'random' takes random:n:p[:seed]")
-            n, p = int(parts[1]), float(parts[2])
+            n, p = _generator_size(parts[1]), float(parts[2])
+            if not 0 <= p <= 1:
+                raise ValueError(f"edge probability {p} outside [0, 1]")
             seed = int(parts[3]) if len(parts) == 4 else default_seed
             return random_digraph(n, p, seed)
         if kind == "tournament":
             if len(parts) not in (2, 3):
                 raise UsageError("generator 'tournament' takes tournament:n[:seed]")
-            n = int(parts[1])
+            n = _generator_size(parts[1])
             seed = int(parts[2]) if len(parts) == 3 else default_seed
             return random_tournament(n, seed)
     except ValueError as exc:
@@ -106,36 +97,20 @@ def load_instance(source: str, default_seed: int = 0) -> tuple[Digraph, str]:
         raise UsageError(f"{source}: {exc}") from None
 
 
-def _select_algorithm(config_algorithm: str, n: int) -> str:
-    if config_algorithm == "auto":
-        usable = [a for a, cap in ALGORITHM_CAPACITY.items() if n <= cap]
-        if not usable:
-            raise UsageError(f"no algorithm can handle n={n} (largest capacity is 8)")
-        return max(usable, key=lambda a: ALGORITHM_CAPACITY[a])
-    cap = ALGORITHM_CAPACITY[config_algorithm]
-    if n > cap:
-        raise UsageError(f"algorithm {config_algorithm!r} refuses n={n} (capacity {cap})")
-    return config_algorithm
-
-
-def _format_coeff(c) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def run_compute(config: RunConfig) -> int:
-    dg, name = load_instance(config.input, config.seed)
-    algorithm = _select_algorithm(config.algorithm, dg.n)
-    element = redei_berge(dg, algorithm).to_basis(config.basis.upper())
-    if config.commutative:
+def run_compute(args: argparse.Namespace) -> int:
+    dg, name = load_instance(args.input, args.seed)
+    algorithm = resolve_route(args.algorithm, dg.n)
+    element = redei_berge(dg, algorithm).to_basis(args.basis.upper())
+    if args.commutative:
         result = element.commutative_image()
-        lines = [f"{result.basis}{lam}  {_format_coeff(result.terms[lam])}" for lam in sorted(result.terms, reverse=True)]
+        lines = [f"{result.basis}{lam}  {_coeff_str(result.terms[lam])}" for lam in sorted(result.terms, reverse=True)]
     else:
         result = element
         lines = [
-            f"{result.basis.lower()}[{pi}]  {_format_coeff(result.terms[pi])}"
+            f"{result.basis.lower()}[{pi}]  {_coeff_str(result.terms[pi])}"
             for pi in sorted(result.terms)
         ]
-    if config.output == "json":
+    if args.output == "json":
         payload = {
             "instance": name,
             "command": "compute",
@@ -153,11 +128,11 @@ def run_compute(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_verify(config: RunConfig) -> int:
-    dg, name = load_instance(config.input, config.seed)
-    reports = check_identities(dg, config.checks, instance=name)
+def run_verify(args: argparse.Namespace) -> int:
+    dg, name = load_instance(args.input, args.seed)
+    reports = check_identities(dg, args.checks, instance=name)
     failed = any(r.status == "fail" for r in reports)
-    if config.output == "json":
+    if args.output == "json":
         payload = {
             "instance": name,
             "command": "verify",
@@ -176,17 +151,18 @@ def run_verify(config: RunConfig) -> int:
     return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
-def run_bench(config: RunConfig) -> int:
-    dg, name = load_instance(config.input, config.seed)
+def run_bench(args: argparse.Namespace) -> int:
+    dg, name = load_instance(args.input, args.seed)
+    resolve_route("auto", dg.n)  # refuses an n that no route accepts
     rows = []
-    for algorithm, cap in ALGORITHM_CAPACITY.items():
+    for algorithm, cap in ROUTE_CAPACITY.items():
         if dg.n > cap:
             continue
         start = time.perf_counter()
         element = redei_berge(dg, algorithm)
         elapsed = time.perf_counter() - start
         rows.append((algorithm, elapsed, len(element.terms), element.basis))
-    if config.output == "json":
+    if args.output == "json":
         payload = {
             "instance": name,
             "command": "bench",
@@ -204,17 +180,19 @@ def run_bench(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_batch(config: RunConfig) -> int:
-    head = config.input.split(":", 1)[0]
+def run_batch(args: argparse.Namespace) -> int:
+    head = args.input.split(":", 1)[0]
     if head not in GENERATOR_KINDS:
         raise UsageError("batch requires a generator spec family, e.g. random:5:0.3")
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     summaries = []
     any_failed = False
-    for i in range(config.count):
-        seed = config.seed + i
-        dg = parse_generator_spec(config.input, seed)
-        name = f"{config.input}#seed={seed}"
-        reports = check_identities(dg, config.checks, instance=name)
+    for i in range(args.count):
+        seed = args.seed + i
+        dg = parse_generator_spec(args.input, seed)
+        name = f"{args.input}#seed={seed}"
+        reports = check_identities(dg, args.checks, instance=name)
         counts = {
             "pass": sum(r.status == "pass" for r in reports),
             "fail": sum(r.status == "fail" for r in reports),
@@ -225,18 +203,18 @@ def run_batch(config: RunConfig) -> int:
         ]
         any_failed = any_failed or bool(failures)
         summaries.append((name, counts, failures))
-    if config.output == "json":
+    if args.output == "json":
         payload = {
             "command": "batch",
-            "family": config.input,
-            "count": config.count,
+            "family": args.input,
+            "count": args.count,
             "results": [
                 {"instance": n, **c} | ({"failures": f} if f else {}) for n, c, f in summaries
             ],
         }
         print(json.dumps(payload))
     else:
-        print(f"family: {config.input}  count: {config.count}  base seed: {config.seed}")
+        print(f"family: {args.input}  count: {args.count}  base seed: {args.seed}")
         for name, counts, failures in summaries:
             print(f"{name}: {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped")
             for f in failures:
@@ -271,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--commutative", action="store_true", help="let the variables commute")
     p_compute.add_argument(
         "--algorithm",
-        choices=("auto",) + tuple(ALGORITHM_CAPACITY),
+        choices=("auto",) + tuple(ROUTE_CAPACITY),
         default="auto",
     )
 
@@ -304,26 +282,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    config = RunConfig(
-        command=args.command,
-        input=args.input,
-        basis=getattr(args, "basis", "p"),
-        commutative=getattr(args, "commutative", False),
-        algorithm=getattr(args, "algorithm", "auto"),
-        seed=args.seed,
-        output=args.output,
-        count=getattr(args, "count", 10),
-    )
     try:
         if hasattr(args, "checks"):
-            config.checks = _parse_checks(args.checks)
+            args.checks = _parse_checks(args.checks)
         runner = {
             "compute": run_compute,
             "verify": run_verify,
             "bench": run_bench,
             "batch": run_batch,
-        }[config.command]
-        return runner(config)
+        }[args.command]
+        return runner(args)
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -39,9 +39,8 @@ from .setpart import (
     refines,
 )
 
-MAX_COLORING_ALGORITHM = 8
-MAX_PERMUTATION_ALGORITHM = 8
-MAX_DELETION_CONTRACTION = 7
+# The one table of routes and the largest n each accepts.
+ROUTE_CAPACITY = {"definition": 6, "permutations": 8, "deletion-contraction": 7}
 MAX_DESCENT_ALGORITHM = 8
 
 Coloring = tuple[int, ...]
@@ -98,8 +97,7 @@ def rb_by_colorings(dg: Digraph) -> NCSymElement:
     and the common count is the monomial coefficient.
     """
     n = dg.n
-    if n > MAX_COLORING_ALGORITHM:
-        raise SizeLimitError(f"coloring algorithm limited to n <= {MAX_COLORING_ALGORITHM}")
+    resolve_route("definition", n)
     if n == 0:
         return NCSymElement.one("M")
     terms: dict[SetPartition, int] = {}
@@ -180,8 +178,7 @@ def signed_cycle_covers(dg: Digraph, within: SetPartition | None = None) -> Iter
 def rb_by_permutations(dg: Digraph) -> NCSymElement:
     """Power-sum expansion: signed sum of p over cycle types of permutations
     whose cycles are directed cycles of the digraph or of its complement."""
-    if dg.n > MAX_PERMUTATION_ALGORITHM:
-        raise SizeLimitError(f"permutation algorithm limited to n <= {MAX_PERMUTATION_ALGORITHM}")
+    resolve_route("permutations", dg.n)
     acc: dict[tuple, int] = defaultdict(int)
     for phi, blocks in signed_cycle_covers(dg):
         acc[blocks] += -1 if phi % 2 else 1
@@ -195,8 +192,7 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
     tournament (fixed points are unrestricted)."""
     if not dg.is_tournament():
         raise ValueError("tournament expansion requires a tournament")
-    if dg.n > MAX_PERMUTATION_ALGORITHM:
-        raise SizeLimitError(f"permutation algorithm limited to n <= {MAX_PERMUTATION_ALGORITHM}")
+    resolve_route("permutations", dg.n)
     edges = dg.edges
     acc: dict[tuple, int] = defaultdict(int)
     blocks: list[tuple[int, ...]] = []
@@ -265,8 +261,7 @@ def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
     pulled back; the relabeling step keeps every recursive call on the
     distinguished edge the contraction is defined for.
     """
-    if dg.n > MAX_DELETION_CONTRACTION:
-        raise SizeLimitError(f"deletion-contraction limited to n <= {MAX_DELETION_CONTRACTION}")
+    resolve_route("deletion-contraction", dg.n)
     return _delcon(dg)
 
 
@@ -426,18 +421,22 @@ def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
 # -- dispatcher -----------------------------------------------------------------
 
 
-ALGORITHMS = ("definition", "permutations", "deletion-contraction")
+def resolve_route(algorithm: str, n: int) -> str:
+    """The route that computes an n-vertex instance by the named algorithm,
+    "auto" meaning the largest-capacity route; refuses n above its capacity."""
+    route = max(ROUTE_CAPACITY, key=ROUTE_CAPACITY.get) if algorithm == "auto" else algorithm
+    if route not in ROUTE_CAPACITY:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {tuple(ROUTE_CAPACITY)} or 'auto'")
+    if n > ROUTE_CAPACITY[route]:
+        raise SizeLimitError(f"{route} route refuses n={n} (capacity {ROUTE_CAPACITY[route]})")
+    return route
 
 
 def redei_berge(dg: Digraph, algorithm: str = "auto") -> NCSymElement:
-    """Compute the function by the named algorithm; "auto" uses the
-    permutation expansion, which has the largest size capacity."""
-    if algorithm == "auto":
-        algorithm = "permutations"
-    if algorithm == "definition":
+    """Compute the function by the named algorithm (see ROUTE_CAPACITY)."""
+    route = resolve_route(algorithm, dg.n)
+    if route == "definition":
         return rb_by_colorings(dg)
-    if algorithm == "permutations":
+    if route == "permutations":
         return rb_by_permutations(dg)
-    if algorithm == "deletion-contraction":
-        return rb_by_deletion_contraction(dg)
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS} or 'auto'")
+    return rb_by_deletion_contraction(dg)

@@ -69,13 +69,6 @@ class SetPartition:
     def __len__(self):
         return len(self.blocks)
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        """The block containing element x."""
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError(f"element {x} not in ground set of size {self.n}")
-
 
 class IntPartition:
     """A weakly decreasing sequence of positive integer parts."""

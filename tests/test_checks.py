@@ -15,6 +15,7 @@ from redeiberge.digraph import (
     discrete_digraph,
     path_digraph,
     random_digraph,
+    random_tournament,
 )
 from redeiberge.ncsym import NCSymElement
 from redeiberge.setpart import parse_set_partition
@@ -112,6 +113,15 @@ def test_product_check_with_explicit_pair():
 def test_product_check_skips_oversized_pairs():
     reports = check_identities(discrete_digraph(5), ["product"], other=discrete_digraph(5))
     assert reports[0].status == "skipped"
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_checks_skip_beyond_route_capacity(n):
+    # every route refuses these sizes; each check reports instead of raising
+    for dg in (discrete_digraph(n), complete_digraph(n), random_tournament(n, 1)):
+        reports = check_identities(dg)
+        assert [r.check for r in reports] == list(ALL_CHECKS)
+        assert not [(r.check, r.witness) for r in reports if r.status == "fail"]
 
 
 def test_checks_pass_on_seeded_instances():

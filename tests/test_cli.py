@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from redeiberge import cli
 from redeiberge.checks import VerificationReport
 from redeiberge.digraph import cycle_digraph, format_digraph
@@ -104,6 +106,14 @@ def test_verify_json_schema(capsys):
     assert "witness" in payload["results"][1]
 
 
+def test_verify_beyond_route_capacity_reports_instead_of_raising(capsys):
+    code, out, _ = run(capsys, "verify", "tournament:9:1")
+    assert code == 0
+    assert "berge-parity: pass" in out.splitlines()
+    assert "redei-parity: pass" in out.splitlines()
+    assert "commutative: skipped  (permutations route refuses n=9 (capacity 8))" in out.splitlines()
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "cycle:3", "--checks", "bogus")
     assert code == cli.EXIT_USAGE
@@ -146,6 +156,13 @@ def test_bench_json(capsys):
     assert set(names) == {"permutations", "deletion-contraction"}
 
 
+def test_bench_refuses_size_no_route_accepts(capsys):
+    code, out, err = run(capsys, "bench", "random:9:0.3:1")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "refuses n=9" in err
+
+
 def test_batch_family_summary(capsys):
     code, out, _ = run(
         capsys, "batch", "random:3:0.4", "--count", "4", "--seed", "11",
@@ -162,6 +179,13 @@ def test_batch_requires_generator_family(capsys):
     assert "generator spec" in err
 
 
+def test_batch_count_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "batch", "random:3:0.3", "--count", "-3")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "--count" in err
+
+
 def test_batch_json(capsys):
     code, out, _ = run(
         capsys, "batch", "tournament:4", "--count", "3", "--format", "json",
@@ -173,7 +197,10 @@ def test_batch_json(capsys):
     assert all(r["fail"] == 0 for r in payload["results"])
 
 
-def test_usage_error_on_bad_generator(capsys):
-    code, _, err = run(capsys, "compute", "random:abc:0.3")
+@pytest.mark.parametrize(
+    "spec", ["random:abc:0.3", "random:3:1.7:1", "random:3:-0.1:1", "complete:13", "tournament:40:1"]
+)
+def test_usage_error_on_bad_generator(capsys, spec):
+    code, _, err = run(capsys, "compute", spec)
     assert code == cli.EXIT_USAGE
     assert "bad generator spec" in err

@@ -174,6 +174,8 @@ def test_size_guards():
     with pytest.raises(SizeLimitError):
         rb_by_colorings(discrete_digraph(9))
     with pytest.raises(SizeLimitError):
+        rb_by_colorings(discrete_digraph(7))
+    with pytest.raises(SizeLimitError):
         rb_by_deletion_contraction(discrete_digraph(8))
     with pytest.raises(SizeLimitError):
         rb_commutative(discrete_digraph(9))
@@ -187,6 +189,8 @@ def test_dispatcher():
     assert redei_berge(dg, "deletion-contraction").to_basis("P") == reference
     with pytest.raises(ValueError):
         redei_berge(dg, "magic")
+    with pytest.raises(SizeLimitError):
+        redei_berge(discrete_digraph(9))
 
 
 # -- tournaments -----------------------------------------------------------------------
