@@ -22,6 +22,7 @@ from .invariant import (
     rb_by_permutations,
     rb_commutative,
     rb_tournament,
+    resolve_route,
     _move_to_last_pair,
 )
 from .ncsym import NCSymElement, multiply
@@ -137,8 +138,6 @@ class _CheckRunner:
         return VerificationReport(check, self.instance, "pass" if witness is None else "fail", witness)
 
     def check_opposite(self) -> str | None:
-        if self.dg.n > ROUTE_CAPACITY["permutations"]:
-            raise _Skip(f"n > {ROUTE_CAPACITY['permutations']}")
         return _difference(self.w(self.dg), self.w(self.dg.opposite()))
 
     def check_tournament_complement(self) -> str | None:
@@ -227,8 +226,7 @@ class _CheckRunner:
 
     def check_cross_algorithm(self) -> str | None:
         n = self.dg.n
-        if n > ROUTE_CAPACITY["deletion-contraction"]:
-            raise _Skip("only the permutation algorithm applies")
+        resolve_route("deletion-contraction", n)  # refuses before any expansion
         in_m = self.w(self.dg).to_basis("M")
         witness = _difference(in_m, rb_by_deletion_contraction(self.dg))
         if witness is not None or n > ROUTE_CAPACITY["definition"]:

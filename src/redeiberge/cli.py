@@ -40,8 +40,7 @@ class UsageError(Exception):
     pass
 
 
-def _generator_size(text: str) -> int:
-    n = int(text)
+def _checked_size(n: int) -> int:
     if n > MAX_GROUND_SET:
         raise ValueError(f"size {n} exceeds {MAX_GROUND_SET}")
     return n
@@ -55,7 +54,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind in ("complete", "discrete", "path", "cycle"):
             if len(parts) != 2:
                 raise UsageError(f"generator {kind!r} takes one argument: {kind}:n")
-            n = _generator_size(parts[1])
+            n = _checked_size(int(parts[1]))
             return {
                 "complete": complete_digraph,
                 "discrete": discrete_digraph,
@@ -65,7 +64,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind == "random":
             if len(parts) not in (3, 4):
                 raise UsageError("generator 'random' takes random:n:p[:seed]")
-            n, p = _generator_size(parts[1]), float(parts[2])
+            n, p = _checked_size(int(parts[1])), float(parts[2])
             if not 0 <= p <= 1:
                 raise ValueError(f"edge probability {p} outside [0, 1]")
             seed = int(parts[3]) if len(parts) == 4 else default_seed
@@ -73,7 +72,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind == "tournament":
             if len(parts) not in (2, 3):
                 raise UsageError("generator 'tournament' takes tournament:n[:seed]")
-            n = _generator_size(parts[1])
+            n = _checked_size(int(parts[1]))
             seed = int(parts[2]) if len(parts) == 3 else default_seed
             return random_tournament(n, seed)
     except ValueError as exc:
@@ -92,7 +91,9 @@ def load_instance(source: str, default_seed: int = 0) -> tuple[Digraph, str]:
     except OSError as exc:
         raise UsageError(f"cannot read {source!r}: {exc}") from None
     try:
-        return parse_digraph(text), source
+        dg = parse_digraph(text)
+        _checked_size(dg.n)
+        return dg, source
     except ValueError as exc:
         raise UsageError(f"{source}: {exc}") from None
 

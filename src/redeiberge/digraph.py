@@ -9,13 +9,14 @@ original digraph lacks one.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
+from .setpart import MAX_GROUND_SET
 
 Edge = tuple[int, int]
 
-MAX_HAMILTONIAN = 9  # listing count grows factorially
+MAX_HAMILTONIAN = 9  # largest n whose Hamiltonian paths are counted
 
 
 class Digraph:
@@ -145,7 +146,7 @@ class Digraph:
             for v in range(1, self.n + 1):
                 if (v, v) in self.edges:
                     return [(v, v)]
-        adj = self._adjacency(loops=False)
+        adj = [[v for v in range(1, self.n + 1) if v != u and (u, v) in self.edges] for u in range(self.n + 1)]
         state = [0] * (self.n + 1)  # 0 unvisited, 1 on stack, 2 done
         stack: list[int] = []
 
@@ -173,57 +174,62 @@ class Digraph:
         return None
 
     def hamiltonian_path_count(self) -> int:
-        """Number of vertex listings whose every consecutive pair is an edge."""
+        """Number of vertex listings whose every consecutive pair is an edge.
+
+        Each listing closes into one Hamiltonian cycle through an apex joined
+        both ways to every vertex, so this is that cycle count.
+        """
         if self.n > MAX_HAMILTONIAN:
             raise SizeLimitError(f"n={self.n} exceeds the Hamiltonian-path guard {MAX_HAMILTONIAN}")
         if self.n == 0:
             return 1
-        adj = self._adjacency(loops=False)
-        full = (1 << self.n) - 1
+        apex = 1 << self.n
+        successors = [mask | apex for mask in self.successor_masks()] + [apex - 1]
+        return hamiltonian_cycle_counts(successors)[-1]
 
-        def extend(v: int, used: int) -> int:
-            if used == full:
-                return 1
-            total = 0
-            for w in adj[v]:
-                bit = 1 << (w - 1)
-                if not used & bit:
-                    total += extend(w, used | bit)
-            return total
-
-        return sum(extend(s, 1 << (s - 1)) for s in range(1, self.n + 1))
-
-    def _adjacency(self, loops: bool) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in sorted(self.edges):
-            if loops or u != v:
-                adj[u].append(v)
-        return adj
+    def successor_masks(self) -> list[int]:
+        """Out-neighbours of each vertex v as bit v-1 of entry v-1, loops dropped."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            if u != v:
+                masks[u - 1] |= 1 << (v - 1)
+        return masks
 
 
-def simple_cycle_lengths(dg: Digraph) -> Iterator[int]:
-    """Lengths of all simple directed cycles (loops reported as length 1)."""
-    adj = dg._adjacency(loops=False)
-    for v in range(1, dg.n + 1):
-        if (v, v) in dg.edges:
-            yield 1
+def hamiltonian_cycle_counts(successors: Sequence[int]) -> list[int]:
+    """Directed Hamiltonian cycle count of the subgraph induced by every vertex subset.
 
-    def dfs(start: int, v: int, on_path: set[int]) -> Iterator[int]:
-        for w in adj[v]:
-            if w == start:
-                yield len(on_path)
-            elif w > start and w not in on_path:
-                on_path.add(w)
-                yield from dfs(start, w, on_path)
-                on_path.remove(w)
-
-    for start in range(1, dg.n + 1):
-        yield from dfs(start, start, {start})
+    successors[i] is the loopless out-neighbour bitmask of vertex i; entry S of
+    the result counts the cycles through exactly the vertices of bitmask S.  The
+    Held-Karp table grows paths from the lowest vertex of S, so each cycle
+    counts once (a 2-cycle once, a single vertex never).
+    """
+    n = len(successors)
+    if n > MAX_GROUND_SET:
+        raise SizeLimitError(f"cycle-count table refuses n={n} (limit {MAX_GROUND_SET})")
+    counts = [0] * (1 << n)
+    paths = [[0] * n for _ in range(1 << n)]  # paths[S][v]: paths over S from its lowest vertex to v
+    for v in range(n):
+        paths[1 << v][v] = 1
+    for S in range(1, 1 << n):
+        low = S & -S
+        for v, ways in enumerate(paths[S]):
+            if not ways:
+                continue
+            if successors[v] & low:
+                counts[S] += ways
+            free = successors[v] & ~S & -low  # unvisited and above the start
+            while free:
+                bit = free & -free
+                free ^= bit
+                paths[S | bit][bit.bit_length() - 1] += ways
+    return counts
 
 
 def has_even_directed_cycle(dg: Digraph) -> bool:
     """True when some simple directed cycle (2-cycles included) has even length."""
-    return any(length % 2 == 0 for length in simple_cycle_lengths(dg))
+    counts = hamiltonian_cycle_counts(dg.successor_masks())
+    return any(count and bin(S).count("1") % 2 == 0 for S, count in enumerate(counts))
 
 
 # -- generators ----------------------------------------------------------

@@ -6,7 +6,9 @@ Three independent algorithms compute the same element:
                             friendly listings (monomial basis);
   * rb_by_permutations   -- signed sum over permutations all of whose cycles
                             are directed cycles of the digraph or of its
-                            complement (power-sum basis);
+                            complement (power-sum basis), factored over the
+                            blocks of each cycle type and read off per-subset
+                            Hamiltonian cycle counts;
   * rb_by_deletion_contraction -- the recursion W(X) = W(X minus e) minus
                             W(X contract e) inducted, after relabeling the
                             chosen edge to (n-1, n).
@@ -25,7 +27,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, hamiltonian_cycle_counts
 from .errors import SizeLimitError, SymmetryViolationError
 from .ncsym import CSymElement, NCSymElement
 from .setpart import (
@@ -122,68 +124,59 @@ def rb_by_colorings(dg: Digraph) -> NCSymElement:
 # -- cycle-structured permutations -------------------------------------------
 
 
-def signed_cycle_covers(dg: Digraph, within: SetPartition | None = None) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Yield (phi, cycle supports) over permutations whose every cycle is a
-    directed cycle of the digraph or of its complement.
+def _block_weights(dg: Digraph) -> list[int]:
+    """For every vertex bitmask B, the signed count of permutations of B that
+    are one directed cycle of the digraph or of its complement: a fixed point
+    weighs 1 (it is a cycle of exactly one side, the complement holding the
+    missing loops), a longer cycle (-1)**(|B| - 1) in the digraph, +1 in the
+    complement."""
+    successors = dg.successor_masks()
+    full = (1 << dg.n) - 1
+    in_x = hamiltonian_cycle_counts(successors)
+    in_complement = hamiltonian_cycle_counts([full & ~(mask | 1 << v) for v, mask in enumerate(successors)])
+    weights = [
+        b - a if bin(B).count("1") % 2 == 0 else a + b
+        for B, (a, b) in enumerate(zip(in_x, in_complement))
+    ]
+    for v in range(dg.n):
+        weights[1 << v] = 1
+    return weights
 
-    phi sums (length - 1) over the cycles lying in the digraph itself; the
-    complement includes loops, so a fixed point is always a cycle of exactly
-    one side (edge sets are disjoint, hence no cycle can be classified both
-    ways).  Cycles are grown from the smallest unassigned vertex so sparse
-    digraphs prune early.  With ``within``, cycles are confined to the blocks
-    of that partition, which restricts the sum to permutations whose cycle
-    type refines it.
-    """
-    n = dg.n
-    edges = dg.edges
-    if within is not None:
-        block_id = {v: i for i, b in enumerate(within.blocks) for v in b}
 
-    blocks: list[tuple[int, ...]] = []
-
-    def place(unused: frozenset[int], phi: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
-        if not unused:
-            yield phi, tuple(blocks)
+def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (blocks, product of their weights) for every set partition of the
+    bitmask ground into nonzero-weight blocks; blocks are bitmasks, ordered by
+    their lowest vertex."""
+    if not ground:
+        yield (), 1
+        return
+    low = ground & -ground
+    rest = ground ^ low
+    sub = rest
+    while True:
+        block = low | sub
+        if weights[block]:
+            for blocks, coeff in _nonzero_partitions(weights, rest ^ sub):
+                yield (block,) + blocks, weights[block] * coeff
+        if not sub:
             return
-        start = min(unused)
-        rest = unused - {start}
-        if within is None:
-            allowed = rest
-        else:
-            allowed = frozenset(v for v in rest if block_id[v] == block_id[start])
-        yield from grow([start], allowed, rest, None, phi)
+        sub = (sub - 1) & rest
 
-    def grow(path, allowed, rest, in_x, phi):
-        v = path[-1]
-        start = path[0]
-        # close the current cycle; a singleton closes through its loop slot
-        closing_in_x = (v, start) in edges
-        if in_x is None or in_x == closing_in_x:
-            cycle_phi = len(path) - 1 if closing_in_x else 0
-            blocks.append(tuple(sorted(path)))
-            yield from place(rest - frozenset(path[1:]), phi + cycle_phi)
-            blocks.pop()
-        for w in sorted(allowed):
-            if w in path:
-                continue
-            step_in_x = (v, w) in edges
-            if in_x is None or in_x == step_in_x:
-                path.append(w)
-                yield from grow(path, allowed, rest, step_in_x, phi)
-                path.pop()
 
-    yield from place(frozenset(range(1, n + 1)), 0)
+def _partition(blocks: Sequence[int]) -> SetPartition:
+    return SetPartition(tuple(v + 1 for v in range(b.bit_length()) if b >> v & 1) for b in blocks)
 
 
 def rb_by_permutations(dg: Digraph) -> NCSymElement:
     """Power-sum expansion: signed sum of p over cycle types of permutations
-    whose cycles are directed cycles of the digraph or of its complement."""
+    whose cycles are directed cycles of the digraph or of its complement.
+
+    The sum factors over the blocks of each cycle type, so every nonzero
+    coefficient is a product of block weights (see _block_weights).
+    """
     resolve_route("permutations", dg.n)
-    acc: dict[tuple, int] = defaultdict(int)
-    for phi, blocks in signed_cycle_covers(dg):
-        acc[blocks] += -1 if phi % 2 else 1
-    terms = {SetPartition(blocks): c for blocks, c in acc.items() if c}
-    return NCSymElement(dg.n, "P", terms)
+    partitions = _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1)
+    return NCSymElement(dg.n, "P", {_partition(blocks): coeff for blocks, coeff in partitions})
 
 
 def rb_tournament(dg: Digraph) -> NCSymElement:
@@ -392,14 +385,17 @@ def _arrangement_count(pattern: tuple[int, ...]) -> int:
 def monomial_coefficient(dg: Digraph, pi: SetPartition) -> int:
     """Signed count of cycle-structured permutations whose type refines pi.
 
-    Evaluated by the restricted enumeration directly, without expanding the
-    whole function; agrees with the monomial coefficient after conversion.
+    The count factors over the blocks of pi, so it is evaluated block by block
+    without expanding the whole function; agrees with the monomial coefficient
+    after conversion.
     """
     if pi.n != dg.n:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
-    total = 0
-    for phi, _ in signed_cycle_covers(dg, within=pi):
-        total += -1 if phi % 2 else 1
+    weights = _block_weights(dg)
+    total = 1
+    for block in pi.blocks:
+        ground = sum(1 << (v - 1) for v in block)
+        total *= sum(coeff for _, coeff in _nonzero_partitions(weights, ground))
     return total
 
 
@@ -409,12 +405,10 @@ def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
     if pi.n != dg.n:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
     total = Fraction(0)
-    for phi, blocks in signed_cycle_covers(dg):
-        cycle_type = SetPartition(blocks)
-        if not refines(pi, cycle_type):
-            continue
-        sign = -1 if phi % 2 else 1
-        total += Fraction(sign * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))
+    for blocks, coeff in _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1):
+        cycle_type = _partition(blocks)
+        if refines(pi, cycle_type):
+            total += Fraction(coeff * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))
     return total
 
 

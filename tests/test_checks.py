@@ -115,13 +115,15 @@ def test_product_check_skips_oversized_pairs():
     assert reports[0].status == "skipped"
 
 
-@pytest.mark.parametrize("n", [9, 10, 12])
+@pytest.mark.parametrize("n", [9, 10, 12, 13])
 def test_checks_skip_beyond_route_capacity(n):
     # every route refuses these sizes; each check reports instead of raising
     for dg in (discrete_digraph(n), complete_digraph(n), random_tournament(n, 1)):
         reports = check_identities(dg)
         assert [r.check for r in reports] == list(ALL_CHECKS)
         assert not [(r.check, r.witness) for r in reports if r.status == "fail"]
+        if n == 13:  # above the cycle-count table's limit
+            assert by_name(reports)["p-nonnegativity"].status == "skipped"
 
 
 def test_checks_pass_on_seeded_instances():

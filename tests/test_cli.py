@@ -75,6 +75,15 @@ def test_parse_error_exit_code_and_line_number(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_file_beyond_ground_set_limit_is_usage_error(tmp_path, capsys):
+    source = tmp_path / "big.dg"
+    source.write_text("n 13\n1 2\n")
+    code, out, err = run(capsys, "verify", str(source))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "size 13 exceeds 12" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "compute", "/nonexistent/thing.dg")
     assert code == cli.EXIT_USAGE
@@ -112,6 +121,18 @@ def test_verify_beyond_route_capacity_reports_instead_of_raising(capsys):
     assert "berge-parity: pass" in out.splitlines()
     assert "redei-parity: pass" in out.splitlines()
     assert "commutative: skipped  (permutations route refuses n=9 (capacity 8))" in out.splitlines()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_verify_skip_reasons_come_from_the_route_registry(capsys, n):
+    code, out, _ = run(capsys, "verify", f"random:{n}:0.3:1", "--checks", "cross-algorithm,opposite")
+    assert code == 0
+    lines = out.splitlines()
+    assert f"cross-algorithm: skipped  (deletion-contraction route refuses n={n} (capacity 7))" in lines
+    if n == 8:
+        assert "opposite: pass" in lines
+    else:
+        assert "opposite: skipped  (permutations route refuses n=9 (capacity 8))" in lines
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

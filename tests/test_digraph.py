@@ -13,12 +13,12 @@ from redeiberge.digraph import (
     cycle_digraph,
     discrete_digraph,
     format_digraph,
+    hamiltonian_cycle_counts,
     has_even_directed_cycle,
     parse_digraph,
     path_digraph,
     random_digraph,
     random_tournament,
-    simple_cycle_lengths,
 )
 from redeiberge.errors import MissingEdgeError, SizeLimitError
 
@@ -220,13 +220,38 @@ def test_find_directed_cycle_returns_real_cycle():
 
 
 def test_simple_cycle_lengths_and_evenness():
-    assert sorted(simple_cycle_lengths(cycle_digraph(4))) == [4]
-    assert sorted(simple_cycle_lengths(cycle_digraph(3))) == [3]
-    assert sorted(simple_cycle_lengths(Digraph(2, [(1, 2), (2, 1), (1, 1)]))) == [1, 2]
     assert has_even_directed_cycle(cycle_digraph(4))
     assert has_even_directed_cycle(Digraph(2, [(1, 2), (2, 1)]))
+    assert has_even_directed_cycle(Digraph(2, [(1, 2), (2, 1), (1, 1)]))
     assert not has_even_directed_cycle(cycle_digraph(3))
     assert not has_even_directed_cycle(Digraph(1, [(1, 1)]))
+
+
+def brute_force_cycle_counts(dg):
+    """Oracle: per vertex subset, the cyclic orderings (lowest vertex first)
+    whose every consecutive pair, last to first included, is an edge."""
+    counts = []
+    for subset in range(1 << dg.n):
+        vertices = [v for v in range(1, dg.n + 1) if subset >> (v - 1) & 1]
+        count = 0
+        if len(vertices) >= 2:
+            for order in itertools.permutations(vertices[1:]):
+                cycle = (vertices[0],) + order
+                count += all((a, b) in dg.edges for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        counts.append(count)
+    return counts
+
+
+def test_cycle_count_table_against_brute_force():
+    rng = random.Random(23)
+    sample = [random_digraph(rng.randint(1, 6), rng.choice([0.3, 0.6]), rng.randint(0, 10**6)) for _ in range(40)]
+    # loops must be dropped and 2-cycles counted once
+    assert any(u == v for dg in sample for u, v in dg.edges)
+    assert any(u != v and (v, u) in dg.edges for dg in sample for u, v in dg.edges)
+    for dg in sample + [complete_digraph(5), discrete_digraph(0)]:
+        assert hamiltonian_cycle_counts(dg.successor_masks()) == brute_force_cycle_counts(dg), dg
+    with pytest.raises(SizeLimitError):
+        hamiltonian_cycle_counts([0] * 13)
 
 
 # -- Hamiltonian paths --------------------------------------------------------------------

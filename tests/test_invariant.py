@@ -217,6 +217,16 @@ def test_tournament_matches_permutation_expansion():
         assert all(c > 0 and c.denominator == 1 for c in expansion.terms.values())
 
 
+def test_permutation_route_at_its_capacity():
+    # the tournament formula and the descent oracle cross-check the block-weight
+    # expansion at n = 8, where no other route reaches
+    for seed in (1, 2, 3):
+        t = random_tournament(8, seed)
+        assert rb_by_permutations(t) == rb_tournament(t)
+    dg = random_digraph(8, 0.3, 1)
+    assert rb_by_permutations(dg).to_basis("M").commutative_image() == rb_commutative(dg)
+
+
 # -- commutative oracle -------------------------------------------------------------------
 
 
