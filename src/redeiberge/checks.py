@@ -25,7 +25,7 @@ from .invariant import (
     resolve_route,
     _move_to_last_pair,
 )
-from .ncsym import NCSymElement, multiply
+from .ncsym import NCSymElement, _sum, multiply
 from .setpart import singletons
 
 ALL_CHECKS = (
@@ -185,17 +185,7 @@ class _CheckRunner:
         triangle = _find_triangle(self.dg)
         if triangle is None:
             raise _Skip("hypothesis unmet: no directed triangle")
-        e1, e2, e3 = triangle
-        rhs = (
-            self.w(self.dg.delete_edges([e1]))
-            + self.w(self.dg.delete_edges([e2]))
-            + self.w(self.dg.delete_edges([e3]))
-            - self.w(self.dg.delete_edges([e1, e2]))
-            - self.w(self.dg.delete_edges([e2, e3]))
-            - self.w(self.dg.delete_edges([e3, e1]))
-            + self.w(self.dg.delete_edges([e1, e2, e3]))
-        )
-        return _difference(self.w(self.dg), rhs)
+        return _difference(self.w(self.dg), self._alternating_deletion_sum(triangle))
 
     def check_counting_lemma(self) -> str | None:
         n = self.dg.n
@@ -278,13 +268,14 @@ class _CheckRunner:
         return f"Hamiltonian path count {count} is even" if count % 2 == 0 else None
 
     def _alternating_deletion_sum(self, edges: Sequence[tuple[int, int]]) -> NCSymElement:
-        total = NCSymElement.zero(self.dg.n, "P")
-        for S in _subsets(tuple(edges)):
-            if not S:
-                continue
-            sign = -1 if len(S) % 2 == 0 else 1
-            total = total + sign * self.w(self.dg.delete_edges(S))
-        return total
+        """The sum of (-1)^(|S|-1) W(X minus S) over the nonempty subsets S of edges."""
+        terms = (
+            (key, c if len(S) % 2 else -c)
+            for S in _subsets(tuple(edges))
+            if S
+            for key, c in self.w(self.dg.delete_edges(S)).terms.items()
+        )
+        return NCSymElement(self.dg.n, "P", _sum(terms))
 
 
 def _subsets(items: tuple) -> Iterable[tuple]:

@@ -274,6 +274,8 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise UsageError(f"unknown checks {unknown}; available: {list(ALL_CHECKS)}")
+    if not names:
+        raise UsageError(f"no checks named; available: {list(ALL_CHECKS)}")
     return names
 
 

@@ -16,8 +16,6 @@ from .setpart import MAX_GROUND_SET
 
 Edge = tuple[int, int]
 
-MAX_HAMILTONIAN = 9  # largest n whose Hamiltonian paths are counted
-
 
 class Digraph:
     """A digraph on vertices 1..n with a set of ordered-pair edges."""
@@ -177,10 +175,11 @@ class Digraph:
         """Number of vertex listings whose every consecutive pair is an edge.
 
         Each listing closes into one Hamiltonian cycle through an apex joined
-        both ways to every vertex, so this is that cycle count.
+        both ways to every vertex, so this is that cycle count.  The apex takes
+        one place in the cycle-count table, so n stops one short of its limit.
         """
-        if self.n > MAX_HAMILTONIAN:
-            raise SizeLimitError(f"n={self.n} exceeds the Hamiltonian-path guard {MAX_HAMILTONIAN}")
+        if self.n >= MAX_GROUND_SET:
+            raise SizeLimitError(f"Hamiltonian-path count refuses n={self.n} (limit {MAX_GROUND_SET - 1})")
         if self.n == 0:
             return 1
         apex = 1 << self.n

@@ -24,7 +24,6 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .digraph import Digraph, hamiltonian_cycle_counts
@@ -320,63 +319,35 @@ def descent_aggregate(dg: Digraph) -> QSymElement:
     return QSymElement(dg.n, counts)
 
 
-def _fundamental_words(n: int, strict_at: frozenset, alphabet: int) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing words of length n over {1..alphabet}, strictly
-    increasing immediately after each position in strict_at."""
-
-    def rec(pos: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if pos > n:
-            yield ()
-            return
-        lo = prev + 1 if (pos - 1) in strict_at else max(prev, 1)
-        for letter in range(lo, alphabet + 1):
-            for tail in rec(pos + 1, letter):
-                yield (letter,) + tail
-
-    return rec(1, 1)
-
-
 def rb_commutative(dg: Digraph) -> CSymElement:
     """The commutative Redei-Berge function, in the monomial basis.
 
-    Expands the descent aggregate into monomials over n variables (enough in
-    degree n), asserts the result is genuinely symmetric, and reads off the
-    monomial coefficients from sorted exponent vectors.
+    Since F_D = sum of M_S over S containing D, the quasisymmetric monomial
+    coefficient at the composition with cut set S is the descent count summed
+    over D inside S.  Asserts that every rearrangement of a partition gets the
+    same coefficient (the result is genuinely symmetric) and reads it off.
     """
     n = dg.n
     if n == 0:
         return CSymElement(0, "m", {IntPartition([]): 1})
     aggregate = descent_aggregate(dg)
-    coeffs: dict[tuple[int, ...], int] = defaultdict(int)
-    for strict_at, mult in aggregate.terms.items():
-        for word in _fundamental_words(n, strict_at, n):
-            exponents = [0] * n
-            for letter in word:
-                exponents[letter - 1] += 1
-            coeffs[tuple(exponents)] += mult
-    by_pattern: dict[tuple[int, ...], dict[tuple[int, ...], int]] = defaultdict(dict)
-    for vec, c in coeffs.items():
-        by_pattern[tuple(sorted(vec, reverse=True))][vec] = c
+    values: dict[tuple[int, ...], set[int]] = defaultdict(set)
+    for r in range(n):
+        for cuts in itertools.combinations(range(1, n), r):
+            ends = (0,) + cuts + (n,)
+            parts = tuple(sorted((b - a for a, b in zip(ends, ends[1:])), reverse=True))
+            values[parts].add(sum(mult for D, mult in aggregate.terms.items() if D.issubset(cuts)))
     terms: dict[IntPartition, int] = {}
-    for pattern, vectors in by_pattern.items():
-        values = set(vectors.values())
-        if len(vectors) < _arrangement_count(pattern):
-            values.add(0)  # some arrangement of this pattern never appeared
-        if len(values) != 1:
+    for parts, seen in values.items():
+        if len(seen) != 1:
+            pattern = parts + (0,) * (n - len(parts))  # as an exponent vector over n variables
             raise SymmetryViolationError(
                 f"descent aggregate of {dg.describe()} is not symmetric at pattern {pattern}"
             )
-        value = values.pop()
+        value = seen.pop()
         if value:
-            terms[IntPartition([p for p in pattern if p])] = value
+            terms[IntPartition(parts)] = value
     return CSymElement(n, "m", terms)
-
-
-def _arrangement_count(pattern: tuple[int, ...]) -> int:
-    total = factorial(len(pattern))
-    for mult in set(pattern):
-        total //= factorial(pattern.count(mult))
-    return total
 
 
 # -- coefficient formulas ------------------------------------------------------

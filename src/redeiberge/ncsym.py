@@ -14,14 +14,16 @@ in the test suite):
     p_pi = (1 / mu(0, pi)) * sum of mu(sigma, pi) e_sigma over sigma <= pi
     e_pi = sum of mu(0, sigma) p_sigma over sigma <= pi
 
-All other routes compose through P.
+All other routes compose through P.  Every linear combination -- sums,
+products, basis changes, the commutative image -- is summed by one helper,
+_sum, which collects (key, coefficient) pairs into one coefficient per key.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatchError
 from .setpart import (
@@ -43,6 +45,15 @@ NC_BASES = ("M", "P", "E")
 C_BASES = ("m", "p", "e")
 
 Word = tuple[int, ...]
+
+
+def _sum(pairs: Iterable[tuple[Hashable, object]]) -> dict:
+    """One coefficient per key: the sum over the (key, coefficient) pairs, keys
+    in the order they first appear."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out[key] + c if key in out else c
+    return out
 
 
 def _normalize(degree: int, terms: Mapping[SetPartition, object]) -> dict[SetPartition, Fraction]:
@@ -76,10 +87,6 @@ class NCSymElement:
     @classmethod
     def basis_element(cls, basis: str, pi: SetPartition, coeff=1) -> "NCSymElement":
         return cls(pi.n, basis, {pi: coeff})
-
-    @classmethod
-    def zero(cls, degree: int, basis: str = "P") -> "NCSymElement":
-        return cls(degree, basis, {})
 
     @classmethod
     def one(cls, basis: str = "P") -> "NCSymElement":
@@ -118,9 +125,7 @@ class NCSymElement:
         if self.degree != other.degree:
             raise DegreeMismatchError(f"degrees differ: {self.degree} vs {other.degree}")
         other = other.to_basis(self.basis)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
+        terms = _sum(itertools.chain(self.terms.items(), other.terms.items()))
         return NCSymElement(self.degree, self.basis, terms)
 
     def __neg__(self) -> "NCSymElement":
@@ -164,36 +169,28 @@ class NCSymElement:
 
     def _from_m(self) -> "NCSymElement":
         # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
-        out: dict[SetPartition, Fraction] = {}
-        for pi, c in self.terms.items():
-            for sigma in coarsenings(pi):
-                out[sigma] = out.get(sigma, Fraction(0)) + c * mobius(pi, sigma)
-        return NCSymElement(self.degree, "P", out)
+        terms = _sum(
+            (sigma, c * mobius(pi, sigma)) for pi, c in self.terms.items() for sigma in coarsenings(pi)
+        )
+        return NCSymElement(self.degree, "P", terms)
 
     def _from_e(self) -> "NCSymElement":
         # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
-        out: dict[SetPartition, Fraction] = {}
-        for pi, c in self.terms.items():
-            for sigma in refinements(pi):
-                out[sigma] = out.get(sigma, Fraction(0)) + c * mobius_from_bottom(sigma)
-        return NCSymElement(self.degree, "P", out)
+        terms = _sum(
+            (sigma, c * mobius_from_bottom(sigma)) for pi, c in self.terms.items() for sigma in refinements(pi)
+        )
+        return NCSymElement(self.degree, "P", terms)
 
     def _p_to_m(self) -> "NCSymElement":
         # p_pi = sum_{sigma >= pi} m_sigma
-        out: dict[SetPartition, Fraction] = {}
-        for pi, c in self.terms.items():
-            for sigma in coarsenings(pi):
-                out[sigma] = out.get(sigma, Fraction(0)) + c
-        return NCSymElement(self.degree, "M", out)
+        terms = _sum((sigma, c) for pi, c in self.terms.items() for sigma in coarsenings(pi))
+        return NCSymElement(self.degree, "M", terms)
 
     def _p_to_e(self) -> "NCSymElement":
         # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma
-        out: dict[SetPartition, Fraction] = {}
-        for pi, c in self.terms.items():
-            scale = Fraction(1, mobius_from_bottom(pi))
-            for sigma in refinements(pi):
-                out[sigma] = out.get(sigma, Fraction(0)) + c * scale * mobius(sigma, pi)
-        return NCSymElement(self.degree, "E", out)
+        scaled = ((pi, c * Fraction(1, mobius_from_bottom(pi))) for pi, c in self.terms.items())
+        terms = _sum((sigma, c * mobius(sigma, pi)) for pi, c in scaled for sigma in refinements(pi))
+        return NCSymElement(self.degree, "E", terms)
 
     def induct(self) -> "NCSymElement":
         """Double the last variable: degree rises by one, n+1 joins the block of n."""
@@ -218,15 +215,9 @@ class NCSymElement:
         the multiplicity factor |pi| in the M basis, pi! in the E basis, and
         nothing in the P basis.
         """
-        out: dict[IntPartition, Fraction] = {}
-        for pi, c in self.terms.items():
-            lam = lambda_of(pi)
-            if self.basis == "M":
-                c = c * multiplicity_weight(pi)
-            elif self.basis == "E":
-                c = c * factorial_weight(pi)
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return CSymElement(self.degree, self.basis.lower(), out)
+        weight = {"M": multiplicity_weight, "P": lambda pi: 1, "E": factorial_weight}[self.basis]
+        terms = _sum((lambda_of(pi), c * weight(pi)) for pi, c in self.terms.items())
+        return CSymElement(self.degree, self.basis.lower(), terms)
 
     def expand(self, k: int) -> dict[Word, Fraction]:
         """Exact coefficients of all words over the alphabet {1..k}.
@@ -294,12 +285,12 @@ def multiply(x: NCSymElement, y: NCSymElement) -> NCSymElement:
     xp = x.to_basis("P")
     yp = y.to_basis("P")
     offset = x.degree
-    terms: dict[SetPartition, Fraction] = {}
-    for pi, a in xp.terms.items():
-        for rho, b in yp.terms.items():
-            shifted = tuple(tuple(v + offset for v in block) for block in rho.blocks)
-            key = SetPartition(pi.blocks + shifted)
-            terms[key] = terms.get(key, Fraction(0)) + a * b
+    shifted = [
+        (tuple(tuple(v + offset for v in block) for block in rho.blocks), b) for rho, b in yp.terms.items()
+    ]
+    terms = _sum(
+        (SetPartition(pi.blocks + blocks), a * b) for pi, a in xp.terms.items() for blocks, b in shifted
+    )
     return NCSymElement(x.degree + y.degree, "P", terms)
 
 
@@ -350,9 +341,7 @@ class CSymElement:
             return NotImplemented
         if self.degree != other.degree or self.basis != other.basis:
             raise DegreeMismatchError("can only add commutative elements of equal degree and basis")
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            terms[lam] = terms.get(lam, Fraction(0)) + c
+        terms = _sum(itertools.chain(self.terms.items(), other.terms.items()))
         return CSymElement(self.degree, self.basis, terms)
 
     def __sub__(self, other: "CSymElement") -> "CSymElement":
@@ -374,11 +363,11 @@ class CSymElement:
             return NotImplemented
         if self.basis != "p" or other.basis != "p":
             raise ValueError("commutative products are implemented in the p basis only")
-        terms: dict[IntPartition, Fraction] = {}
-        for lam, a in self.terms.items():
-            for mu, b in other.terms.items():
-                key = IntPartition(tuple(lam) + tuple(mu))
-                terms[key] = terms.get(key, Fraction(0)) + a * b
+        terms = _sum(
+            (IntPartition(tuple(lam) + tuple(mu)), a * b)
+            for lam, a in self.terms.items()
+            for mu, b in other.terms.items()
+        )
         return CSymElement(self.degree + other.degree, "p", terms)
 
     def to_json_dict(self) -> dict:

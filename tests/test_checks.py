@@ -124,6 +124,9 @@ def test_checks_skip_beyond_route_capacity(n):
         assert not [(r.check, r.witness) for r in reports if r.status == "fail"]
         if n == 13:  # above the cycle-count table's limit
             assert by_name(reports)["p-nonnegativity"].status == "skipped"
+        # the Hamiltonian-path count's apex table fits up to n = 11
+        berge = by_name(reports)["berge-parity"].status
+        assert berge == {9: "pass", 10: "pass", 12: "skipped", 13: "skipped"}[n]
 
 
 def test_checks_pass_on_seeded_instances():

@@ -115,12 +115,14 @@ def test_verify_json_schema(capsys):
     assert "witness" in payload["results"][1]
 
 
-def test_verify_beyond_route_capacity_reports_instead_of_raising(capsys):
-    code, out, _ = run(capsys, "verify", "tournament:9:1")
+@pytest.mark.parametrize("spec", ["tournament:9:1", "tournament:11:1"])
+def test_verify_beyond_route_capacity_reports_instead_of_raising(capsys, spec):
+    code, out, _ = run(capsys, "verify", spec)
+    n = spec.split(":")[1]
     assert code == 0
     assert "berge-parity: pass" in out.splitlines()
     assert "redei-parity: pass" in out.splitlines()
-    assert "commutative: skipped  (permutations route refuses n=9 (capacity 8))" in out.splitlines()
+    assert f"commutative: skipped  (permutations route refuses n={n} (capacity 8))" in out.splitlines()
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -135,10 +137,18 @@ def test_verify_skip_reasons_come_from_the_route_registry(capsys, n):
         assert "opposite: skipped  (permutations route refuses n=9 (capacity 8))" in lines
 
 
-def test_verify_unknown_check_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "cycle:3", "--checks", "bogus")
+@pytest.mark.parametrize(
+    "checks, message",
+    [
+        pytest.param("bogus", "unknown checks", id="bogus"),
+        pytest.param(",", "no checks named", id="comma"),
+        pytest.param("", "no checks named", id="empty"),
+    ],
+)
+def test_verify_unknown_check_is_usage_error(capsys, checks, message):
+    code, _, err = run(capsys, "verify", "cycle:3", "--checks", checks)
     assert code == cli.EXIT_USAGE
-    assert "unknown checks" in err
+    assert message in err
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

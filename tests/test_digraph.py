@@ -1,6 +1,7 @@
 """Digraph constructions, predicates, Hamiltonian-path counting, text format."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -286,8 +287,11 @@ def test_hamiltonian_invariant_under_opposite(dg):
 
 
 def test_hamiltonian_size_guard():
-    with pytest.raises(SizeLimitError):
-        discrete_digraph(10).hamiltonian_path_count()
+    # the apex makes the cycle-count table one vertex larger than the digraph
+    assert discrete_digraph(11).hamiltonian_path_count() == 0
+    assert complete_digraph(11).hamiltonian_path_count() == math.factorial(11)
+    with pytest.raises(SizeLimitError, match="n=12"):
+        discrete_digraph(12).hamiltonian_path_count()
 
 
 # -- generators -----------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from redeiberge.digraph import (
     random_digraph,
     random_tournament,
 )
-from redeiberge.errors import SizeLimitError
+from redeiberge import invariant
+from redeiberge.errors import SizeLimitError, SymmetryViolationError
 from redeiberge.invariant import (
     QSymElement,
     count_friendly,
@@ -253,6 +254,13 @@ def test_commutative_examples():
     assert rb_commutative(complete_digraph(2)) == CSymElement(
         2, "m", {IntPartition([1, 1]): 2}
     )
+
+
+def test_commutative_oracle_rejects_an_asymmetric_aggregate(monkeypatch):
+    # F_{1} in degree 3 is M_(1,2) + M_(1,1,1): the rearrangement (2,1) is missing
+    monkeypatch.setattr(invariant, "descent_aggregate", lambda dg: QSymElement(3, {frozenset({1}): 1}))
+    with pytest.raises(SymmetryViolationError, match=r"not symmetric at pattern \(2, 1, 0\)"):
+        rb_commutative(discrete_digraph(3))
 
 
 def test_commutative_image_matches_descent_oracle():

@@ -130,6 +130,21 @@ def test_zero_coefficients_never_stored():
     assert x.coefficient(P("12")) == 0
 
 
+def test_keys_sharing_one_coefficient_object_sum_separately():
+    three = Fraction(3)
+    x = NCSymElement(2, "P", {P("1/2"): three, P("12"): three})
+    assert x.to_basis("M") == NCSymElement(2, "M", {P("1/2"): 3, P("12"): 6})
+
+
+def test_csym_sum_and_product_collect_colliding_keys():
+    x = CSymElement(2, "p", {IntPartition([2]): 2, IntPartition([1, 1]): 1})
+    y = CSymElement(2, "p", {IntPartition([2]): 3, IntPartition([1, 1]): -1})
+    assert x + y == CSymElement(2, "p", {IntPartition([2]): 5})
+    # p2 * p11 and p11 * p2 both land on p211: -2 + 3
+    expected = {IntPartition([2, 2]): 6, IntPartition([2, 1, 1]): 1, IntPartition([1, 1, 1, 1]): -1}
+    assert x * y == CSymElement(4, "p", expected)
+
+
 # -- products ----------------------------------------------------------------------
 
 
