@@ -162,10 +162,6 @@ def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[t
         sub = (sub - 1) & rest
 
 
-def _partition(blocks: Sequence[int]) -> SetPartition:
-    return SetPartition(tuple(v + 1 for v in range(b.bit_length()) if b >> v & 1) for b in blocks)
-
-
 def rb_by_permutations(dg: Digraph) -> NCSymElement:
     """Power-sum expansion: signed sum of p over cycle types of permutations
     whose cycles are directed cycles of the digraph or of its complement.
@@ -174,8 +170,9 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
     coefficient is a product of block weights (see _block_weights).
     """
     resolve_route("permutations", dg.n)
-    partitions = _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1)
-    return NCSymElement(dg.n, "P", {_partition(blocks): coeff for blocks, coeff in partitions})
+    n = dg.n
+    partitions = _nonzero_partitions(_block_weights(dg), (1 << n) - 1)
+    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): coeff for blocks, coeff in partitions})
 
 
 def rb_tournament(dg: Digraph) -> NCSymElement:
@@ -223,7 +220,7 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
 # -- deletion-contraction -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROUTE_CAPACITY["deletion-contraction"] + 1)
 def _discrete_expansion(n: int) -> NCSymElement:
     """The edge-free base case: sum of (block factorial product) * m over all
     set partitions; loops never affect the function."""
@@ -377,7 +374,7 @@ def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
     total = Fraction(0)
     for blocks, coeff in _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1):
-        cycle_type = _partition(blocks)
+        cycle_type = SetPartition.from_masks(dg.n, blocks)
         if refines(pi, cycle_type):
             total += Fraction(coeff * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))
     return total

@@ -113,10 +113,7 @@ class NCSymElement:
     def __repr__(self):
         if not self.terms:
             return f"<0 (degree {self.degree}, {self.basis} basis)>"
-        bits = []
-        for pi in sorted(self.terms):
-            c = self.terms[pi]
-            bits.append(f"{c}*{self.basis.lower()}[{pi}]")
+        bits = [f"{c}*{self.basis.lower()}[{pi}]" for pi, c in _in_key_order(self.terms)]
         return "<" + " + ".join(bits) + ">"
 
     def __add__(self, other: "NCSymElement") -> "NCSymElement":
@@ -245,8 +242,8 @@ class NCSymElement:
             "degree": self.degree,
             "basis": self.basis,
             "terms": [
-                {"blocks": str(pi), "coeff": _coeff_str(self.terms[pi])}
-                for pi in sorted(self.terms)
+                {"blocks": str(pi), "coeff": _coeff_str(c)}
+                for pi, c in _in_key_order(self.terms)
             ],
         }
 
@@ -257,6 +254,13 @@ class NCSymElement:
             for t in data["terms"]
         }
         return cls(data["degree"], data["basis"], terms)
+
+
+def _in_key_order(terms: Mapping[SetPartition, Fraction]) -> list[tuple[SetPartition, Fraction]]:
+    """The (key, coefficient) pairs of one element in canonical key order.  The
+    keys share one ground set, so ordering by blocks alone is SetPartition's
+    (n, blocks) order, without a Python-level comparison per pair."""
+    return sorted(terms.items(), key=lambda term: term[0].blocks)
 
 
 def _coeff_str(c: Fraction) -> str:

@@ -41,6 +41,36 @@ class SetPartition:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canon)
 
+    @classmethod
+    def from_masks(cls, n: int, masks: Sequence[int]) -> "SetPartition":
+        """The partition of {1..n} whose blocks are the bitmasks (bit v-1 for
+        element v), already in canonical order: by lowest set bit.
+
+        Skips the constructor's sorting; the input is still checked (nonzero,
+        disjoint, in order, covering {1..n}) with a few integer operations per
+        block.
+        """
+        if n > MAX_GROUND_SET:
+            raise SizeLimitError(f"ground set size {n} exceeds {MAX_GROUND_SET}")
+        seen = previous_low = 0
+        for mask in masks:
+            low = mask & -mask
+            if not mask:
+                raise ValueError("empty block in set partition")
+            if mask & seen:
+                raise ValueError(f"block masks {list(masks)} overlap")
+            if low < previous_low:
+                raise ValueError(f"block masks {list(masks)} are not ordered by lowest element")
+            seen |= mask
+            previous_low = low
+        if seen != (1 << n) - 1:
+            raise ValueError(f"block masks {list(masks)} do not partition {{1..{n}}}")
+        elements = _mask_elements(n)
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "n", n)
+        object.__setattr__(pi, "blocks", tuple([elements[mask] for mask in masks]))
+        return pi
+
     def __setattr__(self, name, value):
         raise AttributeError("SetPartition is immutable")
 
@@ -63,11 +93,20 @@ class SetPartition:
         if self.n == 0:
             return ""
         if self.n <= 9:
-            return "/".join("".join(str(x) for x in b) for b in self.blocks)
-        return "/".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
+            return "/".join(["".join(map(str, b)) for b in self.blocks])
+        return "/".join(["{" + ",".join(map(str, b)) + "}" for b in self.blocks])
 
     def __len__(self):
         return len(self.blocks)
+
+
+@lru_cache(maxsize=MAX_GROUND_SET + 1)
+def _mask_elements(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every bitmask over n elements, its elements ascending (bit v-1 is v)."""
+    table = [()]
+    for v in range(1, n + 1):
+        table += [elements + (v,) for elements in table]
+    return tuple(table)
 
 
 class IntPartition:
@@ -276,7 +315,12 @@ def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@lru_cache(maxsize=None)
+# At least the sum of Bell(k) over k <= 8 (5296), so no conversion at today's
+# route capacities evicts its own entries.
+LATTICE_CACHE_SIZE = 8192
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def coarsenings(pi: SetPartition) -> tuple[SetPartition, ...]:
     """All partitions sigma with pi <= sigma, obtained by merging blocks."""
     result = []
@@ -286,7 +330,7 @@ def coarsenings(pi: SetPartition) -> tuple[SetPartition, ...]:
     return tuple(sorted(result))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def refinements(pi: SetPartition) -> tuple[SetPartition, ...]:
     """All partitions sigma with sigma <= pi, obtained by splitting blocks."""
     per_block = [list(_partitions_of(b)) for b in pi.blocks]

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from redeiberge.digraph import random_digraph, random_tournament
 from redeiberge.errors import DegreeMismatchError
+from redeiberge.invariant import rb_by_permutations
 from redeiberge.ncsym import CSymElement, NCSymElement, multiply
 from redeiberge.setpart import (
     IntPartition,
@@ -296,6 +298,38 @@ def test_json_round_trip_and_order():
     assert [t["blocks"] for t in data["terms"]] == ["1/2/3", "123"]
     assert [t["coeff"] for t in data["terms"]] == ["-2", "1/2"]
     assert NCSymElement.from_json_dict(data) == x
+
+
+DEGREE_10 = NCSymElement(
+    10,
+    "P",
+    {
+        P("{1,2}/{3}/{4,5,6,7,8,9,10}"): 1,
+        P("{1,10}/{2,3,4,5,6,7,8,9}"): -2,
+        P("{1,2,3,4,5,6,7,8,9,10}"): 5,
+        P("{1,2}/{3,10}/{4,5,6,7,8,9}"): Fraction(3, 4),
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [rb_by_permutations(random_digraph(8, 0.3, 1)), rb_by_permutations(random_tournament(8, 2)), DEGREE_10],
+    ids=["random-8", "tournament-8", "degree-10"],
+)
+def test_serialised_order_is_canonical_key_order(x):
+    in_order = sorted(x.terms)  # SetPartition's own (n, blocks) order
+    assert [t["blocks"] for t in x.to_json_dict()["terms"]] == [str(pi) for pi in in_order]
+    assert repr(x) == "<" + " + ".join(f"{x.terms[pi]}*p[{pi}]" for pi in in_order) + ">"
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_rendering_round_trips_at_the_brace_boundary(n):
+    rng = random.Random(n)
+    for _ in range(200):
+        labels = [rng.randint(1, n) for _ in range(n)]
+        pi = SetPartition([v for v in range(1, n + 1) if labels[v - 1] == label] for label in set(labels))
+        assert parse_set_partition(str(pi)) == pi
 
 
 def test_json_round_trip_large_ground_set():

@@ -100,6 +100,41 @@ def test_invalid_partitions_rejected():
         SetPartition([[0, 1]])  # not 1-based
 
 
+def _masks(pi):
+    return [sum(1 << (x - 1) for x in block) for block in pi.blocks]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_from_masks_equals_constructor(n):
+    for pi in enumerate_partitions(n) if n else [SetPartition([])]:
+        built = SetPartition.from_masks(n, _masks(pi))
+        assert built == pi and hash(built) == hash(pi)
+        assert built.blocks == pi.blocks and str(built) == str(pi)
+
+
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        ([0b001, 0, 0b110], "empty block"),
+        ([0b011, 0b110], "overlap"),
+        ([0b010, 0b101], "not ordered"),
+        ([0b001, 0b010], "do not partition"),  # 3 missing
+        ([0b001, 0b010, 0b1100], "do not partition"),  # 4 outside {1..3}
+    ],
+    ids=["zero", "overlap", "order", "missing", "outside"],
+)
+def test_from_masks_rejects_invalid_blocks(masks, message):
+    with pytest.raises(ValueError, match=message):
+        SetPartition.from_masks(3, masks)
+
+
+def test_from_masks_size_guard():
+    top = SetPartition.from_masks(12, [(1 << 12) - 1])
+    assert top == one_block(12)
+    with pytest.raises(SizeLimitError):
+        SetPartition.from_masks(13, [(1 << 13) - 1])
+
+
 def test_rendering_large_ground_set_uses_braces():
     pi = SetPartition([list(range(1, 10)), [10]])
     assert str(pi) == "{1,2,3,4,5,6,7,8,9}/{10}"
