@@ -23,7 +23,6 @@ from .errors import (
     SymmetryViolationError,
 )
 from .invariant import (
-    QSymElement,
     count_friendly,
     descent_aggregate,
     elementary_coefficient,
@@ -41,7 +40,6 @@ from .setpart import (
     SetPartition,
     apply_perm,
     bell_number,
-    cycle_type_partition,
     enumerate_partitions,
     factorial_weight,
     insert_last,

@@ -81,12 +81,6 @@ def _difference(lhs, rhs) -> str | None:
     return "elements differ in degree or basis"
 
 
-def compare_elements(check: str, instance: str, lhs, rhs) -> VerificationReport:
-    """Pass/fail report from two expansions already in a common basis."""
-    witness = _difference(lhs, rhs)
-    return VerificationReport(check, instance, "pass" if witness is None else "fail", witness)
-
-
 class _Skip(Exception):
     """Raised by a check whose hypothesis the instance does not meet."""
 
@@ -170,7 +164,7 @@ class _CheckRunner:
     def check_subset_decomposition(self) -> str | None:
         if self.dg.is_disjoint_union_of_paths():
             raise _Skip("hypothesis unmet: disjoint union of paths")
-        edges = self.dg.sorted_edges()
+        edges = sorted(self.dg.edges)
         if len(edges) > MAX_SUBSET_EDGES:
             raise _Skip(f"|E| > {MAX_SUBSET_EDGES}")
         return _difference(self.w(self.dg), self._alternating_deletion_sum(edges))
@@ -189,7 +183,7 @@ class _CheckRunner:
 
     def check_counting_lemma(self) -> str | None:
         n = self.dg.n
-        edges = self.dg.sorted_edges()
+        edges = sorted(self.dg.edges)
         if n > MAX_COUNTING_LEMMA_VERTICES or len(edges) > MAX_COUNTING_LEMMA_EDGES:
             raise _Skip(
                 f"instance too large for the exhaustive check (n <= {MAX_COUNTING_LEMMA_VERTICES}, "
@@ -202,8 +196,9 @@ class _CheckRunner:
         ]
         if not qualifying:
             raise _Skip("hypothesis unmet: no qualifying edge subset")
+        deleted = {S: self.dg.delete_edges(S) for S in _subsets(edges)}
         for colors in itertools.product(range(1, n + 1), repeat=n):
-            counts = {S: count_friendly(self.dg.delete_edges(S), colors) for S in _subsets(edges)}
+            counts = {S: count_friendly(dg, colors) for S, dg in deleted.items()}
             base = counts[()]
             for F in qualifying:
                 total = 0
@@ -254,9 +249,7 @@ class _CheckRunner:
 
     def check_berge_parity(self) -> str | None:
         count = self.dg.hamiltonian_path_count()
-        complement = self.dg.complement()
-        loopless = Digraph(complement.n, {(u, v) for u, v in complement.edges if u != v})
-        other = loopless.hamiltonian_path_count()
+        other = self.dg.complement().hamiltonian_path_count()
         if count % 2 != other % 2:
             return f"Hamiltonian path counts {count} and {other} differ mod 2"
         return None

@@ -179,9 +179,10 @@ def run_bench(args: argparse.Namespace) -> int:
 
 
 def run_batch(args: argparse.Namespace) -> int:
-    head = args.input.split(":", 1)[0]
-    if head not in GENERATOR_KINDS:
-        raise UsageError("batch requires a generator spec family, e.g. random:5:0.3")
+    parts = args.input.split(":")
+    if (parts[0], len(parts)) not in (("random", 3), ("tournament", 2)):
+        # any other spec fixes its digraph, so every seed would check the same one
+        raise UsageError(f"batch needs a seedless generator spec, random:n:p or tournament:n; got {args.input!r}")
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     summaries = []

@@ -47,9 +47,6 @@ class Digraph:
     def describe(self) -> str:
         return f"n={self.n} edges={sorted(self.edges)}"
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
     def non_loop_edges(self) -> list[Edge]:
         return sorted((u, v) for u, v in self.edges if u != v)
 
@@ -134,16 +131,9 @@ class Digraph:
             return False
         return self.find_directed_cycle() is None
 
-    def find_directed_cycle(self, include_loops: bool = False) -> list[Edge] | None:
-        """One directed cycle as an edge list in traversal order, or None.
-
-        Loops count as length-1 cycles only when include_loops is set;
-        otherwise cycles have length >= 2.
-        """
-        if include_loops:
-            for v in range(1, self.n + 1):
-                if (v, v) in self.edges:
-                    return [(v, v)]
+    def find_directed_cycle(self) -> list[Edge] | None:
+        """One directed cycle of length >= 2 (loops are not cycles here) as an
+        edge list in traversal order, or None."""
         adj = [[v for v in range(1, self.n + 1) if v != u and (u, v) in self.edges] for u in range(self.n + 1)]
         state = [0] * (self.n + 1)  # 0 unvisited, 1 on stack, 2 done
         stack: list[int] = []

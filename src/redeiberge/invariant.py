@@ -24,7 +24,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .digraph import Digraph, hamiltonian_cycle_counts
 from .errors import SizeLimitError, SymmetryViolationError
@@ -270,41 +270,9 @@ def _delcon(dg: Digraph) -> NCSymElement:
 # -- commutative oracle via descent sets --------------------------------------
 
 
-class QSymElement:
-    """Aggregated descent-set data: counts per subset of {1..n-1}."""
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: Mapping[frozenset, int]):
-        cleaned: dict[frozenset, int] = {}
-        for key, count in terms.items():
-            key = frozenset(key)
-            if not all(1 <= i <= degree - 1 for i in key):
-                raise ValueError(f"descent set {sorted(key)} out of range for degree {degree}")
-            if count < 0:
-                raise ValueError("descent multiplicities must be nonnegative")
-            if count:
-                cleaned[key] = count
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSymElement is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSymElement)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        bits = [f"{c}*F{sorted(i)}" for i, c in sorted(self.terms.items(), key=lambda t: sorted(t[0]))]
-        return "<" + " + ".join(bits) + ">" if bits else "<0>"
-
-
-def descent_aggregate(dg: Digraph) -> QSymElement:
-    """Counts of edge-descent sets over all n! vertex listings."""
+def descent_aggregate(dg: Digraph) -> dict[frozenset[int], int]:
+    """Counts of edge-descent sets over all n! vertex listings; every key is a
+    subset of {1..n-1} and every count positive."""
     if dg.n > MAX_DESCENT_ALGORITHM:
         raise SizeLimitError(f"descent algorithm limited to n <= {MAX_DESCENT_ALGORITHM}")
     counts: dict[frozenset, int] = defaultdict(int)
@@ -313,7 +281,7 @@ def descent_aggregate(dg: Digraph) -> QSymElement:
             i for i in range(1, dg.n) if (listing[i - 1], listing[i]) in dg.edges
         )
         counts[descents] += 1
-    return QSymElement(dg.n, counts)
+    return dict(counts)
 
 
 def rb_commutative(dg: Digraph) -> CSymElement:
@@ -333,7 +301,7 @@ def rb_commutative(dg: Digraph) -> CSymElement:
         for cuts in itertools.combinations(range(1, n), r):
             ends = (0,) + cuts + (n,)
             parts = tuple(sorted((b - a for a, b in zip(ends, ends[1:])), reverse=True))
-            values[parts].add(sum(mult for D, mult in aggregate.terms.items() if D.issubset(cuts)))
+            values[parts].add(sum(mult for D, mult in aggregate.items() if D.issubset(cuts)))
     terms: dict[IntPartition, int] = {}
     for parts, seen in values.items():
         if len(seen) != 1:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatchError
 from .setpart import (
@@ -56,11 +57,13 @@ def _sum(pairs: Iterable[tuple[Hashable, object]]) -> dict:
     return out
 
 
-def _normalize(degree: int, terms: Mapping[SetPartition, object]) -> dict[SetPartition, Fraction]:
-    out: dict[SetPartition, Fraction] = {}
+def _normalize(degree: int, terms: Mapping, size: Callable[[Hashable], int]) -> dict:
+    """The nonzero terms, coefficients as Fractions; size(key) must equal the
+    degree (a set partition's n, an integer partition's size)."""
+    out: dict = {}
     for key, coeff in terms.items():
-        if key.n != degree:
-            raise DegreeMismatchError(f"key {key} has ground size {key.n}, element degree {degree}")
+        if size(key) != degree:
+            raise DegreeMismatchError(f"key {key} has size {size(key)}, element degree {degree}")
         c = Fraction(coeff)
         if c:
             out[key] = c
@@ -79,7 +82,7 @@ class NCSymElement:
             raise ValueError("degree must be nonnegative")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", _normalize(degree, terms))
+        object.__setattr__(self, "terms", _normalize(degree, terms, attrgetter("n")))
 
     def __setattr__(self, name, value):
         raise AttributeError("NCSymElement is immutable")
@@ -306,16 +309,9 @@ class CSymElement:
     def __init__(self, degree: int, basis: str, terms: Mapping[IntPartition, object]):
         if basis not in C_BASES:
             raise ValueError(f"basis must be one of {C_BASES}, got {basis!r}")
-        out: dict[IntPartition, Fraction] = {}
-        for lam, coeff in terms.items():
-            if lam.size != degree:
-                raise DegreeMismatchError(f"partition {lam} does not have size {degree}")
-            c = Fraction(coeff)
-            if c:
-                out[lam] = c
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", out)
+        object.__setattr__(self, "terms", _normalize(degree, terms, attrgetter("size")))
 
     def __setattr__(self, name, value):
         raise AttributeError("CSymElement is immutable")

@@ -286,28 +286,6 @@ def apply_perm(delta: Sequence[int], pi: SetPartition) -> SetPartition:
     return SetPartition([[delta[x - 1] for x in b] for b in pi.blocks])
 
 
-def cycle_type_partition(sigma: Sequence[int]) -> SetPartition:
-    """The set partition whose blocks are the orbits of the permutation."""
-    n = len(sigma)
-    seen = [False] * (n + 1)
-    blocks = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        orbit = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            orbit.append(x)
-            x = sigma[x - 1]
-        blocks.append(orbit)
-    return SetPartition(blocks)
-
-
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(delta)
     for i, image in enumerate(delta, start=1):

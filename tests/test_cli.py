@@ -210,6 +210,14 @@ def test_batch_requires_generator_family(capsys):
     assert "generator spec" in err
 
 
+@pytest.mark.parametrize("spec", ["random:4:0.5:7", "tournament:5:2", "complete:3"])
+def test_batch_refuses_a_spec_that_fixes_its_digraph(capsys, spec):
+    code, out, err = run(capsys, "batch", spec, "--count", "3")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "seedless" in err
+
+
 def test_batch_count_below_one_is_usage_error(capsys):
     code, out, err = run(capsys, "batch", "random:3:0.3", "--count", "-3")
     assert code == cli.EXIT_USAGE

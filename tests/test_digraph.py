@@ -204,7 +204,6 @@ def test_find_directed_cycle_examples():
 def test_find_directed_cycle_loop_handling():
     loop = Digraph(2, [(1, 1)])
     assert loop.find_directed_cycle() is None
-    assert loop.find_directed_cycle(include_loops=True) == [(1, 1)]
 
 
 def test_find_directed_cycle_returns_real_cycle():
@@ -284,6 +283,13 @@ def test_hamiltonian_against_brute_force():
 @settings(max_examples=40)
 def test_hamiltonian_invariant_under_opposite(dg):
     assert dg.hamiltonian_path_count() == dg.opposite().hamiltonian_path_count()
+
+
+@given(digraphs(max_n=6))
+@settings(max_examples=40)
+def test_hamiltonian_ignores_loops(dg):
+    looped = Digraph(dg.n, dg.edges | {(v, v) for v in range(1, dg.n + 1)})
+    assert looped.hamiltonian_path_count() == dg.hamiltonian_path_count()
 
 
 def test_hamiltonian_size_guard():

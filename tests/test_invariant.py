@@ -18,7 +18,6 @@ from redeiberge.digraph import (
 from redeiberge import invariant
 from redeiberge.errors import SizeLimitError, SymmetryViolationError
 from redeiberge.invariant import (
-    QSymElement,
     count_friendly,
     descent_aggregate,
     elementary_coefficient,
@@ -233,14 +232,7 @@ def test_permutation_route_at_its_capacity():
 
 def test_descent_aggregate_example():
     agg = descent_aggregate(path_digraph(2))
-    assert agg == QSymElement(2, {frozenset(): 1, frozenset({1}): 1})
-
-
-def test_qsym_validation():
-    with pytest.raises(ValueError):
-        QSymElement(2, {frozenset({2}): 1})  # descent position out of range
-    with pytest.raises(ValueError):
-        QSymElement(3, {frozenset({1}): -1})
+    assert agg == {frozenset(): 1, frozenset({1}): 1}
 
 
 def test_commutative_examples():
@@ -258,7 +250,7 @@ def test_commutative_examples():
 
 def test_commutative_oracle_rejects_an_asymmetric_aggregate(monkeypatch):
     # F_{1} in degree 3 is M_(1,2) + M_(1,1,1): the rearrangement (2,1) is missing
-    monkeypatch.setattr(invariant, "descent_aggregate", lambda dg: QSymElement(3, {frozenset({1}): 1}))
+    monkeypatch.setattr(invariant, "descent_aggregate", lambda dg: {frozenset({1}): 1})
     with pytest.raises(SymmetryViolationError, match=r"not symmetric at pattern \(2, 1, 0\)"):
         rb_commutative(discrete_digraph(3))
 

@@ -14,10 +14,8 @@ from redeiberge.setpart import (
     apply_perm,
     bell_number,
     coarsenings,
-    cycle_type_partition,
     enumerate_partitions,
     factorial_weight,
-    identity_perm,
     insert_last,
     inverse_perm,
     lambda_of,
@@ -351,11 +349,3 @@ def test_apply_perm_inverse_round_trip():
             delta = tuple(delta)
             for pi in enumerate_partitions(n):
                 assert apply_perm(inverse_perm(delta), apply_perm(delta, pi)) == pi
-
-
-def test_cycle_type_examples():
-    assert cycle_type_partition(identity_perm(3)) == P("1/2/3")
-    # the 3-cycle 1->2->3->1
-    assert cycle_type_partition((2, 3, 1)) == P("123")
-    # the transposition (1 2)
-    assert cycle_type_partition((2, 1, 3)) == P("12/3")
