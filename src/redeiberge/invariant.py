@@ -145,21 +145,30 @@ def _block_weights(dg: Digraph) -> list[int]:
 def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (blocks, product of their weights) for every set partition of the
     bitmask ground into nonzero-weight blocks; blocks are bitmasks, ordered by
-    their lowest vertex."""
+    their lowest vertex.
+
+    Depth first over an explicit stack of partial partitions (the rest of the
+    ground, the blocks so far, their product).  The block through the lowest
+    vertex of the rest takes every subset of the others; the order is that of
+    the submasks of the rest descending, so the partial with the whole rest as
+    its block comes first and is yielded at once.
+    """
     if not ground:
         yield (), 1
         return
-    low = ground & -ground
-    rest = ground ^ low
-    sub = rest
-    while True:
-        block = low | sub
-        if weights[block]:
-            for blocks, coeff in _nonzero_partitions(weights, rest ^ sub):
-                yield (block,) + blocks, weights[block] * coeff
-        if not sub:
-            return
-        sub = (sub - 1) & rest
+    stack = [(ground, (), 1)]
+    while stack:
+        rest, blocks, coeff = stack.pop()
+        low = rest & -rest
+        others = rest ^ low
+        sub = 0
+        while sub != others:  # the proper submasks of others, ascending
+            weight = weights[low | sub]
+            if weight:
+                stack.append((others ^ sub, blocks + (low | sub,), coeff * weight))
+            sub = (sub - others) & others
+        if weights[rest]:
+            yield blocks + (rest,), coeff * weights[rest]
 
 
 def rb_by_permutations(dg: Digraph) -> NCSymElement:

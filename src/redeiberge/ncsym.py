@@ -2,9 +2,11 @@
 
 Elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
-fixed degree.  Rationals appear because converting between P and E divides
-by a Mobius value; final digraph invariants are nevertheless integral,
-which callers assert rather than assume.
+fixed degree.  A coefficient is stored as an int whenever it is integral and
+as a Fraction otherwise.  Only P -> E divides, by mu(0, pi): it sums integer
+numerators over (n-1)! and divides once per output key, so a Fraction comes
+only from there or from rational input.  Final digraph invariants are
+nevertheless integral, which callers assert rather than assume.
 
 Basis change formulas (each validated against the word-expansion oracle
 in the test suite):
@@ -14,7 +16,9 @@ in the test suite):
     p_pi = (1 / mu(0, pi)) * sum of mu(sigma, pi) e_sigma over sigma <= pi
     e_pi = sum of mu(0, sigma) p_sigma over sigma <= pi
 
-All other routes compose through P.  Every linear combination -- sums,
+All other routes compose through P.  The Mobius values come with the
+lattice rows (setpart.coarsenings and setpart.refinements), so no
+conversion evaluates mu per pair.  Every linear combination -- sums,
 products, basis changes, the commutative image -- is summed by one helper,
 _sum, which collects (key, coefficient) pairs into one coefficient per key.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -35,7 +40,7 @@ from .setpart import (
     factorial_weight,
     insert_last,
     lambda_of,
-    mobius,
+    mobius,  # not called here; perfbench's tracer wraps it under this module
     mobius_from_bottom,
     multiplicity_weight,
     parse_set_partition,
@@ -52,19 +57,36 @@ def _sum(pairs: Iterable[tuple[Hashable, object]]) -> dict:
     """One coefficient per key: the sum over the (key, coefficient) pairs, keys
     in the order they first appear."""
     out: dict = {}
+    get = out.get  # two key lookups per pair, not three; no coefficient is None
     for key, c in pairs:
-        out[key] = out[key] + c if key in out else c
+        old = get(key)
+        out[key] = c if old is None else old + c
     return out
 
 
+def _exact(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(x: int | Fraction, d: int) -> int | Fraction:
+    """x / d, as an int when d divides x."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
+
+
 def _normalize(degree: int, terms: Mapping, size: Callable[[Hashable], int]) -> dict:
-    """The nonzero terms, coefficients as Fractions; size(key) must equal the
-    degree (a set partition's n, an integer partition's size)."""
+    """The nonzero terms, coefficients exact (see _exact); size(key) must equal
+    the degree (a set partition's n, an integer partition's size)."""
     out: dict = {}
-    for key, coeff in terms.items():
+    for key, c in terms.items():
         if size(key) != degree:
             raise DegreeMismatchError(f"key {key} has size {size(key)}, element degree {degree}")
-        c = Fraction(coeff)
+        c = _exact(c)
         if c:
             out[key] = c
     return out
@@ -96,8 +118,8 @@ class NCSymElement:
         """The empty product: degree 0, coefficient 1."""
         return cls(0, basis, {SetPartition([]): 1})
 
-    def coefficient(self, pi: SetPartition) -> Fraction:
-        return self.terms.get(pi, Fraction(0))
+    def coefficient(self, pi: SetPartition) -> int | Fraction:
+        return self.terms.get(pi, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -135,7 +157,7 @@ class NCSymElement:
         return self + (-other)
 
     def scale(self, c) -> "NCSymElement":
-        c = Fraction(c)
+        c = _exact(c)
         return NCSymElement(self.degree, self.basis, {k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, c) -> "NCSymElement":
@@ -169,16 +191,12 @@ class NCSymElement:
 
     def _from_m(self) -> "NCSymElement":
         # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
-        terms = _sum(
-            (sigma, c * mobius(pi, sigma)) for pi, c in self.terms.items() for sigma in coarsenings(pi)
-        )
+        terms = _sum(_along_rows(self.terms.items(), coarsenings, attrgetter("mobius")))
         return NCSymElement(self.degree, "P", terms)
 
     def _from_e(self) -> "NCSymElement":
         # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
-        terms = _sum(
-            (sigma, c * mobius_from_bottom(sigma)) for pi, c in self.terms.items() for sigma in refinements(pi)
-        )
+        terms = _sum(_along_rows(self.terms.items(), refinements, attrgetter("bottom")))
         return NCSymElement(self.degree, "P", terms)
 
     def _p_to_m(self) -> "NCSymElement":
@@ -187,10 +205,13 @@ class NCSymElement:
         return NCSymElement(self.degree, "M", terms)
 
     def _p_to_e(self) -> "NCSymElement":
-        # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma
-        scaled = ((pi, c * Fraction(1, mobius_from_bottom(pi))) for pi, c in self.terms.items())
-        terms = _sum((sigma, c * mobius(sigma, pi)) for pi, c in scaled for sigma in refinements(pi))
-        return NCSymElement(self.degree, "E", terms)
+        # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma, summed
+        # as numerators over (n-1)!, which every |mu(0, pi)| = prod (|B|-1)!
+        # divides
+        d = factorial(max(self.degree - 1, 0))
+        numerators = ((pi, c * (d // mobius_from_bottom(pi))) for pi, c in self.terms.items())
+        terms = _sum(_along_rows(numerators, refinements, attrgetter("mobius")))
+        return NCSymElement(self.degree, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
 
     def induct(self) -> "NCSymElement":
         """Double the last variable: degree rises by one, n+1 joins the block of n."""
@@ -219,7 +240,7 @@ class NCSymElement:
         terms = _sum((lambda_of(pi), c * weight(pi)) for pi, c in self.terms.items())
         return CSymElement(self.degree, self.basis.lower(), terms)
 
-    def expand(self, k: int) -> dict[Word, Fraction]:
+    def expand(self, k: int) -> dict[Word, int | Fraction]:
         """Exact coefficients of all words over the alphabet {1..k}.
 
         Ground-truth oracle: a word contributes to m_pi when its equality
@@ -229,9 +250,9 @@ class NCSymElement:
         """
         if k < 1:
             raise ValueError("need at least one variable")
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, int | Fraction] = {}
         for word in itertools.product(range(1, k + 1), repeat=self.degree):
-            total = Fraction(0)
+            total = 0
             for pi, c in self.terms.items():
                 if _word_matches(word, pi, self.basis):
                     total += c
@@ -259,14 +280,23 @@ class NCSymElement:
         return cls(data["degree"], data["basis"], terms)
 
 
-def _in_key_order(terms: Mapping[SetPartition, Fraction]) -> list[tuple[SetPartition, Fraction]]:
+def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, weights: Callable) -> Iterable:
+    """(sigma, c * w) for every term (pi, c) and every entry sigma of the
+    lattice row row_of(pi), w its value in weights(row)."""
+    for pi, c in terms:
+        row = row_of(pi)
+        for sigma, w in zip(row, weights(row)):
+            yield sigma, c * w
+
+
+def _in_key_order(terms: Mapping[SetPartition, object]) -> list[tuple[SetPartition, object]]:
     """The (key, coefficient) pairs of one element in canonical key order.  The
     keys share one ground set, so ordering by blocks alone is SetPartition's
     (n, blocks) order, without a Python-level comparison per pair."""
     return sorted(terms.items(), key=lambda term: term[0].blocks)
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -316,8 +346,8 @@ class CSymElement:
     def __setattr__(self, name, value):
         raise AttributeError("CSymElement is immutable")
 
-    def coefficient(self, lam: IntPartition) -> Fraction:
-        return self.terms.get(lam, Fraction(0))
+    def coefficient(self, lam: IntPartition) -> int | Fraction:
+        return self.terms.get(lam, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -348,7 +378,7 @@ class CSymElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "CSymElement":
-        c = Fraction(c)
+        c = _exact(c)
         return CSymElement(self.degree, self.basis, {k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, c) -> "CSymElement":

@@ -3,11 +3,13 @@
 Partitions are kept in canonical form (elements ascending inside each block,
 blocks ordered by their minimum), which fixes equality, hashing and the
 enumeration order.  All weights use Python's arbitrary-precision integers.
+The lattice rows (coarsenings, refinements) are built from block bitmasks,
+carry their Mobius values and share their partitions through one bounded
+intern cache.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -16,11 +18,18 @@ from .errors import DegreeMismatchError, OrderViolationError, SizeLimitError
 
 MAX_GROUND_SET = 12  # Bell(12) ~ 4.2e6; enumeration beyond this is refused
 
+# Bounds each of three caches to this many entries: the two lattice-row caches
+# (coarsenings, refinements) and the intern cache of the partitions in their
+# rows.  At least the sum of Bell(k) over k <= 8 (5296), so no conversion at
+# today's route capacities evicts its own entries, and each row entry of
+# degree at most 8 is one object shared by every row holding it.
+LATTICE_CACHE_SIZE = 8192
+
 
 class SetPartition:
     """A partition of {1..n} into disjoint nonempty blocks."""
 
-    __slots__ = ("n", "blocks")
+    __slots__ = ("n", "blocks", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[int]], n: int | None = None):
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
@@ -40,6 +49,7 @@ class SetPartition:
             raise ValueError(f"blocks do not partition {{1..{n}}}: {canon}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canon)
+        object.__setattr__(self, "_hash", hash((n, canon)))
 
     @classmethod
     def from_masks(cls, n: int, masks: Sequence[int]) -> "SetPartition":
@@ -66,9 +76,11 @@ class SetPartition:
         if seen != (1 << n) - 1:
             raise ValueError(f"block masks {list(masks)} do not partition {{1..{n}}}")
         elements = _mask_elements(n)
+        blocks = tuple([elements[mask] for mask in masks])
         pi = object.__new__(cls)
         object.__setattr__(pi, "n", n)
-        object.__setattr__(pi, "blocks", tuple([elements[mask] for mask in masks]))
+        object.__setattr__(pi, "blocks", blocks)
+        object.__setattr__(pi, "_hash", hash((n, blocks)))
         return pi
 
     def __setattr__(self, name, value):
@@ -78,7 +90,7 @@ class SetPartition:
         return isinstance(other, SetPartition) and self.blocks == other.blocks and self.n == other.n
 
     def __hash__(self):
-        return hash((self.n, self.blocks))
+        return self._hash
 
     def __lt__(self, other):
         # canonical-form lexicographic order; used for deterministic output
@@ -98,6 +110,12 @@ class SetPartition:
 
     def __len__(self):
         return len(self.blocks)
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _interned(n: int, masks: tuple[int, ...]) -> SetPartition:
+    """The one shared SetPartition.from_masks(n, masks) of the lattice rows."""
+    return SetPartition.from_masks(n, masks)
 
 
 @lru_cache(maxsize=MAX_GROUND_SET + 1)
@@ -293,27 +311,69 @@ def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-# At least the sum of Bell(k) over k <= 8 (5296), so no conversion at today's
-# route capacities evicts its own entries.
-LATTICE_CACHE_SIZE = 8192
+class LatticeRow(tuple):
+    """One row of the refinement lattice: set partitions sorted by blocks, with
+    the Mobius value between each of them and the row's partition in the
+    parallel int tuple `mobius`.  A row of refinements also carries
+    mu(0-hat, sigma) of each entry in `bottom` (None on a row of coarsenings)."""
+
+    def __new__(cls, sigmas, mobius, bottom=None):
+        row = super().__new__(cls, sigmas)
+        object.__setattr__(row, "mobius", mobius)
+        object.__setattr__(row, "bottom", bottom)
+        return row
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LatticeRow is immutable")
+
+
+def _merges(units: Sequence[int], owners: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every way to merge disjoint bitmasks (units, in lowest-element order)
+    into groups whose units share an owner, as (the group masks, again in
+    lowest-element order; the product over owners of mu(groups it has); the
+    product over groups of mu(units in it)).  Here mu(k) = (-1)**(k-1) (k-1)!,
+    so mu(k + 1) = -k mu(k)."""
+    grown = [((), (), (), 1, 1)]  # (group masks, group owners, units per group, the two products)
+    for unit, owner in zip(units, owners):
+        step = []
+        for masks, group_owners, sizes, opened, joined in grown:
+            k = group_owners.count(owner)  # the unit alone opens its owner's group k + 1
+            opened_more = -k * opened if k else opened
+            step.append((masks + (unit,), group_owners + (owner,), sizes + (1,), opened_more, joined))
+            for j, size in enumerate(sizes):
+                if group_owners[j] == owner:
+                    grouped = masks[:j] + (masks[j] | unit,) + masks[j + 1:]
+                    grown_sizes = sizes[:j] + (size + 1,) + sizes[j + 1:]
+                    step.append((grouped, group_owners, grown_sizes, opened, -size * joined))
+        grown = step
+    return [(masks, opened, joined) for masks, _, _, opened, joined in grown]
+
+
+def _lattice_row(n: int, merges: list[tuple[tuple[int, ...], int, int]]):
+    """The partitions of the merges, sorted by blocks and shared through the
+    intern cache, and their two products in the same order."""
+    entries = sorted(((_interned(n, masks), opened, joined) for masks, opened, joined in merges),
+                     key=lambda entry: entry[0].blocks)
+    return tuple(zip(*entries))
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def coarsenings(pi: SetPartition) -> tuple[SetPartition, ...]:
-    """All partitions sigma with pi <= sigma, obtained by merging blocks."""
-    result = []
-    for grouping in _partitions_of(pi.blocks):
-        merged = [list(itertools.chain.from_iterable(group)) for group in grouping]
-        result.append(SetPartition(merged))
-    return tuple(sorted(result))
+def coarsenings(pi: SetPartition) -> LatticeRow:
+    """All partitions sigma with pi <= sigma, obtained by merging blocks, with
+    mu(pi, sigma) in `mobius`: a group of k merged blocks contributes mu(k)."""
+    masks = [sum(1 << (x - 1) for x in block) for block in pi.blocks]
+    sigmas, _, joined = _lattice_row(pi.n, _merges(masks, [0] * len(masks)))
+    return LatticeRow(sigmas, joined)
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def refinements(pi: SetPartition) -> tuple[SetPartition, ...]:
-    """All partitions sigma with sigma <= pi, obtained by splitting blocks."""
-    per_block = [list(_partitions_of(b)) for b in pi.blocks]
-    result = []
-    for choice in itertools.product(*per_block):
-        blocks = list(itertools.chain.from_iterable(choice))
-        result.append(SetPartition(blocks))
-    return tuple(sorted(result))
+def refinements(pi: SetPartition) -> LatticeRow:
+    """All partitions sigma with sigma <= pi, obtained by splitting blocks, with
+    mu(sigma, pi) in `mobius` and mu(0-hat, sigma) in `bottom`: a block of pi
+    split into k parts contributes mu(k) to the first, a part of s elements
+    mu(s) to the second."""
+    owners = [0] * pi.n
+    for i, block in enumerate(pi.blocks):
+        for x in block:
+            owners[x - 1] = i
+    return LatticeRow(*_lattice_row(pi.n, _merges([1 << v for v in range(pi.n)], owners)))

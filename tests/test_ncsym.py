@@ -4,8 +4,11 @@ word-expansion oracle and by exact round trips."""
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redeiberge.digraph import random_digraph, random_tournament
 from redeiberge.errors import DegreeMismatchError
@@ -19,6 +22,7 @@ from redeiberge.setpart import (
     mobius_from_bottom,
     parse_set_partition,
     refinements,
+    refines,
 )
 
 P = parse_set_partition
@@ -100,6 +104,86 @@ def test_e_in_p_inversion_by_substitution():
                 for tau in refinements(sigma):
                     accum[tau] = accum.get(tau, Fraction(0)) + outer * mobius_from_bottom(tau)
             assert NCSymElement(n, "P", accum) == NCSymElement.basis_element("P", pi)
+
+
+# -- the four change-of-basis formulas, term by term ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def _interval(pi, upward):
+    """sigma >= pi (upward) or sigma <= pi, filtered from the full enumeration."""
+    return [s for s in enumerate_partitions(pi.n) if (refines(pi, s) if upward else refines(s, pi))]
+
+
+def _to_p_by_formula(x):
+    pairs = []
+    for pi, c in x.terms.items():
+        if x.basis == "P":
+            pairs.append((pi, c))
+        elif x.basis == "M":  # m_pi = sum of mu(pi, sigma) p_sigma over sigma >= pi
+            pairs += [(s, c * mobius(pi, s)) for s in _interval(pi, True)]
+        else:  # e_pi = sum of mu(0, sigma) p_sigma over sigma <= pi
+            pairs += [(s, c * mobius_from_bottom(s)) for s in _interval(pi, False)]
+    return pairs
+
+
+def _from_p_by_formula(pairs, target):
+    out = {}
+    for pi, c in pairs:
+        if target == "P":
+            row = [(pi, c)]
+        elif target == "M":  # p_pi = sum of m_sigma over sigma >= pi
+            row = [(s, c) for s in _interval(pi, True)]
+        else:  # p_pi = (1 / mu(0, pi)) sum of mu(sigma, pi) e_sigma over sigma <= pi
+            row = [(s, Fraction(c * mobius(s, pi), mobius_from_bottom(pi))) for s in _interval(pi, False)]
+        for s, v in row:
+            out[s] = out.get(s, 0) + v
+    return out
+
+
+@st.composite
+def mixed_elements(draw, basis):
+    n = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.sampled_from(enumerate_partitions(n)), min_size=1, max_size=4, unique=True))
+    proper_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 6)).filter(lambda f: f.denominator > 1)
+    coefficients = st.one_of(st.integers(-5, 5), proper_fractions)
+    return NCSymElement(n, basis, {k: draw(coefficients) for k in keys})
+
+
+@pytest.mark.parametrize("source, target", list(itertools.product("MPE", repeat=2)))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_conversion_matches_the_formulas(source, target, data):
+    x = data.draw(mixed_elements(source))
+    converted = x.to_basis(target)
+    assert converted == NCSymElement(x.degree, target, _from_p_by_formula(_to_p_by_formula(x), target))
+    # integral coefficients are ints; only non-integral ones are Fractions
+    assert all(type(c) is int or c.denominator > 1 for c in converted.terms.values())
+
+
+@pytest.mark.parametrize(
+    "dg",
+    [random_digraph(6, 0.4, 3), random_tournament(7, 1), random_digraph(8, 0.3, 7)],
+    ids=["random-6", "tournament-7", "random-8"],
+)
+def test_power_sum_and_monomial_expansions_hold_ints(dg):
+    in_p = rb_by_permutations(dg)
+    for x in (in_p, in_p.to_basis("M")):
+        assert all(type(c) is int for c in x.terms.values()), x.basis
+
+
+def test_integral_coefficients_stay_int():
+    data = {"degree": 3, "basis": "E", "terms": [{"blocks": "12/3", "coeff": "-4"}, {"blocks": "123", "coeff": "3/2"}]}
+    x = NCSymElement.from_json_dict(data)
+    assert type(x.coefficient(P("12/3"))) is int and x.coefficient(P("123")) == Fraction(3, 2)
+    assert type(x.coefficient(P("1/2/3"))) is int  # absent: 0
+    doubled = x.scale(Fraction(2))
+    assert [type(c) for c in doubled.terms.values()] == [int, int]
+    assert NCSymElement.from_json_dict(doubled.to_json_dict()).terms == {P("12/3"): -8, P("123"): 3}
+    image = CSymElement.from_json_dict({"degree": 2, "basis": "p", "terms": [{"parts": [2], "coeff": "6"}]})
+    assert type(image.coefficient(IntPartition([2]))) is int
+    assert type(image.coefficient(IntPartition([1, 1]))) is int
+    assert type(image.scale(Fraction(1, 3)).coefficient(IntPartition([2]))) is int
 
 
 # -- linear structure -------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from redeiberge.errors import DegreeMismatchError, OrderViolationError, SizeLimitError
 from redeiberge.setpart import (
+    LATTICE_CACHE_SIZE,
     IntPartition,
     SetPartition,
     apply_perm,
@@ -237,6 +238,39 @@ def test_coarsenings_and_refinements_agree_with_refines():
             downs = set(refinements(pi))
             assert ups == {s for s in parts if refines(pi, s)}
             assert downs == {s for s in parts if refines(s, pi)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lattice_rows_are_sorted_intervals_with_their_mobius_values(n):
+    parts = enumerate_partitions(n)
+    for pi in parts:
+        up, down = coarsenings(pi), refinements(pi)
+        assert up == tuple(sorted(s for s in parts if refines(pi, s)))
+        assert down == tuple(sorted(s for s in parts if refines(s, pi)))
+        assert up.mobius == tuple(mobius(pi, s) for s in up)
+        assert down.mobius == tuple(mobius(s, pi) for s in down)
+        assert down.bottom == tuple(mobius_from_bottom(s) for s in down)
+    with pytest.raises(AttributeError):
+        up.mobius = ()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_construction_of_a_partition_is_equal_with_equal_hash(n):
+    coarsenings.cache_clear()
+    refinements.cache_clear()
+    # both rows hold every partition of n; their entries are shared objects
+    everything_up = coarsenings(singletons(n))
+    everything_down = refinements(one_block(n))
+    assert all(a is b for a, b in zip(everything_up, everything_down))
+    for pi, from_row in zip(enumerate_partitions(n), everything_up):
+        for other in (from_row, SetPartition.from_masks(n, _masks(pi)), parse_set_partition(str(pi))):
+            assert other == pi and hash(other) == hash(pi), (pi, other)
+            assert {other: 1} == {pi: 1}
+
+
+def test_lattice_caches_are_bounded_lru_caches():
+    for row_of in (coarsenings, refinements):
+        assert row_of.cache_info().maxsize == LATTICE_CACHE_SIZE
 
 
 # -- Mobius function -------------------------------------------------------------
