@@ -106,7 +106,7 @@ def check_identities(
 
 
 class _CheckRunner:
-    """Caches the permutation expansion across the checks of one instance.
+    """The checks of one instance.
 
     Each check_* returns None on a pass or a witness on a failure, and raises
     _Skip when its hypothesis is unmet; run() turns those, and any size
@@ -117,12 +117,6 @@ class _CheckRunner:
         self.dg = dg
         self.other = other
         self.instance = instance
-        self._cache: dict[Digraph, NCSymElement] = {}
-
-    def w(self, dg: Digraph) -> NCSymElement:
-        if dg not in self._cache:
-            self._cache[dg] = rb_by_permutations(dg)
-        return self._cache[dg]
 
     def run(self, check: str) -> VerificationReport:
         try:
@@ -132,19 +126,20 @@ class _CheckRunner:
         return VerificationReport(check, self.instance, "pass" if witness is None else "fail", witness)
 
     def check_opposite(self) -> str | None:
-        return _difference(self.w(self.dg), self.w(self.dg.opposite()))
+        return _difference(rb_by_permutations(self.dg), rb_by_permutations(self.dg.opposite()))
 
     def check_tournament_complement(self) -> str | None:
         if not self.dg.is_tournament():
             raise _Skip("hypothesis unmet: not a tournament")
-        return _difference(self.w(self.dg), self.w(self.dg.complement()))
+        return _difference(rb_by_permutations(self.dg), rb_by_permutations(self.dg.complement()))
 
     def check_product(self) -> str | None:
         right = self.other if self.other is not None else self.dg
         total = self.dg.n + right.n
         if total > ROUTE_CAPACITY["permutations"]:
             raise _Skip(f"combined size {total} > {ROUTE_CAPACITY['permutations']}")
-        return _difference(self.w(self.dg.product(right)), multiply(self.w(self.dg), self.w(right)))
+        product = multiply(rb_by_permutations(self.dg), rb_by_permutations(right))
+        return _difference(rb_by_permutations(self.dg.product(right)), product)
 
     def check_deletion_contraction(self) -> str | None:
         non_loop = self.dg.non_loop_edges()
@@ -154,8 +149,9 @@ class _CheckRunner:
         for u, v in non_loop:
             delta = _move_to_last_pair(u, v, n)
             moved = self.dg.relabel(delta)
-            lhs = self.w(moved)
-            rhs = self.w(moved.delete_edges([(n - 1, n)])) - self.w(moved.contract_last_edge()).induct()
+            lhs = rb_by_permutations(moved)
+            deleted = rb_by_permutations(moved.delete_edges([(n - 1, n)]))
+            rhs = deleted - rb_by_permutations(moved.contract_last_edge()).induct()
             witness = _difference(lhs, rhs)
             if witness is not None:
                 return f"edge ({u},{v}): " + witness
@@ -167,19 +163,19 @@ class _CheckRunner:
         edges = sorted(self.dg.edges)
         if len(edges) > MAX_SUBSET_EDGES:
             raise _Skip(f"|E| > {MAX_SUBSET_EDGES}")
-        return _difference(self.w(self.dg), self._alternating_deletion_sum(edges))
+        return _difference(rb_by_permutations(self.dg), self._alternating_deletion_sum(edges))
 
     def check_cycle_decomposition(self) -> str | None:
         cycle = self.dg.find_directed_cycle()
         if cycle is None:
             raise _Skip("hypothesis unmet: no directed cycle")
-        return _difference(self.w(self.dg), self._alternating_deletion_sum(cycle))
+        return _difference(rb_by_permutations(self.dg), self._alternating_deletion_sum(cycle))
 
     def check_triangle(self) -> str | None:
         triangle = _find_triangle(self.dg)
         if triangle is None:
             raise _Skip("hypothesis unmet: no directed triangle")
-        return _difference(self.w(self.dg), self._alternating_deletion_sum(triangle))
+        return _difference(rb_by_permutations(self.dg), self._alternating_deletion_sum(triangle))
 
     def check_counting_lemma(self) -> str | None:
         n = self.dg.n
@@ -212,18 +208,18 @@ class _CheckRunner:
     def check_cross_algorithm(self) -> str | None:
         n = self.dg.n
         resolve_route("deletion-contraction", n)  # refuses before any expansion
-        in_m = self.w(self.dg).to_basis("M")
+        in_m = rb_by_permutations(self.dg).to_basis("M")
         witness = _difference(in_m, rb_by_deletion_contraction(self.dg))
         if witness is not None or n > ROUTE_CAPACITY["definition"]:
             return witness
         return _difference(in_m, rb_by_colorings(self.dg))
 
     def check_commutative(self) -> str | None:
-        image = self.w(self.dg).to_basis("M").commutative_image()
+        image = rb_by_permutations(self.dg).to_basis("M").commutative_image()
         return _difference(image, rb_commutative(self.dg))
 
     def check_integrality(self) -> str | None:
-        wp = self.w(self.dg)
+        wp = rb_by_permutations(self.dg)
         for element, label in ((wp, "P"), (wp.to_basis("M"), "M")):
             if not element.is_integral():
                 bad = next(k for k, c in element.terms.items() if c.denominator != 1)
@@ -233,7 +229,7 @@ class _CheckRunner:
     def check_p_nonnegativity(self) -> str | None:
         if has_even_directed_cycle(self.dg):
             raise _Skip("hypothesis unmet: has an even directed cycle")
-        wp = self.w(self.dg)
+        wp = rb_by_permutations(self.dg)
         for key, coeff in wp.terms.items():
             if coeff < 0:
                 return f"negative power-sum coefficient {coeff} at {key}"
@@ -245,7 +241,7 @@ class _CheckRunner:
     def check_tournament_formula(self) -> str | None:
         if not self.dg.is_tournament():
             raise _Skip("hypothesis unmet: not a tournament")
-        return _difference(rb_tournament(self.dg), self.w(self.dg))
+        return _difference(rb_tournament(self.dg), rb_by_permutations(self.dg))
 
     def check_berge_parity(self) -> str | None:
         count = self.dg.hamiltonian_path_count()
@@ -266,7 +262,7 @@ class _CheckRunner:
             (key, c if len(S) % 2 else -c)
             for S in _subsets(tuple(edges))
             if S
-            for key, c in self.w(self.dg.delete_edges(S)).terms.items()
+            for key, c in rb_by_permutations(self.dg.delete_edges(S)).terms.items()
         )
         return NCSymElement(self.dg.n, "P", _sum(terms))
 

@@ -26,7 +26,7 @@ from .digraph import (
 )
 from .errors import SizeLimitError
 from .invariant import ROUTE_CAPACITY, redei_berge, resolve_route
-from .ncsym import _coeff_str, _in_key_order
+from .ncsym import _coeff_str
 from .setpart import MAX_GROUND_SET
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def run_compute(args: argparse.Namespace) -> int:
         lines = [f"{result.basis}{lam}  {_coeff_str(result.terms[lam])}" for lam in sorted(result.terms, reverse=True)]
     else:
         result = element
-        lines = [f"{result.basis.lower()}[{pi}]  {_coeff_str(c)}" for pi, c in _in_key_order(result.terms)]
+        lines = [f"{result.basis.lower()}[{pi}]  {_coeff_str(c)}" for pi, c in sorted(result.terms.items())]
     if args.output == "json":
         payload = {
             "instance": name,

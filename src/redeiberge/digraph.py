@@ -35,6 +35,9 @@ class Digraph:
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.n, self.edges)
+
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.n == other.n and self.edges == other.edges
 

@@ -109,6 +109,9 @@ class NCSymElement:
     def __setattr__(self, name, value):
         raise AttributeError("NCSymElement is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.degree, self.basis, self.terms)
+
     @classmethod
     def basis_element(cls, basis: str, pi: SetPartition, coeff=1) -> "NCSymElement":
         return cls(pi.n, basis, {pi: coeff})
@@ -138,7 +141,7 @@ class NCSymElement:
     def __repr__(self):
         if not self.terms:
             return f"<0 (degree {self.degree}, {self.basis} basis)>"
-        bits = [f"{c}*{self.basis.lower()}[{pi}]" for pi, c in _in_key_order(self.terms)]
+        bits = [f"{c}*{self.basis.lower()}[{pi}]" for pi, c in sorted(self.terms.items())]
         return "<" + " + ".join(bits) + ">"
 
     def __add__(self, other: "NCSymElement") -> "NCSymElement":
@@ -267,7 +270,7 @@ class NCSymElement:
             "basis": self.basis,
             "terms": [
                 {"blocks": str(pi), "coeff": _coeff_str(c)}
-                for pi, c in _in_key_order(self.terms)
+                for pi, c in sorted(self.terms.items())
             ],
         }
 
@@ -287,13 +290,6 @@ def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, 
         row = row_of(pi)
         for sigma, w in zip(row, weights(row)):
             yield sigma, c * w
-
-
-def _in_key_order(terms: Mapping[SetPartition, object]) -> list[tuple[SetPartition, object]]:
-    """The (key, coefficient) pairs of one element in canonical key order.  The
-    keys share one ground set, so ordering by blocks alone is SetPartition's
-    (n, blocks) order, without a Python-level comparison per pair."""
-    return sorted(terms.items(), key=lambda term: term[0].blocks)
 
 
 def _coeff_str(c: int | Fraction) -> str:
@@ -339,12 +335,17 @@ class CSymElement:
     def __init__(self, degree: int, basis: str, terms: Mapping[IntPartition, object]):
         if basis not in C_BASES:
             raise ValueError(f"basis must be one of {C_BASES}, got {basis!r}")
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _normalize(degree, terms, attrgetter("size")))
 
     def __setattr__(self, name, value):
         raise AttributeError("CSymElement is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.degree, self.basis, self.terms)
 
     def coefficient(self, lam: IntPartition) -> int | Fraction:
         return self.terms.get(lam, 0)
@@ -394,7 +395,7 @@ class CSymElement:
         if self.basis != "p" or other.basis != "p":
             raise ValueError("commutative products are implemented in the p basis only")
         terms = _sum(
-            (IntPartition(tuple(lam) + tuple(mu)), a * b)
+            (IntPartition(lam + mu), a * b)
             for lam, a in self.terms.items()
             for mu, b in other.terms.items()
         )

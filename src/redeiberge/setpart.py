@@ -1,8 +1,10 @@
 """The lattice of set partitions of {1..n} under refinement.
 
 Partitions are kept in canonical form (elements ascending inside each block,
-blocks ordered by their minimum), which fixes equality, hashing and the
-enumeration order.  All weights use Python's arbitrary-precision integers.
+blocks ordered by their minimum).  A SetPartition is the tuple (n, blocks) and
+an IntPartition the tuple of its parts, so equality, hashing, order and
+immutability are tuple's, and the canonical form makes them agree with the
+partition.  All weights use Python's arbitrary-precision integers.
 The lattice rows (coarsenings, refinements) are built from block bitmasks,
 carry their Mobius values and share their partitions through one bounded
 intern cache.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeMismatchError, OrderViolationError, SizeLimitError
@@ -26,12 +29,18 @@ MAX_GROUND_SET = 12  # Bell(12) ~ 4.2e6; enumeration beyond this is refused
 LATTICE_CACHE_SIZE = 8192
 
 
-class SetPartition:
-    """A partition of {1..n} into disjoint nonempty blocks."""
+class SetPartition(tuple):
+    """A partition of {1..n} into disjoint nonempty blocks.
 
-    __slots__ = ("n", "blocks", "_hash")
+    The instance is the tuple (n, blocks), so equality, hashing and order are
+    tuple's; len() is the number of blocks."""
 
-    def __init__(self, blocks: Iterable[Iterable[int]], n: int | None = None):
+    __slots__ = ()
+
+    n = property(itemgetter(0))
+    blocks = property(itemgetter(1))
+
+    def __new__(cls, blocks: Iterable[Iterable[int]], n: int | None = None):
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
         seen: set[int] = set()
         total = 0
@@ -47,9 +56,7 @@ class SetPartition:
             n = total
         if n != total or seen != set(range(1, n + 1)):
             raise ValueError(f"blocks do not partition {{1..{n}}}: {canon}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "_hash", hash((n, canon)))
+        return tuple.__new__(cls, (n, canon))
 
     @classmethod
     def from_masks(cls, n: int, masks: Sequence[int]) -> "SetPartition":
@@ -76,27 +83,12 @@ class SetPartition:
         if seen != (1 << n) - 1:
             raise ValueError(f"block masks {list(masks)} do not partition {{1..{n}}}")
         elements = _mask_elements(n)
-        blocks = tuple([elements[mask] for mask in masks])
-        pi = object.__new__(cls)
-        object.__setattr__(pi, "n", n)
-        object.__setattr__(pi, "blocks", blocks)
-        object.__setattr__(pi, "_hash", hash((n, blocks)))
-        return pi
+        return tuple.__new__(cls, (n, tuple([elements[mask] for mask in masks])))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SetPartition) and self.blocks == other.blocks and self.n == other.n
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        # canonical-form lexicographic order; used for deterministic output
-        if not isinstance(other, SetPartition):
-            return NotImplemented
-        return (self.n, self.blocks) < (other.n, other.blocks)
+    def __getnewargs__(self):
+        # tuple's own would pass (n, blocks) as the blocks; copy and pickle
+        # rebuild through the validating constructor
+        return (self.blocks,)
 
     def __repr__(self):
         return f"SetPartition({self})"
@@ -127,46 +119,26 @@ def _mask_elements(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-class IntPartition:
-    """A weakly decreasing sequence of positive integer parts."""
+class IntPartition(tuple):
+    """A weakly decreasing sequence of positive integer parts; the instance is
+    the tuple of its parts."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]):
+    def __new__(cls, parts: Iterable[int]):
         parts = tuple(sorted(parts, reverse=True))
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive: {parts}")
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPartition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, IntPartition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __lt__(self, other):
-        if not isinstance(other, IntPartition):
-            return NotImplemented
-        return self.parts < other.parts
+    parts = property(tuple)  # the parts as a plain tuple
+    size = property(sum)
 
     def __repr__(self):
-        return f"IntPartition({list(self.parts)})"
+        return f"IntPartition({list(self)})"
 
     def __str__(self):
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
+        return "(" + ",".join(map(str, self)) + ")"
 
 
 def parse_set_partition(text: str) -> SetPartition:
@@ -350,10 +322,10 @@ def _merges(units: Sequence[int], owners: Sequence[int]) -> list[tuple[tuple[int
 
 
 def _lattice_row(n: int, merges: list[tuple[tuple[int, ...], int, int]]):
-    """The partitions of the merges, sorted by blocks and shared through the
-    intern cache, and their two products in the same order."""
-    entries = sorted(((_interned(n, masks), opened, joined) for masks, opened, joined in merges),
-                     key=lambda entry: entry[0].blocks)
+    """The partitions of the merges, sorted and shared through the intern
+    cache, and their two products in the same order.  The partitions are
+    distinct, so sorting never compares a product."""
+    entries = sorted([(_interned(n, masks), opened, joined) for masks, opened, joined in merges])
     return tuple(zip(*entries))
 
 

@@ -1,7 +1,9 @@
 """Noncommutative symmetric function arithmetic, validated against the
 word-expansion oracle and by exact round trips."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redeiberge.digraph import random_digraph, random_tournament
+from redeiberge.digraph import Digraph, random_digraph, random_tournament
 from redeiberge.errors import DegreeMismatchError
 from redeiberge.invariant import rb_by_permutations
 from redeiberge.ncsym import CSymElement, NCSymElement, multiply
@@ -420,6 +422,34 @@ def test_json_round_trip_large_ground_set():
     pi = SetPartition([list(range(1, 11))])
     x = NCSymElement.basis_element("M", pi, 7)
     assert NCSymElement.from_json_dict(x.to_json_dict()) == x
+
+
+def _library_values():
+    dg = random_digraph(4, 0.4, seed=3)
+    wp = rb_by_permutations(dg)
+    return {
+        SetPartition: P("13/2"),
+        IntPartition: IntPartition([2, 1]),
+        Digraph: dg,
+        NCSymElement: wp.scale(Fraction(1, 2)),
+        CSymElement: wp.commutative_image(),
+    }
+
+
+@pytest.mark.parametrize("kind", [SetPartition, IntPartition, Digraph, NCSymElement, CSymElement])
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_every_library_value_copies_and_pickles(kind, clone):
+    value = _library_values()[kind]
+    twin = clone(value)
+    assert type(twin) is kind and twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("element, basis", [(NCSymElement, "M"), (CSymElement, "m")])
+def test_negative_degree_is_refused(element, basis):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        element(-1, basis, {})
 
 
 def test_csym_json_round_trip():

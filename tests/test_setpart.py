@@ -161,6 +161,25 @@ def test_int_partition_sorted_and_validated():
         IntPartition([2, 0])
 
 
+def test_partitions_have_the_value_semantics_of_their_tuples():
+    everything = [SetPartition([])] + [pi for n in range(1, 6) for pi in enumerate_partitions(n)]
+    shuffled = everything[:]
+    random.Random(0).shuffle(shuffled)
+    assert [(pi.n, pi.blocks) for pi in sorted(shuffled)] == sorted((pi.n, pi.blocks) for pi in everything)
+    shapes = sorted({lambda_of(pi) for pi in shuffled})  # every integer partition of n <= 5
+    assert [lam.parts for lam in shapes] == sorted(lam.parts for lam in shapes)
+    for pi in everything:
+        assert hash(pi) == hash((pi.n, pi.blocks))
+        assert len(pi) == len(pi.blocks)
+    for lam in shapes:
+        assert type(lam.parts) is tuple and tuple(lam) == lam.parts
+    for value in everything + shapes:
+        assert not hasattr(value, "__dict__")
+        for name in ("n", "blocks", "parts", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+
+
 # -- enumeration ---------------------------------------------------------------
 
 
