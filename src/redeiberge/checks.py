@@ -24,9 +24,10 @@ from .invariant import (
     rb_tournament,
     resolve_route,
     _move_to_last_pair,
+    _power_sum_masks,
 )
 from .ncsym import NCSymElement, _sum, multiply
-from .setpart import singletons
+from .setpart import SetPartition, singletons
 
 ALL_CHECKS = (
     "opposite",
@@ -178,6 +179,15 @@ class _CheckRunner:
         return _difference(rb_by_permutations(self.dg), self._alternating_deletion_sum(triangle))
 
     def check_counting_lemma(self) -> str | None:
+        """For every coloring and every qualifying edge subset F, the friendly
+        count of X equals the sum of (-1)^(|S|-1) times that of X minus S over
+        the nonempty subsets S of F.
+
+        A friendly count depends only on how the colors compare, so only the
+        dense colorings (colors exactly 1..max) are evaluated: each stands for
+        every coloring with its weak order and is the first of them in product
+        order, so the first failing coloring is the one the full loop finds.
+        """
         n = self.dg.n
         edges = sorted(self.dg.edges)
         if n > MAX_COUNTING_LEMMA_VERTICES or len(edges) > MAX_COUNTING_LEMMA_EDGES:
@@ -185,24 +195,25 @@ class _CheckRunner:
                 f"instance too large for the exhaustive check (n <= {MAX_COUNTING_LEMMA_VERTICES}, "
                 f"|E| <= {MAX_COUNTING_LEMMA_EDGES})"
             )
+        # edge subsets as bitmasks over edges; the qualifying ones in the order
+        # of _subsets(edges), so that a witness names the first failing subset
+        subsets = [[e for i, e in enumerate(edges) if S >> i & 1] for S in range(1 << len(edges))]
         qualifying = [
             F
-            for F in _subsets(edges)
-            if F and not Digraph(n, F).is_disjoint_union_of_paths()
+            for F in map(sum, _subsets(tuple(1 << i for i in range(len(edges)))))
+            if F and not Digraph(n, subsets[F]).is_disjoint_union_of_paths()
         ]
         if not qualifying:
             raise _Skip("hypothesis unmet: no qualifying edge subset")
-        deleted = {S: self.dg.delete_edges(S) for S in _subsets(edges)}
+        deleted = [self.dg.delete_edges(S) for S in subsets]
         for colors in itertools.product(range(1, n + 1), repeat=n):
-            counts = {S: count_friendly(dg, colors) for S, dg in deleted.items()}
-            base = counts[()]
+            if max(colors) != len(set(colors)):
+                continue
+            counts = [count_friendly(dg, colors) for dg in deleted]
+            totals = _alternating_subset_sums(counts)
             for F in qualifying:
-                total = 0
-                for S in _subsets(F):
-                    if S:
-                        total += (-1) ** (len(S) - 1) * counts[S]
-                if total != base:
-                    return f"coloring {colors}, subset {list(F)}: {total} != {base}"
+                if totals[F] != counts[0]:
+                    return f"coloring {colors}, subset {subsets[F]}: {totals[F]} != {counts[0]}"
         return None
 
     def check_cross_algorithm(self) -> str | None:
@@ -257,19 +268,36 @@ class _CheckRunner:
         return f"Hamiltonian path count {count} is even" if count % 2 == 0 else None
 
     def _alternating_deletion_sum(self, edges: Sequence[tuple[int, int]]) -> NCSymElement:
-        """The sum of (-1)^(|S|-1) W(X minus S) over the nonempty subsets S of edges."""
-        terms = (
-            (key, c if len(S) % 2 else -c)
+        """The sum of (-1)^(|S|-1) W(X minus S) over the nonempty subsets S of
+        edges, summed on block masks; partitions are built for the total only."""
+        n = self.dg.n
+        resolve_route("permutations", n)
+        total = _sum(
+            (blocks, c if len(S) % 2 else -c)
             for S in _subsets(tuple(edges))
             if S
-            for key, c in rb_by_permutations(self.dg.delete_edges(S)).terms.items()
+            for blocks, c in _power_sum_masks(self.dg.delete_edges(S))
         )
-        return NCSymElement(self.dg.n, "P", _sum(terms))
+        return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): c for blocks, c in total.items() if c})
 
 
 def _subsets(items: tuple) -> Iterable[tuple]:
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
+
+
+def _alternating_subset_sums(values: Sequence[int]) -> list[int]:
+    """For every bitmask F, the sum of (-1)^(|S|-1) values[S] over the nonempty
+    submasks S of F: a signed sum over subsets, one pass per bit."""
+    sums = [v if bin(S).count("1") % 2 else -v for S, v in enumerate(values)]
+    sums[0] = 0
+    bit = 1
+    while bit < len(sums):
+        for S in range(len(sums)):
+            if S & bit:
+                sums[S] += sums[S ^ bit]
+        bit <<= 1
+    return sums
 
 
 def _find_triangle(dg: Digraph) -> tuple | None:

@@ -171,6 +171,12 @@ def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[t
             yield blocks + (rest,), coeff * weights[rest]
 
 
+def _power_sum_masks(dg: Digraph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The nonzero power-sum terms of the function, as (block masks, coefficient):
+    the mask-level core of rb_by_permutations, with no size check."""
+    return _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1)
+
+
 def rb_by_permutations(dg: Digraph) -> NCSymElement:
     """Power-sum expansion: signed sum of p over cycle types of permutations
     whose cycles are directed cycles of the digraph or of its complement.
@@ -180,8 +186,7 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
     """
     resolve_route("permutations", dg.n)
     n = dg.n
-    partitions = _nonzero_partitions(_block_weights(dg), (1 << n) - 1)
-    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): coeff for blocks, coeff in partitions})
+    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): coeff for blocks, coeff in _power_sum_masks(dg)})
 
 
 def rb_tournament(dg: Digraph) -> NCSymElement:
@@ -350,7 +355,7 @@ def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
     if pi.n != dg.n:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
     total = Fraction(0)
-    for blocks, coeff in _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1):
+    for blocks, coeff in _power_sum_masks(dg):
         cycle_type = SetPartition.from_masks(dg.n, blocks)
         if refines(pi, cycle_type):
             total += Fraction(coeff * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))

@@ -298,6 +298,9 @@ class LatticeRow(tuple):
     def __setattr__(self, name, value):
         raise AttributeError("LatticeRow is immutable")
 
+    def __reduce__(self):
+        return type(self), (tuple(self), self.mobius, self.bottom)
+
 
 def _merges(units: Sequence[int], owners: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
     """Every way to merge disjoint bitmasks (units, in lowest-element order)

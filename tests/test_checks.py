@@ -1,13 +1,20 @@
 """The identity-verification suite: pass/fail/skipped reporting and witnesses."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from redeiberge import checks
 from redeiberge.checks import (
     ALL_CHECKS,
     VerificationReport,
+    _CheckRunner,
     _difference,
+    _subsets,
     check_identities,
 )
+from redeiberge.cli import parse_generator_spec
 from redeiberge.digraph import (
     Digraph,
     complete_digraph,
@@ -17,6 +24,7 @@ from redeiberge.digraph import (
     random_digraph,
     random_tournament,
 )
+from redeiberge.invariant import count_friendly, rb_by_permutations
 from redeiberge.ncsym import NCSymElement
 from redeiberge.setpart import parse_set_partition
 
@@ -146,6 +154,111 @@ def test_berge_parity_with_loops_present():
 def test_instance_label_threads_through():
     reports = check_identities(cycle_digraph(3), ["opposite"], instance="cycle:3")
     assert reports[0].instance == "cycle:3"
+
+
+# -- failures and the reductions behind the fast checks -----------------------
+
+
+def test_counting_lemma_names_the_first_failing_coloring(monkeypatch):
+    def off_by_one(dg, colors):
+        count = count_friendly(dg, colors)
+        return count + 1 if len(dg.edges) == 3 and tuple(colors) == (1, 2, 2, 1) else count
+
+    monkeypatch.setattr(checks, "count_friendly", off_by_one)
+    (report,) = check_identities(parse_generator_spec("tournament:4:1"), ["counting-lemma"])
+    assert report.status == "fail"
+    assert report.witness == "coloring (1, 2, 2, 1), subset [(1, 2), (2, 3), (2, 4)]: 2 != 1"
+
+
+@pytest.mark.parametrize(
+    "spec, check, witness",
+    [
+        ("tournament:5:2", "subset-decomposition", "coefficient at 1/2/3/45: 0 != -36"),
+        ("tournament:5:2", "cycle-decomposition", "coefficient at 12/3/4/5: 0 != -1"),
+        ("tournament:5:2", "triangle", "coefficient at 12/3/4/5: 0 != -1"),
+        ("random:5:0.3:1", "subset-decomposition", "coefficient at 1/2/3/45: 0 != -15"),
+        ("random:5:0.3:1", "cycle-decomposition", None),
+        ("random:5:0.3:1", "triangle", "coefficient at 1235/4: 3 != 2"),
+    ],
+)
+def test_deletion_sums_name_the_first_differing_coefficient(monkeypatch, spec, check, witness):
+    dg = parse_generator_spec(spec)
+    delete_edges = Digraph.delete_edges
+
+    def keeps_the_third_of_three(self, removed):
+        removed = list(removed)
+        return delete_edges(self, removed[:2] if self.n == 5 and len(removed) == 3 else removed)
+
+    monkeypatch.setattr(Digraph, "delete_edges", keeps_the_third_of_three)
+    (report,) = check_identities(dg, [check])
+    assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
+
+
+def _dense(colors):
+    ranks = {c: r for r, c in enumerate(sorted(set(colors)), start=1)}
+    return tuple(ranks[c] for c in colors)
+
+
+@pytest.mark.parametrize(
+    "dg",
+    [
+        Digraph(4, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (3, 4), (4, 2)]),
+        Digraph(4, [(1, 2), (2, 1), (3, 4), (4, 3), (1, 3)]),
+        random_digraph(4, 0.5, seed=2),
+        random_tournament(4, seed=1),
+        random_tournament(4, seed=5),
+    ],
+    ids=["loops", "two-cycles", "random", "tournament-1", "tournament-5"],
+)
+def test_friendly_counts_depend_only_on_the_weak_order_of_colors(dg):
+    # the counting-lemma check evaluates only the dense coloring of each weak order
+    for colors in itertools.product(range(1, 5), repeat=4):
+        assert count_friendly(dg, colors) == count_friendly(dg, _dense(colors)), colors
+
+
+def test_counting_lemma_counts_each_weak_order_once_per_edge_subset(monkeypatch):
+    seen = []
+
+    def recording(dg, colors):
+        seen.append(tuple(colors))
+        return count_friendly(dg, colors)
+
+    monkeypatch.setattr(checks, "count_friendly", recording)
+    dg = parse_generator_spec("tournament:4:1")
+    (report,) = check_identities(dg, ["counting-lemma"])
+    assert report.status == "pass"
+    weak_orders = {_dense(colors) for colors in itertools.product(range(1, 5), repeat=4)}
+    assert len(weak_orders) == 75
+    assert Counter(seen) == {colors: 2 ** len(dg.edges) for colors in weak_orders}
+
+
+def _literal_deletion_sum(dg, edges):
+    total = NCSymElement(dg.n, "P", {})
+    for S in _subsets(tuple(edges)):
+        if S:
+            term = rb_by_permutations(dg.delete_edges(S))
+            total = total + term if len(S) % 2 else total - term
+    return total
+
+
+@pytest.mark.parametrize(
+    "dg",
+    [random_digraph(n, p, seed) for n in (1, 2, 3, 4, 5) for p in (0.3, 0.6) for seed in (1, 2)]
+    + [random_tournament(5, 3), cycle_digraph(5)],
+)
+def test_alternating_deletion_sum_matches_the_literal_sum(dg):
+    edges = sorted(dg.edges)[:8]
+    expected = _literal_deletion_sum(dg, edges)
+    assert _CheckRunner(dg, None, "")._alternating_deletion_sum(edges) == expected
+
+
+def test_alternating_deletion_sum_drops_the_terms_that_cancel():
+    dg = Digraph(2, [(2, 1), (2, 2)])
+    edges = sorted(dg.edges)
+    total = _CheckRunner(dg, None, "")._alternating_deletion_sum(edges)
+    assert total == _literal_deletion_sum(dg, edges)
+    assert P("12") in rb_by_permutations(dg.delete_edges([(2, 1)])).terms
+    assert P("12") not in total.terms and total.coefficient(P("12")) == 0
 
 
 # -- report plumbing -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Set partition lattice: enumeration, refinement order, Mobius function, weights."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -285,6 +287,18 @@ def test_every_construction_of_a_partition_is_equal_with_equal_hash(n):
         for other in (from_row, SetPartition.from_masks(n, _masks(pi)), parse_set_partition(str(pi))):
             assert other == pi and hash(other) == hash(pi), (pi, other)
             assert {other: 1} == {pi: 1}
+
+
+@pytest.mark.parametrize("row_of", [coarsenings, refinements])
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_lattice_rows_copy_and_pickle_with_their_values(row_of, clone):
+    row = row_of(P("13/2/4"))
+    twin = clone(row)
+    assert type(twin) is type(row) and twin == row
+    assert (twin.mobius, twin.bottom) == (row.mobius, row.bottom)
+    assert [hash(s) for s in twin] == [hash(s) for s in row]
 
 
 def test_lattice_caches_are_bounded_lru_caches():
