@@ -289,7 +289,7 @@ def _subsets(items: tuple) -> Iterable[tuple]:
 def _alternating_subset_sums(values: Sequence[int]) -> list[int]:
     """For every bitmask F, the sum of (-1)^(|S|-1) values[S] over the nonempty
     submasks S of F: a signed sum over subsets, one pass per bit."""
-    sums = [v if bin(S).count("1") % 2 else -v for S, v in enumerate(values)]
+    sums = [v if S.bit_count() % 2 else -v for S, v in enumerate(values)]
     sums[0] = 0
     bit = 1
     while bit < len(sums):

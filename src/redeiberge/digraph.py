@@ -35,6 +35,9 @@ class Digraph:
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Digraph is immutable")
+
     def __reduce__(self):
         return type(self), (self.n, self.edges)
 
@@ -221,7 +224,7 @@ def hamiltonian_cycle_counts(successors: Sequence[int]) -> list[int]:
 def has_even_directed_cycle(dg: Digraph) -> bool:
     """True when some simple directed cycle (2-cycles included) has even length."""
     counts = hamiltonian_cycle_counts(dg.successor_masks())
-    return any(count and bin(S).count("1") % 2 == 0 for S, count in enumerate(counts))
+    return any(count and S.bit_count() % 2 == 0 for S, count in enumerate(counts))
 
 
 # -- generators ----------------------------------------------------------

@@ -134,7 +134,7 @@ def _block_weights(dg: Digraph) -> list[int]:
     in_x = hamiltonian_cycle_counts(successors)
     in_complement = hamiltonian_cycle_counts([full & ~(mask | 1 << v) for v, mask in enumerate(successors)])
     weights = [
-        b - a if bin(B).count("1") % 2 == 0 else a + b
+        b - a if B.bit_count() % 2 == 0 else a + b
         for B, (a, b) in enumerate(zip(in_x, in_complement))
     ]
     for v in range(dg.n):

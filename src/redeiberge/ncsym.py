@@ -1,6 +1,11 @@
 """Exact arithmetic on symmetric functions in noncommuting variables.
 
-Elements are finite rational linear combinations of the monomial (M),
+One element core serves two algebras: NCSymElement, keyed by set
+partitions, and CSymElement, its commutative image in Sym, keyed by integer
+partitions.  Their base, _Element, owns validation, immutability, equality
+and scalar arithmetic; each class adds what differs.
+
+NCSym elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
 fixed degree.  A coefficient is stored as an int whenever it is integral and
 as a Fraction otherwise.  Only P -> E divides, by mu(0, pi): it sums integer
@@ -79,38 +84,87 @@ def _quotient(x: int | Fraction, d: int) -> int | Fraction:
     return Fraction(x, d) if r else q
 
 
-def _normalize(degree: int, terms: Mapping, size: Callable[[Hashable], int]) -> dict:
-    """The nonzero terms, coefficients exact (see _exact); size(key) must equal
-    the degree (a set partition's n, an integer partition's size)."""
-    out: dict = {}
-    for key, c in terms.items():
-        if size(key) != degree:
-            raise DegreeMismatchError(f"key {key} has size {size(key)}, element degree {degree}")
-        c = _exact(c)
-        if c:
-            out[key] = c
-    return out
-
-
-class NCSymElement:
-    """A homogeneous element, stored as a mapping basis-key -> coefficient."""
+class _Element:
+    """What both algebras share: a homogeneous element of one degree, stored
+    as a mapping basis-key -> coefficient with exact (see _exact), nonzero
+    coefficients.  A subclass names its bases (_BASES), reads a key's size
+    (_key_size: a set partition's n, an integer partition's size) and
+    multiplies two of its elements (_product)."""
 
     __slots__ = ("degree", "basis", "terms")
 
-    def __init__(self, degree: int, basis: str, terms: Mapping[SetPartition, object]):
-        if basis not in NC_BASES:
-            raise ValueError(f"basis must be one of {NC_BASES}, got {basis!r}")
+    def __init__(self, degree: int, basis: str, terms: Mapping):
+        if basis not in self._BASES:
+            raise ValueError(f"basis must be one of {self._BASES}, got {basis!r}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
+        size = self._key_size
+        kept: dict = {}
+        for key, c in terms.items():
+            if size(key) != degree:
+                raise DegreeMismatchError(f"key {key} has size {size(key)}, element degree {degree}")
+            c = _exact(c)
+            if c:
+                kept[key] = c
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", _normalize(degree, terms, attrgetter("n")))
+        object.__setattr__(self, "terms", kept)
 
     def __setattr__(self, name, value):
-        raise AttributeError("NCSymElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.degree, self.basis, self.terms)
+
+    def coefficient(self, key) -> int | Fraction:
+        return self.terms.get(key, 0)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.degree == other.degree
+            and self.basis == other.basis
+            and self.terms == other.terms
+        )
+
+    def scale(self, c):
+        c = _exact(c)
+        return type(self)(self.degree, self.basis, {k: c * v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + other.scale(-1)
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._product(other)
+
+
+class NCSymElement(_Element):
+    """An element of NCSym in the M, P or E basis, keyed by set partitions."""
+
+    __slots__ = ()
+
+    _BASES = NC_BASES
+    _key_size = attrgetter("n")
+
+    # in this class's own namespace, where perfbench's tracer wraps it
+    scale = _Element.scale
 
     @classmethod
     def basis_element(cls, basis: str, pi: SetPartition, coeff=1) -> "NCSymElement":
@@ -121,22 +175,8 @@ class NCSymElement:
         """The empty product: degree 0, coefficient 1."""
         return cls(0, basis, {SetPartition([]): 1})
 
-    def coefficient(self, pi: SetPartition) -> int | Fraction:
-        return self.terms.get(pi, 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCSymElement)
-            and self.degree == other.degree
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         if not self.terms:
@@ -156,23 +196,7 @@ class NCSymElement:
     def __neg__(self) -> "NCSymElement":
         return self.scale(-1)
 
-    def __sub__(self, other: "NCSymElement") -> "NCSymElement":
-        return self + (-other)
-
-    def scale(self, c) -> "NCSymElement":
-        c = _exact(c)
-        return NCSymElement(self.degree, self.basis, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "NCSymElement":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other) -> "NCSymElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, NCSymElement):
-            return NotImplemented
+    def _product(self, other: "NCSymElement") -> "NCSymElement":
         return multiply(self, other)
 
     def to_basis(self, target: str) -> "NCSymElement":
@@ -327,39 +351,14 @@ def multiply(x: NCSymElement, y: NCSymElement) -> NCSymElement:
     return NCSymElement(x.degree + y.degree, "P", terms)
 
 
-class CSymElement:
-    """A commutative symmetric function of one degree in a named basis."""
+class CSymElement(_Element):
+    """A commutative symmetric function of one degree in the m, p or e basis,
+    keyed by integer partitions."""
 
-    __slots__ = ("degree", "basis", "terms")
+    __slots__ = ()
 
-    def __init__(self, degree: int, basis: str, terms: Mapping[IntPartition, object]):
-        if basis not in C_BASES:
-            raise ValueError(f"basis must be one of {C_BASES}, got {basis!r}")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", _normalize(degree, terms, attrgetter("size")))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CSymElement is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.degree, self.basis, self.terms)
-
-    def coefficient(self, lam: IntPartition) -> int | Fraction:
-        return self.terms.get(lam, 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CSymElement)
-            and self.degree == other.degree
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
+    _BASES = C_BASES
+    _key_size = attrgetter("size")
 
     def __repr__(self):
         if not self.terms:
@@ -375,23 +374,7 @@ class CSymElement:
         terms = _sum(itertools.chain(self.terms.items(), other.terms.items()))
         return CSymElement(self.degree, self.basis, terms)
 
-    def __sub__(self, other: "CSymElement") -> "CSymElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CSymElement":
-        c = _exact(c)
-        return CSymElement(self.degree, self.basis, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "CSymElement":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other) -> "CSymElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, CSymElement):
-            return NotImplemented
+    def _product(self, other: "CSymElement") -> "CSymElement":
         if self.basis != "p" or other.basis != "p":
             raise ValueError("commutative products are implemented in the p basis only")
         terms = _sum(

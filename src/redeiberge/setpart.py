@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegreeMismatchError, OrderViolationError, SizeLimitError
 
@@ -168,23 +168,11 @@ def one_block(n: int) -> SetPartition:
     return SetPartition([range(1, n + 1)] if n else [])
 
 
-def _partitions_of(items: tuple) -> Iterator[list[list]]:
-    """All partitions of a sequence of distinct items, as lists of lists."""
-    if not items:
-        yield []
-        return
-    head = items[0]
-    for smaller in _partitions_of(items[1:]):
-        yield [[head]] + smaller
-        for i in range(len(smaller)):
-            yield smaller[:i] + [[head] + smaller[i]] + smaller[i + 1:]
-
-
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """Every set partition of {1..n}, in canonical-form lexicographic order."""
     if not 1 <= n <= MAX_GROUND_SET:
         raise SizeLimitError(f"ground set size {n} outside 1..{MAX_GROUND_SET}")
-    return sorted(SetPartition(blocks) for blocks in _partitions_of(tuple(range(1, n + 1))))
+    return sorted(SetPartition.from_masks(n, masks) for masks, _, _ in _merges([1 << v for v in range(n)], [0] * n))
 
 
 def bell_number(n: int) -> int:
@@ -296,6 +284,9 @@ class LatticeRow(tuple):
         return row
 
     def __setattr__(self, name, value):
+        raise AttributeError("LatticeRow is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("LatticeRow is immutable")
 
     def __reduce__(self):

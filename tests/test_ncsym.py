@@ -18,7 +18,9 @@ from redeiberge.invariant import rb_by_permutations
 from redeiberge.ncsym import CSymElement, NCSymElement, multiply
 from redeiberge.setpart import (
     IntPartition,
+    LatticeRow,
     SetPartition,
+    coarsenings,
     enumerate_partitions,
     mobius,
     mobius_from_bottom,
@@ -450,6 +452,52 @@ def test_every_library_value_copies_and_pickles(kind, clone):
 def test_negative_degree_is_refused(element, basis):
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         element(-1, basis, {})
+
+
+@pytest.mark.parametrize("element, basis", [(NCSymElement, "m"), (CSymElement, "M")])
+def test_unknown_basis_is_refused(element, basis):
+    with pytest.raises(ValueError, match="basis must be one of"):
+        element(1, basis, {})
+
+
+@pytest.mark.parametrize(
+    "element, basis, key", [(NCSymElement, "M", P("12")), (CSymElement, "m", IntPartition([1, 1]))]
+)
+def test_key_of_the_wrong_size_is_refused(element, basis, key):
+    with pytest.raises(DegreeMismatchError, match="has size 2, element degree 3"):
+        element(3, basis, {key: 1})
+
+
+@pytest.mark.parametrize("kind", [NCSymElement, CSymElement])
+def test_elements_are_unhashable(kind):
+    with pytest.raises(TypeError):
+        hash(_library_values()[kind])
+
+
+def test_the_two_algebras_do_not_mix():
+    x, y = _library_values()[NCSymElement], _library_values()[CSymElement]
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(Digraph, "edges"), (NCSymElement, "terms"), (CSymElement, "terms"), (LatticeRow, "mobius")],
+)
+def test_attributes_cannot_be_set_or_deleted(kind, name):
+    if kind is LatticeRow:
+        value = copy.copy(coarsenings(P("13/2")))  # not the cached row every conversion shares
+    else:
+        value = _library_values()[kind]
+        assert not hasattr(value, "__dict__")
+    before = getattr(value, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, name, before)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(value, name)
+    assert getattr(value, name) == before
 
 
 def test_csym_json_round_trip():
