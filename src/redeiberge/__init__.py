@@ -25,7 +25,6 @@ from .errors import (
 from .invariant import (
     count_friendly,
     descent_aggregate,
-    elementary_coefficient,
     monomial_coefficient,
     rb_by_colorings,
     rb_by_deletion_contraction,
@@ -39,7 +38,6 @@ from .setpart import (
     IntPartition,
     SetPartition,
     apply_perm,
-    bell_number,
     enumerate_partitions,
     factorial_weight,
     insert_last,

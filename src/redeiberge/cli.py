@@ -101,13 +101,9 @@ def load_instance(source: str, default_seed: int = 0) -> tuple[Digraph, str]:
 def run_compute(args: argparse.Namespace) -> int:
     dg, name = load_instance(args.input, args.seed)
     algorithm = resolve_route(args.algorithm, dg.n)
-    element = redei_berge(dg, algorithm).to_basis(args.basis.upper())
+    result = redei_berge(dg, algorithm).to_basis(args.basis.upper())
     if args.commutative:
-        result = element.commutative_image()
-        lines = [f"{result.basis}{lam}  {_coeff_str(result.terms[lam])}" for lam in sorted(result.terms, reverse=True)]
-    else:
-        result = element
-        lines = [f"{result.basis.lower()}[{pi}]  {_coeff_str(c)}" for pi, c in sorted(result.terms.items())]
+        result = result.commutative_image()
     if args.output == "json":
         payload = {
             "instance": name,
@@ -116,13 +112,17 @@ def run_compute(args: argparse.Namespace) -> int:
             "element": result.to_json_dict(),
         }
         print(json.dumps(payload))
+        return EXIT_OK
+    if args.commutative:
+        lines = [f"{result.basis}{lam}  {_coeff_str(result.terms[lam])}" for lam in sorted(result.terms, reverse=True)]
     else:
-        print(f"instance: {name} ({dg.describe()})")
-        print(f"algorithm: {algorithm}")
-        for line in lines:
-            print(line)
-        if not lines:
-            print("0")
+        lines = [f"{result.basis.lower()}[{pi}]  {_coeff_str(c)}" for pi, c in sorted(result.terms.items())]
+    print(f"instance: {name} ({dg.describe()})")
+    print(f"algorithm: {algorithm}")
+    for line in lines:
+        print(line)
+    if not lines:
+        print("0")
     return EXIT_OK
 
 

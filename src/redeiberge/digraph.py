@@ -168,19 +168,8 @@ class Digraph:
         return None
 
     def hamiltonian_path_count(self) -> int:
-        """Number of vertex listings whose every consecutive pair is an edge.
-
-        Each listing closes into one Hamiltonian cycle through an apex joined
-        both ways to every vertex, so this is that cycle count.  The apex takes
-        one place in the cycle-count table, so n stops one short of its limit.
-        """
-        if self.n >= MAX_GROUND_SET:
-            raise SizeLimitError(f"Hamiltonian-path count refuses n={self.n} (limit {MAX_GROUND_SET - 1})")
-        if self.n == 0:
-            return 1
-        apex = 1 << self.n
-        successors = [mask | apex for mask in self.successor_masks()] + [apex - 1]
-        return hamiltonian_cycle_counts(successors)[-1]
+        """Number of vertex listings whose every consecutive pair is an edge."""
+        return hamiltonian_path_counts(self.successor_masks())[-1]
 
     def successor_masks(self) -> list[int]:
         """Out-neighbours of each vertex v as bit v-1 of entry v-1, loops dropped."""
@@ -195,13 +184,35 @@ def hamiltonian_cycle_counts(successors: Sequence[int]) -> list[int]:
     """Directed Hamiltonian cycle count of the subgraph induced by every vertex subset.
 
     successors[i] is the loopless out-neighbour bitmask of vertex i; entry S of
-    the result counts the cycles through exactly the vertices of bitmask S.  The
-    Held-Karp table grows paths from the lowest vertex of S, so each cycle
-    counts once (a 2-cycle once, a single vertex never).
+    the result counts the cycles through exactly the vertices of bitmask S, each
+    once (a 2-cycle once, a single vertex never).
     """
     n = len(successors)
     if n > MAX_GROUND_SET:
         raise SizeLimitError(f"cycle-count table refuses n={n} (limit {MAX_GROUND_SET})")
+    return _held_karp(successors)
+
+
+def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
+    """Directed Hamiltonian path count of the subgraph induced by every vertex subset.
+
+    With successors as above, entry S counts the listings of bitmask S whose
+    consecutive pairs are all edges (1 when S has at most one vertex): the
+    cycles through S and an apex joined both ways to every vertex.
+    """
+    n = len(successors)
+    if n > MAX_GROUND_SET:
+        raise SizeLimitError(f"Hamiltonian-path table refuses n={n} (limit {MAX_GROUND_SET})")
+    apex = 1 << n
+    table = _held_karp([mask | apex for mask in successors] + [apex - 1])[apex:]
+    table[0] = 1
+    return table
+
+
+def _held_karp(successors: Sequence[int]) -> list[int]:
+    """The cycle table of hamiltonian_cycle_counts, with no size check.  Paths
+    grow from the lowest vertex of S, so each cycle counts once."""
+    n = len(successors)
     counts = [0] * (1 << n)
     paths = [[0] * n for _ in range(1 << n)]  # paths[S][v]: paths over S from its lowest vertex to v
     for v in range(n):

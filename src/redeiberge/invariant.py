@@ -21,12 +21,12 @@ above, and serves as the cross-check once variables are allowed to commute.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .digraph import Digraph, hamiltonian_cycle_counts
+from .digraph import Digraph, hamiltonian_cycle_counts, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
 from .ncsym import CSymElement, NCSymElement
 from .setpart import (
@@ -35,9 +35,6 @@ from .setpart import (
     enumerate_partitions,
     factorial_weight,
     inverse_perm,
-    mobius,
-    mobius_from_bottom,
-    refines,
 )
 
 # The one table of routes and the largest n each accepts.
@@ -130,9 +127,8 @@ def _block_weights(dg: Digraph) -> list[int]:
     missing loops), a longer cycle (-1)**(|B| - 1) in the digraph, +1 in the
     complement."""
     successors = dg.successor_masks()
-    full = (1 << dg.n) - 1
     in_x = hamiltonian_cycle_counts(successors)
-    in_complement = hamiltonian_cycle_counts([full & ~(mask | 1 << v) for v, mask in enumerate(successors)])
+    in_complement = hamiltonian_cycle_counts(_complement_masks(successors))
     weights = [
         b - a if B.bit_count() % 2 == 0 else a + b
         for B, (a, b) in enumerate(zip(in_x, in_complement))
@@ -140,6 +136,13 @@ def _block_weights(dg: Digraph) -> list[int]:
     for v in range(dg.n):
         weights[1 << v] = 1
     return weights
+
+
+def _complement_masks(successors: Sequence[int]) -> list[int]:
+    """Successor masks of the loopless complement: every vertex but itself
+    that it does not point at."""
+    full = (1 << len(successors)) - 1
+    return [full & ~(mask | 1 << v) for v, mask in enumerate(successors)]
 
 
 def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -329,37 +332,20 @@ def rb_commutative(dg: Digraph) -> CSymElement:
     return CSymElement(n, "m", terms)
 
 
-# -- coefficient formulas ------------------------------------------------------
+# -- coefficient formula -------------------------------------------------------
 
 
 def monomial_coefficient(dg: Digraph, pi: SetPartition) -> int:
-    """Signed count of cycle-structured permutations whose type refines pi.
-
-    The count factors over the blocks of pi, so it is evaluated block by block
-    without expanding the whole function; agrees with the monomial coefficient
-    after conversion.
+    """Number of listings friendly for a coloring whose color classes are the
+    blocks of pi: within each block, consecutive vertices must not be joined
+    by an edge, so the count is the product over the blocks of Hamiltonian
+    path counts of the loopless complement.  Agrees with the monomial
+    coefficient after conversion, without expanding the whole function.
     """
     if pi.n != dg.n:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
-    weights = _block_weights(dg)
-    total = 1
-    for block in pi.blocks:
-        ground = sum(1 << (v - 1) for v in block)
-        total *= sum(coeff for _, coeff in _nonzero_partitions(weights, ground))
-    return total
-
-
-def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
-    """Coefficient of the elementary basis element at pi, by the Mobius-weighted
-    sum over cycle-structured permutations whose type is refined by pi."""
-    if pi.n != dg.n:
-        raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
-    total = Fraction(0)
-    for blocks, coeff in _power_sum_masks(dg):
-        cycle_type = SetPartition.from_masks(dg.n, blocks)
-        if refines(pi, cycle_type):
-            total += Fraction(coeff * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))
-    return total
+    paths = hamiltonian_path_counts(_complement_masks(dg.successor_masks()))
+    return math.prod(paths[sum(1 << (v - 1) for v in block)] for block in pi.blocks)
 
 
 # -- dispatcher -----------------------------------------------------------------

@@ -55,9 +55,6 @@ from .setpart import (
 NC_BASES = ("M", "P", "E")
 C_BASES = ("m", "p", "e")
 
-Word = tuple[int, ...]
-
-
 def _sum(pairs: Iterable[tuple[Hashable, object]]) -> dict:
     """One coefficient per key: the sum over the (key, coefficient) pairs, keys
     in the order they first appear."""
@@ -167,10 +164,6 @@ class NCSymElement(_Element):
     scale = _Element.scale
 
     @classmethod
-    def basis_element(cls, basis: str, pi: SetPartition, coeff=1) -> "NCSymElement":
-        return cls(pi.n, basis, {pi: coeff})
-
-    @classmethod
     def one(cls, basis: str = "P") -> "NCSymElement":
         """The empty product: degree 0, coefficient 1."""
         return cls(0, basis, {SetPartition([]): 1})
@@ -267,26 +260,6 @@ class NCSymElement(_Element):
         terms = _sum((lambda_of(pi), c * weight(pi)) for pi, c in self.terms.items())
         return CSymElement(self.degree, self.basis.lower(), terms)
 
-    def expand(self, k: int) -> dict[Word, int | Fraction]:
-        """Exact coefficients of all words over the alphabet {1..k}.
-
-        Ground-truth oracle: a word contributes to m_pi when its equality
-        pattern is exactly pi, to p_pi when letters agree on every block, and
-        to e_pi when letters are pairwise distinct inside every block.
-        Exponential in the degree; meant for testing, not production paths.
-        """
-        if k < 1:
-            raise ValueError("need at least one variable")
-        out: dict[Word, int | Fraction] = {}
-        for word in itertools.product(range(1, k + 1), repeat=self.degree):
-            total = 0
-            for pi, c in self.terms.items():
-                if _word_matches(word, pi, self.basis):
-                    total += c
-            if total:
-                out[word] = total
-        return out
-
     def to_json_dict(self) -> dict:
         """Serialized form with deterministic term order (canonical key order)."""
         return {
@@ -318,19 +291,6 @@ def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, 
 
 def _coeff_str(c: int | Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _word_matches(word: Word, pi: SetPartition, basis: str) -> bool:
-    if basis == "M":
-        positions: dict[int, list[int]] = {}
-        for pos, letter in enumerate(word, start=1):
-            positions.setdefault(letter, []).append(pos)
-        pattern = tuple(sorted(tuple(v) for v in positions.values()))
-        return pattern == pi.blocks
-    if basis == "P":
-        return all(len({word[x - 1] for x in b}) <= 1 for b in pi.blocks)
-    # E: letters pairwise distinct within each block
-    return all(len({word[x - 1] for x in b}) == len(b) for b in pi.blocks)
 
 
 def multiply(x: NCSymElement, y: NCSymElement) -> NCSymElement:

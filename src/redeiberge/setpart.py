@@ -163,27 +163,11 @@ def singletons(n: int) -> SetPartition:
     return SetPartition([[i] for i in range(1, n + 1)])
 
 
-def one_block(n: int) -> SetPartition:
-    """The maximal partition of {1..n}: a single block."""
-    return SetPartition([range(1, n + 1)] if n else [])
-
-
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """Every set partition of {1..n}, in canonical-form lexicographic order."""
     if not 1 <= n <= MAX_GROUND_SET:
         raise SizeLimitError(f"ground set size {n} outside 1..{MAX_GROUND_SET}")
     return sorted(SetPartition.from_masks(n, masks) for masks, _, _ in _merges([1 << v for v in range(n)], [0] * n))
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of {1..n}, by the Bell triangle recurrence."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
 
 
 def refines(sigma: SetPartition, pi: SetPartition) -> bool:

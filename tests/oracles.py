@@ -1,0 +1,63 @@
+"""Reference oracles the suite checks the library against.
+
+Both are literal and exponential: the word expansion of an NCSym element,
+and the elementary coefficient of the function as a Mobius-weighted sum over
+its power-sum terms.
+"""
+
+import itertools
+from fractions import Fraction
+
+from redeiberge.digraph import Digraph
+from redeiberge.invariant import _power_sum_masks
+from redeiberge.ncsym import NCSymElement
+from redeiberge.setpart import SetPartition, mobius, mobius_from_bottom, refines
+
+Word = tuple[int, ...]
+
+
+def expand(element: NCSymElement, k: int) -> dict[Word, int | Fraction]:
+    """Exact coefficients of all words over the alphabet {1..k}.
+
+    Ground-truth oracle: a word contributes to m_pi when its equality
+    pattern is exactly pi, to p_pi when letters agree on every block, and
+    to e_pi when letters are pairwise distinct inside every block.
+    Exponential in the degree.
+    """
+    if k < 1:
+        raise ValueError("need at least one variable")
+    out: dict[Word, int | Fraction] = {}
+    for word in itertools.product(range(1, k + 1), repeat=element.degree):
+        total = 0
+        for pi, c in element.terms.items():
+            if _word_matches(word, pi, element.basis):
+                total += c
+        if total:
+            out[word] = total
+    return out
+
+
+def _word_matches(word: Word, pi: SetPartition, basis: str) -> bool:
+    if basis == "M":
+        positions: dict[int, list[int]] = {}
+        for pos, letter in enumerate(word, start=1):
+            positions.setdefault(letter, []).append(pos)
+        pattern = tuple(sorted(tuple(v) for v in positions.values()))
+        return pattern == pi.blocks
+    if basis == "P":
+        return all(len({word[x - 1] for x in b}) <= 1 for b in pi.blocks)
+    # E: letters pairwise distinct within each block
+    return all(len({word[x - 1] for x in b}) == len(b) for b in pi.blocks)
+
+
+def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
+    """Coefficient of the elementary basis element at pi, by the Mobius-weighted
+    sum over cycle-structured permutations whose type is refined by pi."""
+    if pi.n != dg.n:
+        raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
+    total = Fraction(0)
+    for blocks, coeff in _power_sum_masks(dg):
+        cycle_type = SetPartition.from_masks(dg.n, blocks)
+        if refines(pi, cycle_type):
+            total += Fraction(coeff * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))
+    return total

@@ -15,6 +15,7 @@ from redeiberge.digraph import (
     discrete_digraph,
     format_digraph,
     hamiltonian_cycle_counts,
+    hamiltonian_path_counts,
     has_even_directed_cycle,
     parse_digraph,
     path_digraph,
@@ -292,12 +293,28 @@ def test_hamiltonian_ignores_loops(dg):
     assert looped.hamiltonian_path_count() == dg.hamiltonian_path_count()
 
 
+def test_path_count_table_against_brute_force():
+    rng = random.Random(29)
+    sample = [random_digraph(rng.randint(1, 6), rng.choice([0.3, 0.6]), rng.randint(0, 10**6)) for _ in range(40)]
+    assert any(u == v for dg in sample for u, v in dg.edges)  # loops must be dropped
+    for dg in sample + [complete_digraph(5), discrete_digraph(4), discrete_digraph(0)]:
+        table = hamiltonian_path_counts(dg.successor_masks())
+        assert len(table) == 1 << dg.n
+        for subset, count in enumerate(table):
+            induced = [v for v in range(1, dg.n + 1) if subset >> (v - 1) & 1]
+            relabel = {v: i for i, v in enumerate(induced, start=1)}
+            sub = Digraph(len(induced), {(relabel[u], relabel[v]) for u, v in dg.edges if u in relabel and v in relabel})
+            assert count == brute_force_hamiltonian(sub), (dg, induced)
+
+
 def test_hamiltonian_size_guard():
-    # the apex makes the cycle-count table one vertex larger than the digraph
-    assert discrete_digraph(11).hamiltonian_path_count() == 0
-    assert complete_digraph(11).hamiltonian_path_count() == math.factorial(11)
-    with pytest.raises(SizeLimitError, match="n=12"):
-        discrete_digraph(12).hamiltonian_path_count()
+    # the path table takes the apex as a thirteenth vertex of its cycle table
+    assert discrete_digraph(12).hamiltonian_path_count() == 0
+    assert complete_digraph(12).hamiltonian_path_count() == math.factorial(12)
+    with pytest.raises(SizeLimitError, match="n=13"):
+        discrete_digraph(13).hamiltonian_path_count()
+    with pytest.raises(SizeLimitError, match="n=13"):
+        hamiltonian_path_counts([0] * 13)
 
 
 # -- generators -----------------------------------------------------------------------------

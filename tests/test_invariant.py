@@ -20,7 +20,6 @@ from redeiberge.errors import SizeLimitError, SymmetryViolationError
 from redeiberge.invariant import (
     count_friendly,
     descent_aggregate,
-    elementary_coefficient,
     is_friendly,
     monomial_coefficient,
     rb_by_colorings,
@@ -33,17 +32,20 @@ from redeiberge.invariant import (
 from redeiberge.ncsym import CSymElement, NCSymElement, multiply
 from redeiberge.setpart import (
     IntPartition,
+    SetPartition,
     enumerate_partitions,
     factorial_weight,
-    one_block,
     parse_set_partition,
 )
+
+from oracles import elementary_coefficient
 
 P = parse_set_partition
 
 
 def nc(basis, text, coeff=1):
-    return NCSymElement.basis_element(basis, P(text), coeff)
+    pi = P(text)
+    return NCSymElement(pi.n, basis, {pi: coeff})
 
 
 def brute_force_friendly_count(dg, colors):
@@ -118,7 +120,7 @@ def test_discrete_closed_form():
 def test_complete_closed_form():
     for n in range(1, 6):
         w = rb_by_permutations(complete_digraph(n)).to_basis("E")
-        assert w == NCSymElement.basis_element("E", one_block(n))
+        assert w == NCSymElement(n, "E", {SetPartition([range(1, n + 1)]): 1})
 
 
 def test_path_recurrence():
@@ -270,6 +272,12 @@ def test_commutative_image_matches_descent_oracle():
 def test_monomial_coefficient_examples():
     assert monomial_coefficient(complete_digraph(2), P("12")) == 0
     assert monomial_coefficient(complete_digraph(2), P("1/2")) == 1
+    # at n = 12, the friendly-listing product against the cycle side's sum
+    # over the partitions of the one block
+    dg = random_digraph(12, 0.3, 7)
+    one_block = monomial_coefficient(dg, SetPartition([range(1, 13)]))
+    weights = invariant._block_weights(dg)
+    assert one_block == sum(c for _, c in invariant._nonzero_partitions(weights, (1 << 12) - 1)) == 1932328
 
 
 def test_elementary_coefficient_on_discrete_two():
@@ -296,5 +304,3 @@ def test_coefficient_formulas_match_full_conversion():
 def test_coefficient_degree_mismatch():
     with pytest.raises(ValueError):
         monomial_coefficient(discrete_digraph(2), P("1/2/3"))
-    with pytest.raises(ValueError):
-        elementary_coefficient(discrete_digraph(2), P("1/2/3"))

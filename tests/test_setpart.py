@@ -15,7 +15,6 @@ from redeiberge.setpart import (
     IntPartition,
     SetPartition,
     apply_perm,
-    bell_number,
     coarsenings,
     enumerate_partitions,
     factorial_weight,
@@ -25,7 +24,6 @@ from redeiberge.setpart import (
     mobius,
     mobius_from_bottom,
     multiplicity_weight,
-    one_block,
     parse_set_partition,
     refines,
     refinements,
@@ -131,7 +129,7 @@ def test_from_masks_rejects_invalid_blocks(masks, message):
 
 def test_from_masks_size_guard():
     top = SetPartition.from_masks(12, [(1 << 12) - 1])
-    assert top == one_block(12)
+    assert top == SetPartition([range(1, 13)])
     with pytest.raises(SizeLimitError):
         SetPartition.from_masks(13, [(1 << 13) - 1])
 
@@ -206,11 +204,10 @@ def test_enumerate_is_sorted_and_duplicate_free():
 
 
 def test_enumerate_matches_bell_triangle():
-    # Bell numbers are computed by the triangle recurrence, independent of
-    # the recursive enumeration.
-    assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+    # Bell(n) for n = 0..10 (OEIS A000110), independent of the enumeration
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
     for n in range(1, 11):
-        assert len(enumerate_partitions(n)) == bell_number(n)
+        assert len(enumerate_partitions(n)) == bell[n]
 
 
 def test_enumerate_size_guard():
@@ -235,7 +232,7 @@ def test_refines_extremes():
     for n in range(1, 6):
         for pi in enumerate_partitions(n):
             assert refines(singletons(n), pi)
-            assert refines(pi, one_block(n))
+            assert refines(pi, SetPartition([range(1, n + 1)]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -281,7 +278,7 @@ def test_every_construction_of_a_partition_is_equal_with_equal_hash(n):
     refinements.cache_clear()
     # both rows hold every partition of n; their entries are shared objects
     everything_up = coarsenings(singletons(n))
-    everything_down = refinements(one_block(n))
+    everything_down = refinements(SetPartition([range(1, n + 1)]))
     assert all(a is b for a, b in zip(everything_up, everything_down))
     for pi, from_row in zip(enumerate_partitions(n), everything_up):
         for other in (from_row, SetPartition.from_masks(n, _masks(pi)), parse_set_partition(str(pi))):
