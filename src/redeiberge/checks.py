@@ -23,8 +23,8 @@ from .invariant import (
     rb_commutative,
     rb_tournament,
     resolve_route,
-    _move_to_last_pair,
     _power_sum_masks,
+    _split_on_edge,
 )
 from .ncsym import NCSymElement, _sum, multiply
 from .setpart import SetPartition, singletons
@@ -146,13 +146,10 @@ class _CheckRunner:
         non_loop = self.dg.non_loop_edges()
         if not non_loop:
             raise _Skip("hypothesis unmet: no non-loop edge")
-        n = self.dg.n
         for u, v in non_loop:
-            delta = _move_to_last_pair(u, v, n)
-            moved = self.dg.relabel(delta)
+            _, moved, deleted, contracted = _split_on_edge(self.dg, u, v)
             lhs = rb_by_permutations(moved)
-            deleted = rb_by_permutations(moved.delete_edges([(n - 1, n)]))
-            rhs = deleted - rb_by_permutations(moved.contract_last_edge()).induct()
+            rhs = rb_by_permutations(deleted) - rb_by_permutations(contracted).induct()
             witness = _difference(lhs, rhs)
             if witness is not None:
                 return f"edge ({u},{v}): " + witness
@@ -244,7 +241,7 @@ class _CheckRunner:
         for key, coeff in wp.terms.items():
             if coeff < 0:
                 return f"negative power-sum coefficient {coeff} at {key}"
-        bottom = wp.coefficient(singletons(self.dg.n)) if self.dg.n else 1
+        bottom = wp.coefficient(singletons(self.dg.n))
         if bottom < 1:
             return f"coefficient at the all-singletons partition is {bottom}, expected >= 1"
         return None

@@ -12,12 +12,12 @@ import random
 from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
-from .setpart import MAX_GROUND_SET
+from .setpart import MAX_GROUND_SET, _Frozen
 
 Edge = tuple[int, int]
 
 
-class Digraph:
+class Digraph(_Frozen):
     """A digraph on vertices 1..n with a set of ordered-pair edges."""
 
     __slots__ = ("n", "edges")
@@ -31,12 +31,6 @@ class Digraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_set)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Digraph is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Digraph is immutable")
 
     def __reduce__(self):
         return type(self), (self.n, self.edges)
@@ -94,9 +88,9 @@ class Digraph:
         return Digraph(n - 1, kept)
 
     def relabel(self, delta: Sequence[int]) -> "Digraph":
-        """Rename vertex i to delta[i-1]."""
-        if len(delta) != self.n:
-            raise ValueError(f"permutation of [{len(delta)}] applied to digraph on {self.n} vertices")
+        """Rename vertex i to delta[i-1]; delta must be a permutation of 1..n."""
+        if sorted(delta) != list(range(1, self.n + 1)):
+            raise ValueError(f"{tuple(delta)} is not a permutation of 1..{self.n}")
         return Digraph(self.n, {(delta[u - 1], delta[v - 1]) for u, v in self.edges})
 
     def product(self, other: "Digraph") -> "Digraph":

@@ -96,8 +96,6 @@ def rb_by_colorings(dg: Digraph) -> NCSymElement:
     """
     n = dg.n
     resolve_route("definition", n)
-    if n == 0:
-        return NCSymElement.one("M")
     terms: dict[SetPartition, int] = {}
     for pi in enumerate_partitions(n):
         counts = set()
@@ -241,22 +239,18 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
 def _discrete_expansion(n: int) -> NCSymElement:
     """The edge-free base case: sum of (block factorial product) * m over all
     set partitions; loops never affect the function."""
-    if n == 0:
-        return NCSymElement.one("M")
     return NCSymElement(n, "M", {pi: factorial_weight(pi) for pi in enumerate_partitions(n)})
 
 
-def _move_to_last_pair(u: int, v: int, n: int) -> tuple[int, ...]:
-    """Permutation sending u to n-1 and v to n, order-preserving elsewhere."""
-    delta = [0] * n
-    delta[u - 1] = n - 1
-    delta[v - 1] = n
-    label = 1
-    for w in range(1, n + 1):
-        if w != u and w != v:
-            delta[w - 1] = label
-            label += 1
-    return tuple(delta)
+def _split_on_edge(dg: Digraph, u: int, v: int) -> tuple[tuple[int, ...], Digraph, Digraph, Digraph]:
+    """The deletion-contraction step on the edge (u, v): the permutation delta
+    sending u to n-1 and v to n, order-preserving elsewhere; the digraph
+    relabeled by delta; and that digraph with (n-1, n) deleted and with it
+    contracted."""
+    n = dg.n
+    delta = inverse_perm([w for w in range(1, n + 1) if w != u and w != v] + [u, v])
+    moved = dg.relabel(delta)
+    return delta, moved, moved.delete_edges([(n - 1, n)]), moved.contract_last_edge()
 
 
 def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
@@ -275,13 +269,8 @@ def _delcon(dg: Digraph) -> NCSymElement:
     non_loop = dg.non_loop_edges()
     if not non_loop:
         return _discrete_expansion(dg.n)
-    u, v = non_loop[0]
-    n = dg.n
-    delta = _move_to_last_pair(u, v, n)
-    moved = dg.relabel(delta)
-    deleted = _delcon(moved.delete_edges([(n - 1, n)]))
-    contracted = _delcon(moved.contract_last_edge())
-    return (deleted - contracted.induct()).act(inverse_perm(delta))
+    delta, _, deleted, contracted = _split_on_edge(dg, *non_loop[0])
+    return (_delcon(deleted) - _delcon(contracted).induct()).act(inverse_perm(delta))
 
 
 # -- commutative oracle via descent sets --------------------------------------

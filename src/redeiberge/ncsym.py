@@ -40,6 +40,7 @@ from .errors import DegreeMismatchError
 from .setpart import (
     IntPartition,
     SetPartition,
+    _Frozen,
     apply_perm,
     coarsenings,
     factorial_weight,
@@ -81,7 +82,7 @@ def _quotient(x: int | Fraction, d: int) -> int | Fraction:
     return Fraction(x, d) if r else q
 
 
-class _Element:
+class _Element(_Frozen):
     """What both algebras share: a homogeneous element of one degree, stored
     as a mapping basis-key -> coefficient with exact (see _exact), nonzero
     coefficients.  A subclass names its bases (_BASES), reads a key's size
@@ -106,12 +107,6 @@ class _Element:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", kept)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.degree, self.basis, self.terms)
@@ -163,11 +158,6 @@ class NCSymElement(_Element):
     # in this class's own namespace, where perfbench's tracer wraps it
     scale = _Element.scale
 
-    @classmethod
-    def one(cls, basis: str = "P") -> "NCSymElement":
-        """The empty product: degree 0, coefficient 1."""
-        return cls(0, basis, {SetPartition([]): 1})
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
@@ -202,12 +192,7 @@ class NCSymElement(_Element):
             return self._from_m().to_basis(target)
         if self.basis == "E":
             return self._from_e().to_basis(target)
-        # now in P
-        if target == "M":
-            return self._p_to_m()
-        if target == "E":
-            return self._p_to_e()
-        return self
+        return self._p_to_m() if target == "M" else self._p_to_e()
 
     def _from_m(self) -> "NCSymElement":
         # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
@@ -273,10 +258,7 @@ class NCSymElement(_Element):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NCSymElement":
-        terms = {
-            parse_set_partition(t["blocks"]): Fraction(t["coeff"])
-            for t in data["terms"]
-        }
+        terms = _sum((parse_set_partition(t["blocks"]), Fraction(t["coeff"])) for t in data["terms"])
         return cls(data["degree"], data["basis"], terms)
 
 
@@ -357,5 +339,5 @@ class CSymElement(_Element):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CSymElement":
-        terms = {IntPartition(t["parts"]): Fraction(t["coeff"]) for t in data["terms"]}
+        terms = _sum((IntPartition(t["parts"]), Fraction(t["coeff"])) for t in data["terms"])
         return cls(data["degree"], data["basis"], terms)

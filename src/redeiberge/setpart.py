@@ -29,6 +29,19 @@ MAX_GROUND_SET = 12  # Bell(12) ~ 4.2e6; enumeration beyond this is refused
 LATTICE_CACHE_SIZE = 8192
 
 
+class _Frozen:
+    """Refuses to set or delete any attribute; a subclass's constructor
+    writes its own through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class SetPartition(tuple):
     """A partition of {1..n} into disjoint nonempty blocks.
 
@@ -40,10 +53,9 @@ class SetPartition(tuple):
     n = property(itemgetter(0))
     blocks = property(itemgetter(1))
 
-    def __new__(cls, blocks: Iterable[Iterable[int]], n: int | None = None):
+    def __new__(cls, blocks: Iterable[Iterable[int]]):
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
         seen: set[int] = set()
-        total = 0
         for block in canon:
             if not block:
                 raise ValueError("empty block in set partition")
@@ -51,10 +63,8 @@ class SetPartition(tuple):
                 if x in seen:
                     raise ValueError(f"element {x} appears in two blocks")
                 seen.add(x)
-            total += len(block)
-        if n is None:
-            n = total
-        if n != total or seen != set(range(1, n + 1)):
+        n = len(seen)
+        if seen != set(range(1, n + 1)):
             raise ValueError(f"blocks do not partition {{1..{n}}}: {canon}")
         return tuple.__new__(cls, (n, canon))
 
@@ -94,8 +104,6 @@ class SetPartition(tuple):
         return f"SetPartition({self})"
 
     def __str__(self):
-        if self.n == 0:
-            return ""
         if self.n <= 9:
             return "/".join(["".join(map(str, b)) for b in self.blocks])
         return "/".join(["{" + ",".join(map(str, b)) + "}" for b in self.blocks])
@@ -165,8 +173,8 @@ def singletons(n: int) -> SetPartition:
 
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """Every set partition of {1..n}, in canonical-form lexicographic order."""
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise SizeLimitError(f"ground set size {n} outside 1..{MAX_GROUND_SET}")
+    if not 0 <= n <= MAX_GROUND_SET:
+        raise SizeLimitError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
     return sorted(SetPartition.from_masks(n, masks) for masks, _, _ in _merges([1 << v for v in range(n)], [0] * n))
 
 
@@ -255,7 +263,7 @@ def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-class LatticeRow(tuple):
+class LatticeRow(_Frozen, tuple):
     """One row of the refinement lattice: set partitions sorted by blocks, with
     the Mobius value between each of them and the row's partition in the
     parallel int tuple `mobius`.  A row of refinements also carries
@@ -266,12 +274,6 @@ class LatticeRow(tuple):
         object.__setattr__(row, "mobius", mobius)
         object.__setattr__(row, "bottom", bottom)
         return row
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeRow is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("LatticeRow is immutable")
 
     def __reduce__(self):
         return type(self), (tuple(self), self.mobius, self.bottom)

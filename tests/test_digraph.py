@@ -149,6 +149,9 @@ def test_relabel_examples():
     dg = path_digraph(2)
     assert dg.relabel((1, 2)) == dg
     assert dg.relabel((2, 1)) == Digraph(2, [(2, 1)])
+    for delta in ((1, 1), (1,), (1, 2, 3), (0, 1), (2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            dg.relabel(delta)
 
 
 @given(digraphs(max_n=6), st.data())

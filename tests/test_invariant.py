@@ -16,6 +16,7 @@ from redeiberge.digraph import (
     random_tournament,
 )
 from redeiberge import invariant
+from redeiberge.checks import ALL_CHECKS, check_identities
 from redeiberge.errors import SizeLimitError, SymmetryViolationError
 from redeiberge.invariant import (
     count_friendly,
@@ -98,6 +99,25 @@ def test_discrete_on_two_vertices():
 def test_single_vertex():
     assert rb_by_colorings(discrete_digraph(1)) == nc("M", "1")
     assert rb_by_colorings(Digraph(1, [(1, 1)])) == nc("M", "1")  # loops are invisible
+
+
+def test_empty_ground_set():
+    # every route reaches n = 0 through its general path: the one partition
+    # of the empty set, with coefficient 1, in every basis
+    dg = discrete_digraph(0)
+    for route, basis in (
+        (rb_by_colorings, "M"),
+        (rb_by_permutations, "P"),
+        (rb_by_deletion_contraction, "M"),
+        (rb_tournament, "P"),
+    ):
+        w = route(dg)
+        assert w == NCSymElement(0, basis, {SetPartition([]): 1}), route.__name__
+        for target in "MPE":
+            assert w.to_basis(target) == NCSymElement(0, target, {SetPartition([]): 1})
+    skipped = {"deletion-contraction", "subset-decomposition", "cycle-decomposition", "triangle", "counting-lemma"}
+    statuses = {r.check: r.status for r in check_identities(dg)}
+    assert statuses == {c: "skipped" if c in skipped else "pass" for c in ALL_CHECKS}
 
 
 def test_path_on_two_vertices():

@@ -248,7 +248,7 @@ def test_product_examples_match_oracle():
 
 
 def test_product_unit():
-    one = NCSymElement.one("P")
+    one = NCSymElement(0, "P", {SetPartition([]): 1})
     x = nc("P", "13/2", 3)
     assert multiply(x, one) == x
     assert multiply(one, x) == x
@@ -301,7 +301,7 @@ def test_induct_examples():
 
 def test_induct_degree_zero_rejected():
     with pytest.raises(ValueError):
-        NCSymElement.one("P").induct()
+        NCSymElement(0, "P", {SetPartition([]): 1}).induct()
 
 
 def test_induct_appends_last_letter_in_expansion():
@@ -389,6 +389,12 @@ def test_json_round_trip_and_order():
     assert [t["blocks"] for t in data["terms"]] == ["1/2/3", "123"]
     assert [t["coeff"] for t in data["terms"]] == ["-2", "1/2"]
     assert NCSymElement.from_json_dict(data) == x
+
+
+def test_json_sums_terms_that_name_one_partition():
+    terms = [{"blocks": "1/2", "coeff": "1"}, {"blocks": "2/1", "coeff": "5"}]
+    x = NCSymElement.from_json_dict({"degree": 2, "basis": "P", "terms": terms})
+    assert x == nc("P", "1/2", 6)
 
 
 DEGREE_10 = NCSymElement(
@@ -508,6 +514,12 @@ def test_csym_json_round_trip():
     data = x.to_json_dict()
     assert data["commutative"] is True
     assert CSymElement.from_json_dict(data) == x
+
+
+def test_csym_json_sums_terms_that_name_one_partition():
+    terms = [{"parts": [2, 1], "coeff": "1"}, {"parts": [1, 2], "coeff": "5"}]
+    x = CSymElement.from_json_dict({"degree": 3, "basis": "m", "terms": terms})
+    assert x == CSymElement(3, "m", {IntPartition([2, 1]): 6})
 
 
 def test_integrality_flag():

@@ -206,13 +206,13 @@ def test_enumerate_is_sorted_and_duplicate_free():
 def test_enumerate_matches_bell_triangle():
     # Bell(n) for n = 0..10 (OEIS A000110), independent of the enumeration
     bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
-    for n in range(1, 11):
+    for n in range(0, 11):
         assert len(enumerate_partitions(n)) == bell[n]
 
 
 def test_enumerate_size_guard():
     with pytest.raises(SizeLimitError):
-        enumerate_partitions(0)
+        enumerate_partitions(-1)
     with pytest.raises(SizeLimitError):
         enumerate_partitions(13)
 
