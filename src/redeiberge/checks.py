@@ -29,25 +29,8 @@ from .invariant import (
 from .ncsym import NCSymElement, _sum, multiply
 from .setpart import SetPartition, singletons
 
-ALL_CHECKS = (
-    "opposite",
-    "tournament-complement",
-    "product",
-    "deletion-contraction",
-    "subset-decomposition",
-    "cycle-decomposition",
-    "triangle",
-    "counting-lemma",
-    "cross-algorithm",
-    "commutative",
-    "integrality",
-    "p-nonnegativity",
-    "tournament-formula",
-    "berge-parity",
-    "redei-parity",
-)
-
 MAX_SUBSET_EDGES = 10
+MAX_PRODUCT_SIZE = 8
 MAX_COUNTING_LEMMA_VERTICES = 4
 MAX_COUNTING_LEMMA_EDGES = 6
 
@@ -137,8 +120,8 @@ class _CheckRunner:
     def check_product(self) -> str | None:
         right = self.other if self.other is not None else self.dg
         total = self.dg.n + right.n
-        if total > ROUTE_CAPACITY["permutations"]:
-            raise _Skip(f"combined size {total} > {ROUTE_CAPACITY['permutations']}")
+        if total > MAX_PRODUCT_SIZE:
+            raise _Skip(f"combined size {total} > {MAX_PRODUCT_SIZE}")
         product = multiply(rb_by_permutations(self.dg), rb_by_permutations(right))
         return _difference(rb_by_permutations(self.dg.product(right)), product)
 
@@ -214,11 +197,10 @@ class _CheckRunner:
         return None
 
     def check_cross_algorithm(self) -> str | None:
-        n = self.dg.n
-        resolve_route("deletion-contraction", n)  # refuses before any expansion
+        by_delcon = rb_by_deletion_contraction(self.dg)  # refuses before the other expansions
         in_m = rb_by_permutations(self.dg).to_basis("M")
-        witness = _difference(in_m, rb_by_deletion_contraction(self.dg))
-        if witness is not None or n > ROUTE_CAPACITY["definition"]:
+        witness = _difference(in_m, by_delcon)
+        if witness is not None or self.dg.n > ROUTE_CAPACITY["definition"]:
             return witness
         return _difference(in_m, rb_by_colorings(self.dg))
 
@@ -276,6 +258,10 @@ class _CheckRunner:
             for blocks, c in _power_sum_masks(self.dg.delete_edges(S))
         )
         return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): c for blocks, c in total.items() if c})
+
+
+# definition order of the check_* methods is report order
+ALL_CHECKS = tuple(m.removeprefix("check_").replace("_", "-") for m in vars(_CheckRunner) if m.startswith("check_"))
 
 
 def _subsets(items: tuple) -> Iterable[tuple]:

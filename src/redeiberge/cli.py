@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_checks=False):
+    def add_common(p, run, with_checks=False):
+        p.set_defaults(run=run)
         p.add_argument("input", help="digraph file or generator spec (e.g. cycle:3)")
         p.add_argument("--seed", type=int, default=0, help="seed for random generators")
         p.add_argument("--format", choices=("text", "json"), default="text", dest="output")
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_compute = sub.add_parser("compute", help="print the expansion of one instance")
-    add_common(p_compute)
+    add_common(p_compute, run_compute)
     p_compute.add_argument("--basis", choices=("m", "p", "e"), default="p")
     p_compute.add_argument("--commutative", action="store_true", help="let the variables commute")
     p_compute.add_argument(
@@ -253,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="run identity checks on one instance")
-    add_common(p_verify, with_checks=True)
+    add_common(p_verify, run_verify, with_checks=True)
 
     p_bench = sub.add_parser("bench", help="time each applicable algorithm")
-    add_common(p_bench)
+    add_common(p_bench, run_bench)
 
     p_batch = sub.add_parser("batch", help="verify a seeded random family")
-    add_common(p_batch, with_checks=True)
+    add_common(p_batch, run_batch, with_checks=True)
     p_batch.add_argument("--count", type=int, default=10, help="number of instances")
 
     return parser
@@ -286,13 +287,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "checks"):
             args.checks = _parse_checks(args.checks)
-        runner = {
-            "compute": run_compute,
-            "verify": run_verify,
-            "bench": run_bench,
-            "batch": run_batch,
-        }[args.command]
-        return runner(args)
+        return args.run(args)
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

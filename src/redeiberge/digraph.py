@@ -12,7 +12,7 @@ import random
 from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
-from .setpart import MAX_GROUND_SET, _Frozen
+from .setpart import MAX_GROUND_SET, _Frozen, _require_permutation
 
 Edge = tuple[int, int]
 
@@ -89,8 +89,7 @@ class Digraph(_Frozen):
 
     def relabel(self, delta: Sequence[int]) -> "Digraph":
         """Rename vertex i to delta[i-1]; delta must be a permutation of 1..n."""
-        if sorted(delta) != list(range(1, self.n + 1)):
-            raise ValueError(f"{tuple(delta)} is not a permutation of 1..{self.n}")
+        _require_permutation(delta, self.n)
         return Digraph(self.n, {(delta[u - 1], delta[v - 1]) for u, v in self.edges})
 
     def product(self, other: "Digraph") -> "Digraph":

@@ -261,16 +261,13 @@ def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
     pulled back; the relabeling step keeps every recursive call on the
     distinguished edge the contraction is defined for.
     """
-    resolve_route("deletion-contraction", dg.n)
-    return _delcon(dg)
-
-
-def _delcon(dg: Digraph) -> NCSymElement:
+    resolve_route("deletion-contraction", dg.n)  # n only shrinks below, so this refuses at the top only
     non_loop = dg.non_loop_edges()
     if not non_loop:
         return _discrete_expansion(dg.n)
     delta, _, deleted, contracted = _split_on_edge(dg, *non_loop[0])
-    return (_delcon(deleted) - _delcon(contracted).induct()).act(inverse_perm(delta))
+    recursed = rb_by_deletion_contraction(deleted) - rb_by_deletion_contraction(contracted).induct()
+    return recursed.act(inverse_perm(delta))
 
 
 # -- commutative oracle via descent sets --------------------------------------

@@ -41,6 +41,7 @@ from .setpart import (
     IntPartition,
     SetPartition,
     _Frozen,
+    _require_permutation,
     apply_perm,
     coarsenings,
     factorial_weight,
@@ -230,6 +231,7 @@ class NCSymElement(_Element):
         """Permute variable positions: basis key pi goes to delta(pi)."""
         if len(delta) != self.degree:
             raise DegreeMismatchError(f"permutation of [{len(delta)}] acting in degree {self.degree}")
+        _require_permutation(delta, self.degree)
         x = self.to_basis("P") if self.basis == "E" else self
         terms = {apply_perm(delta, pi): c for pi, c in x.terms.items()}
         return NCSymElement(self.degree, x.basis, terms)

@@ -249,14 +249,21 @@ def insert_last(pi: SetPartition) -> SetPartition:
     return SetPartition(blocks)
 
 
+def _require_permutation(delta: Sequence[int], n: int) -> None:
+    if sorted(delta) != list(range(1, n + 1)):
+        raise ValueError(f"{tuple(delta)} is not a permutation of 1..{n}")
+
+
 def apply_perm(delta: Sequence[int], pi: SetPartition) -> SetPartition:
     """Push the blocks of pi through the permutation i -> delta[i-1]."""
     if len(delta) != pi.n:
         raise DegreeMismatchError(f"permutation of [{len(delta)}] applied to partition of [{pi.n}]")
+    _require_permutation(delta, pi.n)
     return SetPartition([[delta[x - 1] for x in b] for b in pi.blocks])
 
 
 def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
+    _require_permutation(delta, len(delta))
     inv = [0] * len(delta)
     for i, image in enumerate(delta, start=1):
         inv[image - 1] = i

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from redeiberge import checks
+from redeiberge import checks, invariant
 from redeiberge.checks import (
     ALL_CHECKS,
     VerificationReport,
@@ -121,6 +121,12 @@ def test_product_check_with_explicit_pair():
 def test_product_check_skips_oversized_pairs():
     reports = check_identities(discrete_digraph(5), ["product"], other=discrete_digraph(5))
     assert reports[0].status == "skipped"
+
+
+def test_product_budget_does_not_follow_the_route_capacity(monkeypatch):
+    monkeypatch.setitem(invariant.ROUTE_CAPACITY, "permutations", 12)
+    (report,) = check_identities(discrete_digraph(5), ["product"], other=discrete_digraph(4))
+    assert (report.status, report.witness) == ("skipped", "combined size 9 > 8")
 
 
 @pytest.mark.parametrize("n", [9, 10, 12, 13])

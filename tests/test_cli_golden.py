@@ -25,6 +25,17 @@ VERIFY_SPECS = (
     "cycle:3", "random:5:0.3:9", "tournament:5:2", "random:4:0.5:3",
     "complete:3", "tournament:9:1", "random:9:0.3:1",
 )
+REFUSALS = (
+    ("compute", "random:7:0.3:1", "--algorithm", "definition"),
+    ("compute", "random:9:0.3:1", "--basis", "m"),
+    ("compute", "complete:13"),
+    ("verify", "cycle:3", "--checks", "bogus"),
+    ("verify", "cycle:3", "--checks", ","),
+    ("verify", "tournament:13:1"),
+    ("bench", "random:9:0.3:1"),
+    ("batch", "random:4:0.5:7", "--count", "3"),
+    ("batch", "random:3:0.3", "--count", "-3"),
+)
 
 
 def invocations():
@@ -38,6 +49,7 @@ def invocations():
             yield ("verify", spec, "--format", output)
     yield ("batch", "random:4:0.3", "--count", "3", "--seed", "5")
     yield ("batch", "tournament:4", "--count", "3", "--format", "json")
+    yield from REFUSALS
 
 
 def digest(argv) -> str:

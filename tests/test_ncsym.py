@@ -325,6 +325,10 @@ def test_act_examples():
     assert nc("P", "13/2").act((2, 3, 1)) == nc("P", "12/3")
     with pytest.raises(DegreeMismatchError):
         nc("P", "1/2").act((1, 2, 3))
+    for x in (nc("P", "1/2"), NCSymElement(2, "P", {})):
+        for delta in ((1, 1), (2, 3)):
+            with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+                x.act(delta)
 
 
 def test_act_permutes_word_positions():

@@ -105,7 +105,7 @@ def _masks(pi):
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_from_masks_equals_constructor(n):
-    for pi in enumerate_partitions(n) if n else [SetPartition([])]:
+    for pi in enumerate_partitions(n):
         built = SetPartition.from_masks(n, _masks(pi))
         assert built == pi and hash(built) == hash(pi)
         assert built.blocks == pi.blocks and str(built) == str(pi)
@@ -162,7 +162,7 @@ def test_int_partition_sorted_and_validated():
 
 
 def test_partitions_have_the_value_semantics_of_their_tuples():
-    everything = [SetPartition([])] + [pi for n in range(1, 6) for pi in enumerate_partitions(n)]
+    everything = [pi for n in range(6) for pi in enumerate_partitions(n)]
     shuffled = everything[:]
     random.Random(0).shuffle(shuffled)
     assert [(pi.n, pi.blocks) for pi in sorted(shuffled)] == sorted((pi.n, pi.blocks) for pi in everything)
@@ -272,13 +272,13 @@ def test_lattice_rows_are_sorted_intervals_with_their_mobius_values(n):
         up.mobius = ()
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_every_construction_of_a_partition_is_equal_with_equal_hash(n):
     coarsenings.cache_clear()
     refinements.cache_clear()
     # both rows hold every partition of n; their entries are shared objects
     everything_up = coarsenings(singletons(n))
-    everything_down = refinements(SetPartition([range(1, n + 1)]))
+    everything_down = refinements(min(enumerate_partitions(n), key=len))  # the fewest blocks: the top
     assert all(a is b for a, b in zip(everything_up, everything_down))
     for pi, from_row in zip(enumerate_partitions(n), everything_up):
         for other in (from_row, SetPartition.from_masks(n, _masks(pi)), parse_set_partition(str(pi))):
@@ -383,6 +383,15 @@ def test_apply_perm_examples():
     assert apply_perm((2, 1), P("1/2")) == P("1/2")
     with pytest.raises(DegreeMismatchError):
         apply_perm((1, 2), P("1/2/3"))
+    for delta in ((1, 1), (2, 3)):
+        with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+            apply_perm(delta, P("1/2"))
+
+
+@pytest.mark.parametrize("delta", [(1, 1), (3, 1), (0, 1)])
+def test_inverse_perm_rejects_a_non_permutation(delta):
+    with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+        inverse_perm(delta)
 
 
 @settings(max_examples=60)
