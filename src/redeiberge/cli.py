@@ -26,7 +26,6 @@ from .digraph import (
 )
 from .errors import SizeLimitError
 from .invariant import ROUTE_CAPACITY, redei_berge, resolve_route
-from .ncsym import _coeff_str
 from .setpart import MAX_GROUND_SET
 
 EXIT_OK = 0
@@ -113,16 +112,9 @@ def run_compute(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload))
         return EXIT_OK
-    if args.commutative:
-        lines = [f"{result.basis}{lam}  {_coeff_str(result.terms[lam])}" for lam in sorted(result.terms, reverse=True)]
-    else:
-        lines = [f"{result.basis.lower()}[{pi}]  {_coeff_str(c)}" for pi, c in sorted(result.terms.items())]
     print(f"instance: {name} ({dg.describe()})")
     print(f"algorithm: {algorithm}")
-    for line in lines:
-        print(line)
-    if not lines:
-        print("0")
+    print("\n".join(result.lines()) or "0")
     return EXIT_OK
 
 

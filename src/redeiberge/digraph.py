@@ -9,6 +9,7 @@ original digraph lacks one.
 from __future__ import annotations
 
 import random
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
@@ -23,9 +24,10 @@ class Digraph(_Frozen):
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
+        n = index(n)  # an int or a bool; a float or a string raises TypeError
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        edge_set = frozenset((int(u), int(v)) for u, v in edges)
+        edge_set = frozenset((index(u), index(v)) for u, v in edges)
         for u, v in edge_set:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -62,7 +64,7 @@ class Digraph(_Frozen):
         return Digraph(self.n, {(v, u) for u, v in self.edges})
 
     def delete_edges(self, removed: Iterable[Edge]) -> "Digraph":
-        removed = frozenset((int(u), int(v)) for u, v in removed)
+        removed = frozenset((index(u), index(v)) for u, v in removed)
         if not removed <= self.edges:
             missing = sorted(removed - self.edges)
             raise MissingEdgeError(f"edges not in digraph: {missing}")

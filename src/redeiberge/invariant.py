@@ -193,43 +193,36 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
 def rb_tournament(dg: Digraph) -> NCSymElement:
     """Tournament power-sum expansion: 2**(number of nontrivial cycles) summed
     over permutations whose nontrivial cycles are odd directed cycles of the
-    tournament (fixed points are unrestricted)."""
+    tournament (fixed points are unrestricted).  Each permutation is listed
+    once, depth first over a stack of (unplaced vertices, cycle masks, power
+    of 2): the next cycle is the lowest unplaced vertex alone, or an odd
+    directed cycle of length >= 3 through it, grown as paths of successors."""
     if not dg.is_tournament():
         raise ValueError("tournament expansion requires a tournament")
     resolve_route("permutations", dg.n)
-    edges = dg.edges
-    acc: dict[tuple, int] = defaultdict(int)
-    blocks: list[tuple[int, ...]] = []
-
-    def place(unused: frozenset[int], psi: int):
-        if not unused:
-            acc[tuple(blocks)] += 2 ** psi
-            return
-        start = min(unused)
-        rest = unused - {start}
-        # the fixed point
-        blocks.append((start,))
-        place(rest, psi)
-        blocks.pop()
-        # odd directed cycles of length >= 3 through start
-        grow([start], rest, psi)
-
-    def grow(path, rest, psi):
-        v = path[-1]
-        start = path[0]
-        if len(path) >= 3 and len(path) % 2 == 1 and (v, start) in edges:
-            blocks.append(tuple(sorted(path)))
-            place(rest - frozenset(path[1:]), psi + 1)
-            blocks.pop()
-        for w in sorted(rest):
-            if w not in path and (v, w) in edges:
-                path.append(w)
-                grow(path, rest, psi)
-                path.pop()
-
-    place(frozenset(range(1, dg.n + 1)), 0)
-    terms = {SetPartition(b): c for b, c in acc.items() if c}
-    return NCSymElement(dg.n, "P", terms)
+    n = dg.n
+    successors = dg.successor_masks()
+    acc: dict[tuple[int, ...], int] = defaultdict(int)
+    stack = [((1 << n) - 1, (), 1)]
+    while stack:
+        rest, blocks, power = stack.pop()
+        if not rest:
+            acc[blocks] += power
+            continue
+        low = rest & -rest
+        stack.append((rest ^ low, blocks + (low,), power))
+        paths = [(low, low, 1)]  # (last vertex's bit, path mask, path length)
+        while paths:
+            last, path, length = paths.pop()
+            ahead = successors[last.bit_length() - 1]
+            if length >= 3 and length % 2 and ahead & low:
+                stack.append((rest ^ path, blocks + (path,), 2 * power))
+            ahead &= rest & ~path
+            while ahead:
+                bit = ahead & -ahead
+                paths.append((bit, path | bit, length + 1))
+                ahead ^= bit
+    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): c for blocks, c in acc.items()})
 
 
 # -- deletion-contraction -----------------------------------------------------

@@ -69,10 +69,13 @@ def _sum(pairs: Iterable[tuple[Hashable, object]]) -> dict:
 
 
 def _exact(c) -> int | Fraction:
-    """c as an int when it is integral, else as a Fraction."""
+    """c as an int when it is integral, else as a Fraction; anything but an int
+    or a Fraction is refused, so no float or string becomes a coefficient."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -86,9 +89,14 @@ def _quotient(x: int | Fraction, d: int) -> int | Fraction:
 class _Element(_Frozen):
     """What both algebras share: a homogeneous element of one degree, stored
     as a mapping basis-key -> coefficient with exact (see _exact), nonzero
-    coefficients.  A subclass names its bases (_BASES), reads a key's size
-    (_key_size: a set partition's n, an integer partition's size) and
-    multiplies two of its elements (_product)."""
+    coefficients, printed in one key order by repr, lines() and JSON.  A
+    subclass names its bases (_BASES), reads a key's size (_key_size), labels a
+    key (_label), sets the order (_DESCENDING), the JSON key field with its
+    render and parse (_JSON_KEY) and fixed fields (_JSON_TAGS), and multiplies
+    two of its elements (_product)."""
+
+    _DESCENDING = False
+    _JSON_TAGS: dict = {}
 
     __slots__ = ("degree", "basis", "terms")
 
@@ -111,6 +119,30 @@ class _Element(_Frozen):
 
     def __reduce__(self):
         return type(self), (self.degree, self.basis, self.terms)
+
+    def _sorted_terms(self) -> list:  # keys are distinct: no coefficient is compared
+        return sorted(self.terms.items(), reverse=self._DESCENDING)
+
+    def __repr__(self):
+        if not self.terms:
+            return f"<0 (degree {self.degree}, {self.basis} basis)>"
+        return "<" + " + ".join([f"{c}*{self._label(key)}" for key, c in self._sorted_terms()]) + ">"
+
+    def lines(self) -> list[str]:
+        """One "label  coefficient" line per term, in output order; none for zero."""
+        return [f"{self._label(key)}  {_coeff_str(c)}" for key, c in self._sorted_terms()]
+
+    def to_json_dict(self) -> dict:
+        """Serialized form, keys degree, basis, any tags, terms, in output order."""
+        field, render, _ = self._JSON_KEY
+        terms = [{field: render(key), "coeff": _coeff_str(c)} for key, c in self._sorted_terms()]
+        return {"degree": self.degree, "basis": self.basis, **self._JSON_TAGS, "terms": terms}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping):
+        field, _, parse = cls._JSON_KEY
+        terms = _sum((parse(t[field]), Fraction(t["coeff"])) for t in data["terms"])
+        return cls(data["degree"], data["basis"], terms)
 
     def coefficient(self, key) -> int | Fraction:
         return self.terms.get(key, 0)
@@ -155,6 +187,7 @@ class NCSymElement(_Element):
 
     _BASES = NC_BASES
     _key_size = attrgetter("n")
+    _JSON_KEY = ("blocks", str, parse_set_partition)
 
     # in this class's own namespace, where perfbench's tracer wraps it
     scale = _Element.scale
@@ -162,11 +195,8 @@ class NCSymElement(_Element):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def __repr__(self):
-        if not self.terms:
-            return f"<0 (degree {self.degree}, {self.basis} basis)>"
-        bits = [f"{c}*{self.basis.lower()}[{pi}]" for pi, c in sorted(self.terms.items())]
-        return "<" + " + ".join(bits) + ">"
+    def _label(self, pi: SetPartition) -> str:
+        return f"{self.basis.lower()}[{pi}]"
 
     def __add__(self, other: "NCSymElement") -> "NCSymElement":
         if not isinstance(other, NCSymElement):
@@ -197,17 +227,17 @@ class NCSymElement(_Element):
 
     def _from_m(self) -> "NCSymElement":
         # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
-        terms = _sum(_along_rows(self.terms.items(), coarsenings, attrgetter("mobius")))
+        terms = _sum(_along_rows(self.terms.items(), coarsenings, 1))
         return NCSymElement(self.degree, "P", terms)
 
     def _from_e(self) -> "NCSymElement":
         # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
-        terms = _sum(_along_rows(self.terms.items(), refinements, attrgetter("bottom")))
+        terms = _sum(_along_rows(self.terms.items(), refinements, 2))
         return NCSymElement(self.degree, "P", terms)
 
     def _p_to_m(self) -> "NCSymElement":
         # p_pi = sum_{sigma >= pi} m_sigma
-        terms = _sum((sigma, c) for pi, c in self.terms.items() for sigma in coarsenings(pi))
+        terms = _sum((sigma, c) for pi, c in self.terms.items() for sigma in coarsenings(pi)[0])
         return NCSymElement(self.degree, "M", terms)
 
     def _p_to_e(self) -> "NCSymElement":
@@ -216,7 +246,7 @@ class NCSymElement(_Element):
         # divides
         d = factorial(max(self.degree - 1, 0))
         numerators = ((pi, c * (d // mobius_from_bottom(pi))) for pi, c in self.terms.items())
-        terms = _sum(_along_rows(numerators, refinements, attrgetter("mobius")))
+        terms = _sum(_along_rows(numerators, refinements, 1))
         return NCSymElement(self.degree, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
 
     def induct(self) -> "NCSymElement":
@@ -247,29 +277,13 @@ class NCSymElement(_Element):
         terms = _sum((lambda_of(pi), c * weight(pi)) for pi, c in self.terms.items())
         return CSymElement(self.degree, self.basis.lower(), terms)
 
-    def to_json_dict(self) -> dict:
-        """Serialized form with deterministic term order (canonical key order)."""
-        return {
-            "degree": self.degree,
-            "basis": self.basis,
-            "terms": [
-                {"blocks": str(pi), "coeff": _coeff_str(c)}
-                for pi, c in sorted(self.terms.items())
-            ],
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "NCSymElement":
-        terms = _sum((parse_set_partition(t["blocks"]), Fraction(t["coeff"])) for t in data["terms"])
-        return cls(data["degree"], data["basis"], terms)
-
-
-def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, weights: Callable) -> Iterable:
+def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, column: int) -> Iterable:
     """(sigma, c * w) for every term (pi, c) and every entry sigma of the
-    lattice row row_of(pi), w its value in weights(row)."""
+    lattice row row_of(pi), w its value in the row's tuple at column."""
     for pi, c in terms:
         row = row_of(pi)
-        for sigma, w in zip(row, weights(row)):
+        for sigma, w in zip(row[0], row[column]):
             yield sigma, c * w
 
 
@@ -303,12 +317,12 @@ class CSymElement(_Element):
 
     _BASES = C_BASES
     _key_size = attrgetter("size")
+    _DESCENDING = True
+    _JSON_KEY = ("parts", list, IntPartition)
+    _JSON_TAGS = {"commutative": True}
 
-    def __repr__(self):
-        if not self.terms:
-            return f"<0 (degree {self.degree}, {self.basis} basis)>"
-        bits = [f"{self.terms[lam]}*{self.basis}{lam}" for lam in sorted(self.terms, reverse=True)]
-        return "<" + " + ".join(bits) + ">"
+    def _label(self, lam: IntPartition) -> str:
+        return f"{self.basis}{lam}"
 
     def __add__(self, other: "CSymElement") -> "CSymElement":
         if not isinstance(other, CSymElement):
@@ -327,19 +341,3 @@ class CSymElement(_Element):
             for mu, b in other.terms.items()
         )
         return CSymElement(self.degree + other.degree, "p", terms)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "basis": self.basis,
-            "commutative": True,
-            "terms": [
-                {"parts": list(lam), "coeff": _coeff_str(self.terms[lam])}
-                for lam in sorted(self.terms, reverse=True)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CSymElement":
-        terms = _sum((IntPartition(t["parts"]), Fraction(t["coeff"])) for t in data["terms"])
-        return cls(data["degree"], data["basis"], terms)

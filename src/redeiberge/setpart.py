@@ -5,16 +5,16 @@ blocks ordered by their minimum).  A SetPartition is the tuple (n, blocks) and
 an IntPartition the tuple of its parts, so equality, hashing, order and
 immutability are tuple's, and the canonical form makes them agree with the
 partition.  All weights use Python's arbitrary-precision integers.
-The lattice rows (coarsenings, refinements) are built from block bitmasks,
-carry their Mobius values and share their partitions through one bounded
-intern cache.
+The lattice rows (coarsenings, refinements) are built from block bitmasks
+as parallel tuples of partitions and their Mobius values, and share their
+partitions through one bounded intern cache.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatchError, OrderViolationError, SizeLimitError
@@ -54,28 +54,27 @@ class SetPartition(tuple):
     blocks = property(itemgetter(1))
 
     def __new__(cls, blocks: Iterable[Iterable[int]]):
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0))
-        seen: set[int] = set()
-        for block in canon:
-            if not block:
-                raise ValueError("empty block in set partition")
+        masks = []
+        for block in blocks:
+            mask = 0
             for x in block:
-                if x in seen:
-                    raise ValueError(f"element {x} appears in two blocks")
-                seen.add(x)
-        n = len(seen)
-        if seen != set(range(1, n + 1)):
-            raise ValueError(f"blocks do not partition {{1..{n}}}: {canon}")
-        return tuple.__new__(cls, (n, canon))
+                if not 0 < x <= MAX_GROUND_SET:  # before the shift: unclear below 1, unbounded memory above
+                    raise (ValueError if x < 1 else SizeLimitError)(f"element {x} outside 1..{MAX_GROUND_SET}")
+                if mask >> (x - 1) & 1:
+                    raise ValueError(f"element {x} appears twice in one block")
+                mask |= 1 << (x - 1)
+            masks.append(mask)
+        masks.sort(key=lambda mask: mask & -mask)
+        return cls.from_masks(reduce(or_, masks, 0).bit_length(), masks)
 
     @classmethod
     def from_masks(cls, n: int, masks: Sequence[int]) -> "SetPartition":
         """The partition of {1..n} whose blocks are the bitmasks (bit v-1 for
         element v), already in canonical order: by lowest set bit.
 
-        Skips the constructor's sorting; the input is still checked (nonzero,
-        disjoint, in order, covering {1..n}) with a few integer operations per
-        block.
+        The one validator of every partition: nonzero, disjoint, in order,
+        covering {1..n}, with n at most MAX_GROUND_SET; a few integer
+        operations per block.
         """
         if n > MAX_GROUND_SET:
             raise SizeLimitError(f"ground set size {n} exceeds {MAX_GROUND_SET}")
@@ -270,22 +269,6 @@ def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-class LatticeRow(_Frozen, tuple):
-    """One row of the refinement lattice: set partitions sorted by blocks, with
-    the Mobius value between each of them and the row's partition in the
-    parallel int tuple `mobius`.  A row of refinements also carries
-    mu(0-hat, sigma) of each entry in `bottom` (None on a row of coarsenings)."""
-
-    def __new__(cls, sigmas, mobius, bottom=None):
-        row = super().__new__(cls, sigmas)
-        object.__setattr__(row, "mobius", mobius)
-        object.__setattr__(row, "bottom", bottom)
-        return row
-
-    def __reduce__(self):
-        return type(self), (tuple(self), self.mobius, self.bottom)
-
-
 def _merges(units: Sequence[int], owners: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
     """Every way to merge disjoint bitmasks (units, in lowest-element order)
     into groups whose units share an owner, as (the group masks, again in
@@ -308,31 +291,31 @@ def _merges(units: Sequence[int], owners: Sequence[int]) -> list[tuple[tuple[int
     return [(masks, opened, joined) for masks, _, _, opened, joined in grown]
 
 
-def _lattice_row(n: int, merges: list[tuple[tuple[int, ...], int, int]]):
+def _lattice_row(n: int, merges: list[tuple[tuple[int, ...], int, int]]) -> tuple[tuple, ...]:
     """The partitions of the merges, sorted and shared through the intern
-    cache, and their two products in the same order.  The partitions are
-    distinct, so sorting never compares a product."""
+    cache, and their two products in the same order, as three parallel
+    tuples.  The partitions are distinct, so sorting never compares a product."""
     entries = sorted([(_interned(n, masks), opened, joined) for masks, opened, joined in merges])
     return tuple(zip(*entries))
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def coarsenings(pi: SetPartition) -> LatticeRow:
-    """All partitions sigma with pi <= sigma, obtained by merging blocks, with
-    mu(pi, sigma) in `mobius`: a group of k merged blocks contributes mu(k)."""
+def coarsenings(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, ...]]:
+    """The row (sigmas, mobius): every sigma >= pi, sorted, by merging blocks,
+    and mu(pi, sigma), to which a group of k merged blocks contributes mu(k)."""
     masks = [sum(1 << (x - 1) for x in block) for block in pi.blocks]
     sigmas, _, joined = _lattice_row(pi.n, _merges(masks, [0] * len(masks)))
-    return LatticeRow(sigmas, joined)
+    return sigmas, joined
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def refinements(pi: SetPartition) -> LatticeRow:
-    """All partitions sigma with sigma <= pi, obtained by splitting blocks, with
-    mu(sigma, pi) in `mobius` and mu(0-hat, sigma) in `bottom`: a block of pi
-    split into k parts contributes mu(k) to the first, a part of s elements
-    mu(s) to the second."""
+def refinements(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, ...], tuple[int, ...]]:
+    """The row (sigmas, mobius, bottom): every partition sigma <= pi, sorted,
+    obtained by splitting blocks, with mu(sigma, pi) and mu(0-hat, sigma) in the
+    parallel tuples: a block of pi split into k parts contributes mu(k) to the
+    first, a part of s elements mu(s) to the second."""
     owners = [0] * pi.n
     for i, block in enumerate(pi.blocks):
         for x in block:
             owners[x - 1] = i
-    return LatticeRow(*_lattice_row(pi.n, _merges([1 << v for v in range(pi.n)], owners)))
+    return _lattice_row(pi.n, _merges([1 << v for v in range(pi.n)], owners))

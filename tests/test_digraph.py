@@ -48,6 +48,10 @@ def test_edges_validated():
     with pytest.raises(ValueError):
         Digraph(0, [(1, 1)])
     Digraph(1, [(1, 1)])  # loops are allowed
+    for n, edges in ((3, [(1, 2.5)]), (3, [(1.0, 2)]), (2.5, []), ("3", [])):
+        with pytest.raises(TypeError):
+            Digraph(n, edges)
+    assert Digraph(True, [(True, 1)]) == Digraph(1, [(1, 1)])  # a bool is an int
 
 
 def test_equality_is_exact():

@@ -249,6 +249,15 @@ def test_permutation_route_at_its_capacity():
     assert rb_by_permutations(dg).to_basis("M").commutative_image() == rb_commutative(dg)
 
 
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_tournament_formula_matches_permutation_route_beyond_its_capacity(n, monkeypatch):
+    # the cycle enumeration reads no Hamiltonian cycle table, so it checks the
+    # block-weight expansion up to the largest ground set a partition allows
+    monkeypatch.setitem(invariant.ROUTE_CAPACITY, "permutations", 12)
+    t = random_tournament(n, n)
+    assert rb_by_permutations(t) == rb_tournament(t)
+
+
 # -- commutative oracle -------------------------------------------------------------------
 
 

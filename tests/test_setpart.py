@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redeiberge.errors import DegreeMismatchError, OrderViolationError, SizeLimitError
+from redeiberge.ncsym import NCSymElement, multiply
 from redeiberge.setpart import (
     LATTICE_CACHE_SIZE,
     IntPartition,
@@ -54,7 +55,7 @@ def mobius_recursive(sigma, pi, memo):
     key = (sigma, pi)
     if key not in memo:
         total = 0
-        for tau in coarsenings(sigma):
+        for tau in coarsenings(sigma)[0]:
             if tau != pi and refines(tau, pi):
                 total += mobius_recursive(sigma, tau, memo)
         memo[key] = -total
@@ -97,6 +98,32 @@ def test_invalid_partitions_rejected():
         SetPartition([[1], []])  # empty block
     with pytest.raises(ValueError):
         SetPartition([[0, 1]])  # not 1-based
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: SetPartition([range(1, 14)]), SizeLimitError),
+        (lambda: insert_last(singletons(12)), SizeLimitError),
+        (lambda: multiply(_top(7), _top(6)), SizeLimitError),
+        (lambda: SetPartition([[1.0, 2]]), TypeError),
+    ],
+    ids=["constructor", "insert-last", "multiply", "float-element"],
+)
+def test_every_construction_obeys_one_size_bound(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def _top(n):
+    return NCSymElement(n, "P", {SetPartition([range(1, n + 1)]): 1})
+
+
+def test_constructor_names_the_bad_element():
+    with pytest.raises(ValueError, match="element 2 appears twice"):
+        SetPartition([[1, 2, 2]])
+    with pytest.raises(ValueError, match="element -1 outside"):
+        SetPartition([[-1, 1]])
 
 
 def _masks(pi):
@@ -252,8 +279,8 @@ def test_coarsenings_and_refinements_agree_with_refines():
     for n in range(1, 6):
         parts = enumerate_partitions(n)
         for pi in parts:
-            ups = set(coarsenings(pi))
-            downs = set(refinements(pi))
+            ups = set(coarsenings(pi)[0])
+            downs = set(refinements(pi)[0])
             assert ups == {s for s in parts if refines(pi, s)}
             assert downs == {s for s in parts if refines(s, pi)}
 
@@ -262,14 +289,14 @@ def test_coarsenings_and_refinements_agree_with_refines():
 def test_lattice_rows_are_sorted_intervals_with_their_mobius_values(n):
     parts = enumerate_partitions(n)
     for pi in parts:
-        up, down = coarsenings(pi), refinements(pi)
+        (up, up_mobius), (down, down_mobius, bottom) = coarsenings(pi), refinements(pi)
         assert up == tuple(sorted(s for s in parts if refines(pi, s)))
         assert down == tuple(sorted(s for s in parts if refines(s, pi)))
-        assert up.mobius == tuple(mobius(pi, s) for s in up)
-        assert down.mobius == tuple(mobius(s, pi) for s in down)
-        assert down.bottom == tuple(mobius_from_bottom(s) for s in down)
-    with pytest.raises(AttributeError):
-        up.mobius = ()
+        assert up_mobius == tuple(mobius(pi, s) for s in up)
+        assert down_mobius == tuple(mobius(s, pi) for s in down)
+        assert bottom == tuple(mobius_from_bottom(s) for s in down)
+    with pytest.raises(TypeError):
+        coarsenings(pi)[1] = ()
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -277,8 +304,8 @@ def test_every_construction_of_a_partition_is_equal_with_equal_hash(n):
     coarsenings.cache_clear()
     refinements.cache_clear()
     # both rows hold every partition of n; their entries are shared objects
-    everything_up = coarsenings(singletons(n))
-    everything_down = refinements(min(enumerate_partitions(n), key=len))  # the fewest blocks: the top
+    everything_up = coarsenings(singletons(n))[0]
+    everything_down = refinements(min(enumerate_partitions(n), key=len))[0]  # the fewest blocks: the top
     assert all(a is b for a, b in zip(everything_up, everything_down))
     for pi, from_row in zip(enumerate_partitions(n), everything_up):
         for other in (from_row, SetPartition.from_masks(n, _masks(pi)), parse_set_partition(str(pi))):
@@ -294,8 +321,7 @@ def test_lattice_rows_copy_and_pickle_with_their_values(row_of, clone):
     row = row_of(P("13/2/4"))
     twin = clone(row)
     assert type(twin) is type(row) and twin == row
-    assert (twin.mobius, twin.bottom) == (row.mobius, row.bottom)
-    assert [hash(s) for s in twin] == [hash(s) for s in row]
+    assert [hash(s) for s in twin[0]] == [hash(s) for s in row[0]]
 
 
 def test_lattice_caches_are_bounded_lru_caches():
@@ -324,7 +350,7 @@ def test_mobius_requires_refinement():
 def test_mobius_product_formula_equals_recursion(n):
     memo = {}
     for pi in enumerate_partitions(n):
-        for sigma in refinements(pi):
+        for sigma in refinements(pi)[0]:
             assert mobius(sigma, pi) == mobius_recursive(sigma, pi, memo), (sigma, pi)
 
 
@@ -334,7 +360,7 @@ def test_mobius_sums_to_zero_above_bottom(n):
     for pi in enumerate_partitions(n):
         if pi == zero_hat:
             continue
-        assert sum(mobius(sigma, pi) for sigma in refinements(pi)) == 0, pi
+        assert sum(mobius(sigma, pi) for sigma in refinements(pi)[0]) == 0, pi
 
 
 def test_mobius_from_bottom_matches_general():
