@@ -23,11 +23,12 @@ from .invariant import (
     rb_commutative,
     rb_tournament,
     resolve_route,
+    _block_coloring,
     _power_sum_masks,
     _split_on_edge,
 )
 from .ncsym import NCSymElement, _sum, multiply
-from .setpart import SetPartition, singletons
+from .setpart import SetPartition, enumerate_partitions, singletons
 
 MAX_SUBSET_EDGES = 10
 MAX_PRODUCT_SIZE = 8
@@ -163,10 +164,11 @@ class _CheckRunner:
         count of X equals the sum of (-1)^(|S|-1) times that of X minus S over
         the nonempty subsets S of F.
 
-        A friendly count depends only on how the colors compare, so only the
-        dense colorings (colors exactly 1..max) are evaluated: each stands for
-        every coloring with its weak order and is the first of them in product
-        order, so the first failing coloring is the one the full loop finds.
+        A friendly count depends only on the partition into color classes, so
+        one coloring per set partition is evaluated: its restricted growth
+        string (see _block_coloring), the first coloring in product order with
+        those classes.  The first failing coloring is therefore the one the
+        full loop over {1..n}^n finds.
         """
         n = self.dg.n
         edges = sorted(self.dg.edges)
@@ -186,9 +188,7 @@ class _CheckRunner:
         if not qualifying:
             raise _Skip("hypothesis unmet: no qualifying edge subset")
         deleted = [self.dg.delete_edges(S) for S in subsets]
-        for colors in itertools.product(range(1, n + 1), repeat=n):
-            if max(colors) != len(set(colors)):
-                continue
+        for colors in sorted(_block_coloring(pi) for pi in enumerate_partitions(n)):
             counts = [count_friendly(dg, colors) for dg in deleted]
             totals = _alternating_subset_sums(counts)
             for F in qualifying:

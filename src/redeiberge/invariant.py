@@ -56,63 +56,47 @@ def _check_coloring(dg: Digraph, colors: Sequence[int]) -> Coloring:
     return colors
 
 
-def is_friendly(dg: Digraph, colors: Sequence[int], listing: Sequence[int]) -> bool:
-    """Weakly increasing in the coloring, strictly across every edge pair."""
-    for a, b in zip(listing, listing[1:]):
-        ca, cb = colors[a - 1], colors[b - 1]
-        if ca > cb:
-            return False
-        if ca == cb and (a, b) in dg.edges:
-            return False
-    return True
-
-
 def count_friendly(dg: Digraph, colors: Sequence[int]) -> int:
     """Number of vertex listings that are friendly for the given coloring.
 
-    Only listings sorted by color can qualify, so the enumeration runs over
-    arrangements within each color class instead of all n! listings.
+    A friendly listing is weakly increasing in color, so it is one ordering of
+    each color class placed class after class, and only consecutive vertices
+    of one class can break it (by an edge between them).  The count is the
+    product over the classes of their orderings with no consecutive pair an
+    edge, so it depends only on the partition into classes.
     """
     colors = _check_coloring(dg, colors)
     classes: dict[int, list[int]] = defaultdict(list)
-    for v in range(1, dg.n + 1):
-        classes[colors[v - 1]].append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    count = 0
-    for arrangement in itertools.product(*(itertools.permutations(cls) for cls in ordered)):
-        listing = [v for part in arrangement for v in part]
-        if is_friendly(dg, colors, listing):
-            count += 1
-    return count
+    for v, c in enumerate(colors, start=1):
+        classes[c].append(v)
+    edges = dg.edges
+    return math.prod(
+        sum(all(pair not in edges for pair in zip(order, order[1:])) for order in itertools.permutations(cls))
+        for cls in classes.values()
+    )
+
+
+def _block_coloring(pi: SetPartition) -> Coloring:
+    """The coloring whose classes are the blocks of pi, colored 1..k in the
+    order of their lowest elements: pi's restricted growth string, the first
+    coloring in product order with these classes."""
+    colors = [0] * pi.n
+    for color, block in enumerate(pi.blocks, start=1):
+        for v in block:
+            colors[v - 1] = color
+    return tuple(colors)
 
 
 def rb_by_colorings(dg: Digraph) -> NCSymElement:
     """Monomial-basis expansion from the defining sum over colorings.
 
-    For each set partition of the vertex positions, every linear order of its
-    blocks is tried as a coloring; the friendly-listing counts must agree
-    across all block orders (that agreement is the symmetry of the function),
-    and the common count is the monomial coefficient.
+    The monomial coefficient at pi is the friendly count of any coloring whose
+    classes are the blocks of pi; one such coloring per set partition is
+    evaluated (see _block_coloring).
     """
     n = dg.n
     resolve_route("definition", n)
-    terms: dict[SetPartition, int] = {}
-    for pi in enumerate_partitions(n):
-        counts = set()
-        for block_order in itertools.permutations(pi.blocks):
-            colors = [0] * n
-            for color, block in enumerate(block_order, start=1):
-                for v in block:
-                    colors[v - 1] = color
-            counts.add(count_friendly(dg, colors))
-            if len(counts) > 1:
-                raise SymmetryViolationError(
-                    f"friendly counts differ across block orders of {pi} on {dg.describe()}"
-                )
-        value = counts.pop()
-        if value:
-            terms[pi] = value
-    return NCSymElement(n, "M", terms)
+    return NCSymElement(n, "M", {pi: count_friendly(dg, _block_coloring(pi)) for pi in enumerate_partitions(n)})
 
 
 # -- cycle-structured permutations -------------------------------------------

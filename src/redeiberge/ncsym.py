@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatchError
@@ -103,6 +103,7 @@ class _Element(_Frozen):
     def __init__(self, degree: int, basis: str, terms: Mapping):
         if basis not in self._BASES:
             raise ValueError(f"basis must be one of {self._BASES}, got {basis!r}")
+        degree = index(degree)
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         size = self._key_size
@@ -130,18 +131,20 @@ class _Element(_Frozen):
 
     def lines(self) -> list[str]:
         """One "label  coefficient" line per term, in output order; none for zero."""
-        return [f"{self._label(key)}  {_coeff_str(c)}" for key, c in self._sorted_terms()]
+        return [f"{self._label(key)}  {c}" for key, c in self._sorted_terms()]
 
     def to_json_dict(self) -> dict:
         """Serialized form, keys degree, basis, any tags, terms, in output order."""
         field, render, _ = self._JSON_KEY
-        terms = [{field: render(key), "coeff": _coeff_str(c)} for key, c in self._sorted_terms()]
+        terms = [{field: render(key), "coeff": str(c)} for key, c in self._sorted_terms()]
         return {"degree": self.degree, "basis": self.basis, **self._JSON_TAGS, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: Mapping):
         field, _, parse = cls._JSON_KEY
-        terms = _sum((parse(t[field]), Fraction(t["coeff"])) for t in data["terms"])
+        # a string coefficient is parsed exactly; any other value goes to the
+        # constructor, which refuses a float
+        terms = _sum((parse(t[field]), Fraction(c) if isinstance(c := t["coeff"], str) else c) for t in data["terms"])
         return cls(data["degree"], data["basis"], terms)
 
     def coefficient(self, key) -> int | Fraction:
@@ -285,10 +288,6 @@ def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, 
         row = row_of(pi)
         for sigma, w in zip(row[0], row[column]):
             yield sigma, c * w
-
-
-def _coeff_str(c: int | Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def multiply(x: NCSymElement, y: NCSymElement) -> NCSymElement:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from math import factorial
-from operator import itemgetter, or_
+from operator import index, itemgetter, or_
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatchError, OrderViolationError, SizeLimitError
@@ -133,7 +133,7 @@ class IntPartition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        parts = tuple(sorted(parts, reverse=True))
+        parts = tuple(sorted(map(index, parts), reverse=True))
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive: {parts}")
         return tuple.__new__(cls, parts)

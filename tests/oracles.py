@@ -1,12 +1,13 @@
 """Reference oracles the suite checks the library against.
 
-Both are literal and exponential: the word expansion of an NCSym element,
-and the elementary coefficient of the function as a Mobius-weighted sum over
-its power-sum terms.
+All are literal and exponential: the word expansion of an NCSym element,
+the elementary coefficient of the function as a Mobius-weighted sum over
+its power-sum terms, and the friendliness test of one vertex listing.
 """
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 from redeiberge.digraph import Digraph
 from redeiberge.invariant import _power_sum_masks
@@ -61,3 +62,14 @@ def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
         if refines(pi, cycle_type):
             total += Fraction(coeff * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))
     return total
+
+
+def is_friendly(dg: Digraph, colors: Sequence[int], listing: Sequence[int]) -> bool:
+    """Weakly increasing in the coloring, strictly across every edge pair."""
+    for a, b in zip(listing, listing[1:]):
+        ca, cb = colors[a - 1], colors[b - 1]
+        if ca > cb:
+            return False
+        if ca == cb and (a, b) in dg.edges:
+            return False
+    return True

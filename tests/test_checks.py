@@ -200,8 +200,11 @@ def test_deletion_sums_name_the_first_differing_coefficient(monkeypatch, spec, c
     assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
 
 
-def _dense(colors):
-    ranks = {c: r for r, c in enumerate(sorted(set(colors)), start=1)}
+def _restricted_growth(colors):
+    """The coloring with the same classes, colored 1..k in order of first appearance."""
+    ranks = {}
+    for c in colors:
+        ranks.setdefault(c, len(ranks) + 1)
     return tuple(ranks[c] for c in colors)
 
 
@@ -216,13 +219,16 @@ def _dense(colors):
     ],
     ids=["loops", "two-cycles", "random", "tournament-1", "tournament-5"],
 )
-def test_friendly_counts_depend_only_on_the_weak_order_of_colors(dg):
-    # the counting-lemma check evaluates only the dense coloring of each weak order
+def test_friendly_counts_depend_only_on_the_partition_into_color_classes(dg):
+    # the counting-lemma check evaluates only the restricted growth string of
+    # each partition, the first coloring in product order with its classes
     for colors in itertools.product(range(1, 5), repeat=4):
-        assert count_friendly(dg, colors) == count_friendly(dg, _dense(colors)), colors
+        rgs = _restricted_growth(colors)
+        assert rgs <= colors
+        assert count_friendly(dg, colors) == count_friendly(dg, rgs), colors
 
 
-def test_counting_lemma_counts_each_weak_order_once_per_edge_subset(monkeypatch):
+def test_counting_lemma_counts_each_class_partition_once_per_edge_subset(monkeypatch):
     seen = []
 
     def recording(dg, colors):
@@ -233,9 +239,10 @@ def test_counting_lemma_counts_each_weak_order_once_per_edge_subset(monkeypatch)
     dg = parse_generator_spec("tournament:4:1")
     (report,) = check_identities(dg, ["counting-lemma"])
     assert report.status == "pass"
-    weak_orders = {_dense(colors) for colors in itertools.product(range(1, 5), repeat=4)}
-    assert len(weak_orders) == 75
-    assert Counter(seen) == {colors: 2 ** len(dg.edges) for colors in weak_orders}
+    block_colorings = sorted({_restricted_growth(colors) for colors in itertools.product(range(1, 5), repeat=4)})
+    assert len(block_colorings) == 15  # Bell(4)
+    assert Counter(seen) == {colors: 2 ** len(dg.edges) for colors in block_colorings}
+    assert list(dict.fromkeys(seen)) == block_colorings  # in product order
 
 
 def _literal_deletion_sum(dg, edges):

@@ -21,7 +21,6 @@ from redeiberge.errors import SizeLimitError, SymmetryViolationError
 from redeiberge.invariant import (
     count_friendly,
     descent_aggregate,
-    is_friendly,
     monomial_coefficient,
     rb_by_colorings,
     rb_by_deletion_contraction,
@@ -39,7 +38,7 @@ from redeiberge.setpart import (
     parse_set_partition,
 )
 
-from oracles import elementary_coefficient
+from oracles import elementary_coefficient, is_friendly
 
 P = parse_set_partition
 
@@ -81,6 +80,56 @@ def test_count_friendly_validates_coloring():
         count_friendly(discrete_digraph(2), (1,))
     with pytest.raises(ValueError):
         count_friendly(discrete_digraph(2), (1, 0))
+
+
+# one digraph of each kind on n vertices: loops on a path, 2-cycles on the pairs
+# with u + v not divisible by 3 plus a path, and a tournament
+SMALL_DIGRAPHS = {
+    "loops": lambda n: Digraph(n, [(v, v) for v in range(1, n + 1)] + [(v, v + 1) for v in range(1, n)]),
+    "two-cycles": lambda n: Digraph(
+        n,
+        [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and (u + v) % 3]
+        + [(v, v + 1) for v in range(1, n)],
+    ),
+    "tournament": lambda n: random_tournament(n, seed=n),
+}
+
+
+@pytest.mark.parametrize("kind", SMALL_DIGRAPHS)
+@pytest.mark.parametrize("n", range(0, 6))
+def test_friendly_count_is_the_same_for_every_coloring_of_the_blocks(kind, n):
+    # the symmetry of the function: which color each class gets does not matter
+    dg = SMALL_DIGRAPHS[kind](n)
+    for pi in enumerate_partitions(n):
+        counts = set()
+        for order in itertools.permutations(pi.blocks):
+            colors = [0] * n
+            for color, block in enumerate(order, start=1):
+                for v in block:
+                    colors[v - 1] = color
+            counts.add(count_friendly(dg, colors))
+        assert len(counts) == 1, (pi, counts)
+
+
+@pytest.mark.parametrize("kind", SMALL_DIGRAPHS)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_count_friendly_matches_the_listing_oracle_on_every_coloring(kind, n):
+    dg = SMALL_DIGRAPHS[kind](n)
+    for colors in itertools.product(range(1, n + 1), repeat=n):
+        assert count_friendly(dg, colors) == brute_force_friendly_count(dg, colors), colors
+
+
+def test_definition_route_counts_one_coloring_per_set_partition(monkeypatch):
+    seen = []
+
+    def recording(dg, colors):
+        seen.append(tuple(colors))
+        return count_friendly(dg, colors)
+
+    monkeypatch.setattr(invariant, "count_friendly", recording)
+    dg = random_digraph(5, 0.4, seed=1)
+    assert rb_by_colorings(dg) == rb_by_permutations(dg).to_basis("M")
+    assert len(seen) == len(set(seen)) == 52  # Bell(5)
 
 
 # -- frozen expansions ------------------------------------------------------------

@@ -3,6 +3,7 @@ word-expansion oracle and by exact round trips."""
 
 import copy
 import itertools
+import json
 import pickle
 import random
 from decimal import Decimal
@@ -500,6 +501,35 @@ def test_every_library_value_copies_and_pickles(kind, clone):
 def test_negative_degree_is_refused(element, basis):
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         element(-1, basis, {})
+
+
+@pytest.mark.parametrize(
+    "element, basis, key, unit",
+    [(NCSymElement, "P", P("12"), P("1")), (CSymElement, "p", IntPartition([2]), IntPartition([1]))],
+)
+def test_degree_is_read_as_an_integer(element, basis, key, unit):
+    for degree in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            element(degree, basis, {key: 1})
+    one = element(True, basis, {unit: 1})
+    assert type(one.degree) is int
+    assert json.dumps(one.to_json_dict()).startswith('{"degree": 1, ')
+
+
+@pytest.mark.parametrize(
+    "element, data",
+    [
+        (NCSymElement, {"degree": 2, "basis": "P", "terms": [{"blocks": "12", "coeff": 0.1}]}),
+        (CSymElement, {"degree": 2, "basis": "p", "terms": [{"parts": [2], "coeff": 0.1}]}),
+    ],
+)
+def test_json_coefficient_is_a_string_or_an_int(element, data):
+    with pytest.raises(TypeError):
+        element.from_json_dict(data)
+    (term,) = data["terms"]
+    for coeff, value in (("0.1", Fraction(1, 10)), ("-3/6", Fraction(-1, 2)), (4, 4)):
+        x = element.from_json_dict({**data, "terms": [{**term, "coeff": coeff}]})
+        assert list(x.terms.values()) == [value]
 
 
 @pytest.mark.parametrize("element, basis", [(NCSymElement, "m"), (CSymElement, "M")])

@@ -188,6 +188,15 @@ def test_int_partition_sorted_and_validated():
         IntPartition([2, 0])
 
 
+def test_int_partition_parts_are_read_as_integers():
+    with pytest.raises(TypeError):
+        IntPartition([1.5, 1])
+    with pytest.raises(TypeError):
+        IntPartition([2.0])
+    assert IntPartition([True, 2]).parts == (2, 1)
+    assert all(type(p) is int for p in IntPartition([True, 2]))
+
+
 def test_partitions_have_the_value_semantics_of_their_tuples():
     everything = [pi for n in range(6) for pi in enumerate_partitions(n)]
     shuffled = everything[:]
