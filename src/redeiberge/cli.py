@@ -2,13 +2,15 @@
 
 Instances come from digraph files or generator specs
 ("complete:4", "path:3", "random:5:0.3:7", "tournament:6:1", ...).
-Exit status: 0 success, 1 at least one failed check, 2 usage or parse error.
+Exit status: 0 success, 1 at least one failed check, 2 usage or parse error;
+0 also when the reader closes stdout early (``| head``), with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -279,10 +281,15 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "checks"):
             args.checks = _parse_checks(args.checks)
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return status
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader has gone; what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

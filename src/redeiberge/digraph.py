@@ -13,7 +13,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
-from .setpart import MAX_GROUND_SET, _Frozen, _require_permutation
+from .setpart import MAX_GROUND_SET, _Frozen, _mask_elements, _require_permutation
 
 Edge = tuple[int, int]
 
@@ -206,24 +206,31 @@ def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
 
 def _held_karp(successors: Sequence[int]) -> list[int]:
     """The cycle table of hamiltonian_cycle_counts, with no size check.  Paths
-    grow from the lowest vertex of S, so each cycle counts once."""
+    grow from the lowest vertex of S, so each cycle counts once.  A row is
+    made when a path first reaches S and holds only the ends reached."""
     n = len(successors)
+    vertices = _mask_elements(n)  # the vertices of every bitmask, ascending
+    succ = (0,) + tuple(successors)  # succ[v]: the successors of vertex v
+    bit = (0,) + tuple(1 << v for v in range(n))  # bit[v]: vertex v's bit
     counts = [0] * (1 << n)
-    paths = [[0] * n for _ in range(1 << n)]  # paths[S][v]: paths over S from its lowest vertex to v
-    for v in range(n):
-        paths[1 << v][v] = 1
+    paths: list[dict[int, int] | None] = [None] * (1 << n)  # paths[S][v]: paths over S from its lowest vertex to v
+    for v in range(1, n + 1):
+        paths[bit[v]] = {v: 1}
     for S in range(1, 1 << n):
+        row = paths[S]
+        if row is None:
+            continue
+        paths[S] = None  # every extension of these paths lies in a larger S
         low = S & -S
-        for v, ways in enumerate(paths[S]):
-            if not ways:
-                continue
-            if successors[v] & low:
+        for v, ways in row.items():
+            if succ[v] & low:
                 counts[S] += ways
-            free = successors[v] & ~S & -low  # unvisited and above the start
-            while free:
-                bit = free & -free
-                free ^= bit
-                paths[S | bit][bit.bit_length() - 1] += ways
+            for w in vertices[succ[v] & ~S & -low]:  # unvisited and above the start
+                target = paths[S | bit[w]]
+                if target is None:
+                    paths[S | bit[w]] = {w: ways}
+                else:
+                    target[w] = target.get(w, 0) + ways
     return counts
 
 

@@ -24,12 +24,14 @@ import itertools
 import math
 from collections import defaultdict
 from functools import lru_cache
+from operator import index
 from typing import Iterator, Sequence
 
 from .digraph import Digraph, hamiltonian_cycle_counts, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
 from .ncsym import CSymElement, NCSymElement
 from .setpart import (
+    MAX_GROUND_SET,
     IntPartition,
     SetPartition,
     enumerate_partitions,
@@ -48,7 +50,7 @@ Coloring = tuple[int, ...]
 
 
 def _check_coloring(dg: Digraph, colors: Sequence[int]) -> Coloring:
-    colors = tuple(int(c) for c in colors)
+    colors = tuple(map(index, colors))  # an int or a bool; a float or a string raises TypeError
     if len(colors) != dg.n:
         raise ValueError(f"coloring has {len(colors)} entries for {dg.n} vertices")
     if any(c < 1 for c in colors):
@@ -111,13 +113,16 @@ def _block_weights(dg: Digraph) -> list[int]:
     successors = dg.successor_masks()
     in_x = hamiltonian_cycle_counts(successors)
     in_complement = hamiltonian_cycle_counts(_complement_masks(successors))
-    weights = [
-        b - a if B.bit_count() % 2 == 0 else a + b
-        for B, (a, b) in enumerate(zip(in_x, in_complement))
-    ]
+    weights = [sign * a + b for sign, a, b in zip(_cycle_signs(dg.n), in_x, in_complement)]
     for v in range(dg.n):
         weights[1 << v] = 1
     return weights
+
+
+@lru_cache(maxsize=MAX_GROUND_SET + 1)
+def _cycle_signs(n: int) -> tuple[int, ...]:
+    """(-1)**(|B| - 1) for every bitmask B over n vertices."""
+    return tuple(-((-1) ** B.bit_count()) for B in range(1 << n))
 
 
 def _complement_masks(successors: Sequence[int]) -> list[int]:

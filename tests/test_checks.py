@@ -4,12 +4,16 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from redeiberge import checks, invariant
 from redeiberge.checks import (
     ALL_CHECKS,
     VerificationReport,
     _CheckRunner,
+    _contraction_tables_agree,
+    _deletion_tables_vanish,
     _difference,
     _subsets,
     check_identities,
@@ -24,7 +28,7 @@ from redeiberge.digraph import (
     random_digraph,
     random_tournament,
 )
-from redeiberge.invariant import count_friendly, rb_by_permutations
+from redeiberge.invariant import _split_on_edge, count_friendly, rb_by_permutations
 from redeiberge.ncsym import NCSymElement
 from redeiberge.setpart import parse_set_partition
 
@@ -198,6 +202,108 @@ def test_deletion_sums_name_the_first_differing_coefficient(monkeypatch, spec, c
     monkeypatch.setattr(Digraph, "delete_edges", keeps_the_third_of_three)
     (report,) = check_identities(dg, [check])
     assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
+
+
+def _keeps_the_second_of_two(delete_edges):
+    def faulty(self, removed):
+        removed = list(removed)
+        return delete_edges(self, removed[:1] if len(removed) == 2 else removed)
+
+    return faulty
+
+
+def _contract_the_wrong_way(dg):
+    """contract_last_edge with the orientation swapped: the merged vertex takes
+    the in-edges of n and the out-edges of n-1."""
+    n = dg.n
+    kept = {(u, v) for u, v in dg.edges if u <= n - 2 and v <= n - 2}
+    kept |= {(w, n - 1) for w in range(1, n - 1) if (w, n) in dg.edges}
+    kept |= {(n - 1, w) for w in range(1, n - 1) if (n - 1, w) in dg.edges}
+    return Digraph(n - 1, kept)
+
+
+@pytest.mark.parametrize(
+    "spec, check, witness",
+    [
+        ("tournament:5:2", "subset-decomposition", "coefficient at 1/2/3/45: 0 != 9"),
+        ("tournament:5:2", "cycle-decomposition", "coefficient at 1/24/3/5: 0 != 1"),
+        ("random:5:0.3:1", "triangle", "coefficient at 1/2/3/45: 0 != 1"),
+        ("random:4:0.6:3", "cycle-decomposition", "coefficient at 1/23/4: -1 != 0"),
+        ("cycle:3", "subset-decomposition", "coefficient at 1/23: 0 != 1"),
+        ("cycle:3", "triangle", "coefficient at 1/23: 0 != 1"),
+        ("complete:3", "triangle", "coefficient at 1/23: -1 != 0"),
+    ],
+)
+def test_a_deletion_that_keeps_an_edge_is_named_by_the_full_comparison(monkeypatch, spec, check, witness):
+    # on cycle:3 and complete:3 the block tables of the faulty deletions still
+    # vanish, so only the check that each deletion removes exactly its own
+    # edges sends these instances to the full comparison
+    monkeypatch.setattr(Digraph, "delete_edges", _keeps_the_second_of_two(Digraph.delete_edges))
+    (report,) = check_identities(parse_generator_spec(spec), [check])
+    assert (report.status, report.witness) == ("fail", witness)
+
+
+@pytest.mark.parametrize(
+    "spec, witness",
+    [
+        ("tournament:5:2", "edge (1,4): coefficient at 1/2/345: 0 != 2"),
+        ("random:5:0.3:1", "edge (1,4): coefficient at 1/2/345: 2 != 0"),
+        ("random:4:0.6:3", "edge (1,2): coefficient at 1/234: 0 != 1"),
+        ("cycle:3", "edge (1,2): coefficient at 123: 2 != 0"),
+        ("complete:3", None),
+        ("random:6:0.3:1", "edge (1,4): coefficient at 1/2/3/456: 1 != 0"),
+    ],
+)
+def test_a_contraction_with_the_wrong_orientation_is_named_by_the_full_comparison(monkeypatch, spec, witness):
+    monkeypatch.setattr(Digraph, "contract_last_edge", _contract_the_wrong_way)
+    (report,) = check_identities(parse_generator_spec(spec), ["deletion-contraction"])
+    assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
+
+
+@st.composite
+def digraphs_with_edge_sets(draw, max_n=6, max_edges=5):
+    """A digraph with loops allowed, and a list of its edges: few such lists
+    are cycles, so the deletion-sum identity fails on many of them."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=1)))
+    return Digraph(n, edges), draw(st.lists(st.sampled_from(edges), min_size=1, max_size=max_edges, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs_with_edge_sets())
+@example((path_digraph(3), [(1, 2), (2, 3)]))
+@example((cycle_digraph(4), [(1, 2), (2, 3), (3, 4), (4, 1)]))
+@example((Digraph(2, [(1, 1), (1, 2), (2, 1)]), [(1, 1), (1, 2)]))
+def test_deletion_tables_decide_as_the_alternating_sum(case):
+    dg, edges = case
+    full = _difference(rb_by_permutations(dg), _CheckRunner(dg, None, "")._alternating_deletion_sum(edges))
+    assert _deletion_tables_vanish(dg, edges) == (full is None)
+
+
+@st.composite
+def digraphs_with_a_non_loop_edge(draw, max_n=6):
+    """A digraph with loops allowed, one of its non-loop edges, and any
+    digraph on one vertex fewer."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    edge = draw(st.sampled_from([(u, v) for u, v in pairs if u != v]))
+    other = Digraph(n - 1, draw(st.sets(st.sampled_from([(u, v) for u, v in pairs if u < n and v < n]))))
+    return Digraph(n, draw(st.sets(st.sampled_from(pairs))) | {edge}), edge, other
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs_with_a_non_loop_edge())
+# here the third digraph's tables match through 3 and 4, and differ inside {1, 2}
+@example((Digraph(4, [(1, 4), (3, 4), (4, 1), (4, 3)]), (3, 4), Digraph(3, [(1, 3), (2, 1)])))
+def test_contraction_tables_decide_as_the_full_comparison(case):
+    # the right contraction satisfies the identity; the wrong orientation and
+    # an unrelated digraph mostly do not
+    dg, (u, v), other = case
+    _, moved, deleted, contracted = _split_on_edge(dg, u, v)
+    for c in (contracted, _contract_the_wrong_way(moved), other):
+        full = _difference(rb_by_permutations(moved), rb_by_permutations(deleted) - rb_by_permutations(c).induct())
+        assert _contraction_tables_agree(moved, deleted, c) == (full is None)
 
 
 def _restricted_growth(colors):

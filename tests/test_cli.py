@@ -1,6 +1,10 @@
 """Command-line behaviors: output shapes, exit codes, determinism, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,35 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(*argv, **kwargs):
+    """Run the CLI in a fresh interpreter on this checkout's sources, each
+    print written at once, so that a reader can go between two of them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), PYTHONUNBUFFERED="1")
+    return subprocess.Popen([sys.executable, "-m", "redeiberge.cli", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    read, write = os.pipe()
+    os.close(read)  # every write to the child's stdout fails
+    try:
+        proc = cli_process("compute", "path:2", stdout=write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_OK, b"")
+
+
+def test_a_reader_that_takes_one_line_gets_it_and_no_traceback():
+    # the shell's `redeiberge compute random:8:0.3:7 --basis m | head -1`
+    proc = cli_process("compute", "random:8:0.3:7", "--basis", "m", stdout=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith(b"instance: random:8:0.3:7 (n=8 ")
+    assert (proc.returncode, err) == (cli.EXIT_OK, b"")
 
 
 def test_compute_path_two_in_power_basis(capsys):

@@ -82,6 +82,13 @@ def test_count_friendly_validates_coloring():
         count_friendly(discrete_digraph(2), (1, 0))
 
 
+@pytest.mark.parametrize("colors", [(1.5, 1), ("2", "1")], ids=["float", "string"])
+def test_count_friendly_refuses_colors_that_are_not_integers(colors):
+    # read through int(), (1.5, 1) would count as the coloring (1, 1)
+    with pytest.raises(TypeError):
+        count_friendly(discrete_digraph(2), colors)
+
+
 # one digraph of each kind on n vertices: loops on a path, 2-cycles on the pairs
 # with u + v not divisible by 3 plus a path, and a tournament
 SMALL_DIGRAPHS = {
