@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .digraph import Digraph, has_even_directed_cycle
 from .errors import SizeLimitError
 from .invariant import (
-    ROUTE_CAPACITY,
+    ROUTES,
     count_friendly,
     rb_by_colorings,
     rb_by_deletion_contraction,
@@ -206,7 +206,7 @@ class _CheckRunner:
         by_delcon = rb_by_deletion_contraction(self.dg)  # refuses before the other expansions
         in_m = rb_by_permutations(self.dg).to_basis("M")
         witness = _difference(in_m, by_delcon)
-        if witness is not None or self.dg.n > ROUTE_CAPACITY["definition"]:
+        if witness is not None or self.dg.n > ROUTES["definition"][1]:
             return witness
         return _difference(in_m, rb_by_colorings(self.dg))
 
@@ -264,7 +264,6 @@ class _CheckRunner:
         """The sum of (-1)^(|S|-1) W(X minus S) over the nonempty subsets S of
         edges, summed on block masks; partitions are built for the total only."""
         n = self.dg.n
-        resolve_route("permutations", n)
         total = _sum(
             (blocks, c if len(S) % 2 else -c)
             for S in _subsets(tuple(edges))

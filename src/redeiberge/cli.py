@@ -27,7 +27,7 @@ from .digraph import (
     random_tournament,
 )
 from .errors import SizeLimitError
-from .invariant import ROUTE_CAPACITY, redei_berge, resolve_route
+from .invariant import ROUTES, redei_berge, resolve_route
 from .setpart import MAX_GROUND_SET
 
 EXIT_OK = 0
@@ -41,10 +41,12 @@ class UsageError(Exception):
     pass
 
 
-def _checked_size(n: int) -> int:
-    if n > MAX_GROUND_SET:
-        raise ValueError(f"size {n} exceeds {MAX_GROUND_SET}")
-    return n
+def _checked_size(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"size {text!r} is not a run of ASCII digits")
+    if int(text) > MAX_GROUND_SET:
+        raise ValueError(f"size {text} exceeds {MAX_GROUND_SET}")
+    return int(text)
 
 
 def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
@@ -55,7 +57,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind in ("complete", "discrete", "path", "cycle"):
             if len(parts) != 2:
                 raise UsageError(f"generator {kind!r} takes one argument: {kind}:n")
-            n = _checked_size(int(parts[1]))
+            n = _checked_size(parts[1])
             return {
                 "complete": complete_digraph,
                 "discrete": discrete_digraph,
@@ -65,7 +67,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind == "random":
             if len(parts) not in (3, 4):
                 raise UsageError("generator 'random' takes random:n:p[:seed]")
-            n, p = _checked_size(int(parts[1])), float(parts[2])
+            n, p = _checked_size(parts[1]), float(parts[2])
             if not 0 <= p <= 1:
                 raise ValueError(f"edge probability {p} outside [0, 1]")
             seed = int(parts[3]) if len(parts) == 4 else default_seed
@@ -73,7 +75,7 @@ def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:
         if kind == "tournament":
             if len(parts) not in (2, 3):
                 raise UsageError("generator 'tournament' takes tournament:n[:seed]")
-            n = _checked_size(int(parts[1]))
+            n = _checked_size(parts[1])
             seed = int(parts[2]) if len(parts) == 3 else default_seed
             return random_tournament(n, seed)
     except ValueError as exc:
@@ -89,11 +91,11 @@ def load_instance(source: str, default_seed: int = 0) -> tuple[Digraph, str]:
     path = Path(source)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {source!r}: {exc}") from None
     try:
         dg = parse_digraph(text)
-        _checked_size(dg.n)
+        _checked_size(str(dg.n))
         return dg, source
     except ValueError as exc:
         raise UsageError(f"{source}: {exc}") from None
@@ -145,9 +147,9 @@ def run_verify(args: argparse.Namespace) -> int:
 
 def run_bench(args: argparse.Namespace) -> int:
     dg, name = load_instance(args.input, args.seed)
-    resolve_route("auto", dg.n)  # refuses an n that no route accepts
+    resolve_route("auto", dg.n)  # refuses an n that the default route refuses
     rows = []
-    for algorithm, cap in ROUTE_CAPACITY.items():
+    for algorithm, (_, cap) in ROUTES.items():
         if dg.n > cap:
             continue
         start = time.perf_counter()
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--commutative", action="store_true", help="let the variables commute")
     p_compute.add_argument(
         "--algorithm",
-        choices=("auto",) + tuple(ROUTE_CAPACITY),
+        choices=("auto",) + tuple(ROUTES),
         default="auto",
     )
 

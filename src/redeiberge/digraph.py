@@ -303,16 +303,15 @@ def parse_digraph(text: str) -> Digraph:
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
+            if len(fields) != 2 or fields[0] != "n" or not (fields[1].isascii() and fields[1].isdigit()):
                 raise ValueError(f"line {lineno}: expected 'n <count>', got {raw!r}")
             n = int(fields[1])
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
+        if not all(field.isascii() and field.isdigit() for field in fields):
+            raise ValueError(f"line {lineno}: expected integers as runs of ASCII digits, got {raw!r}")
+        u, v = int(fields[0]), int(fields[1])
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"line {lineno}: edge ({u},{v}) out of range for n={n}")
         if (u, v) in edges:

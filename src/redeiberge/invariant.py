@@ -39,8 +39,13 @@ from .setpart import (
     inverse_perm,
 )
 
-# The one table of routes and the largest n each accepts.
-ROUTE_CAPACITY = {"definition": 6, "permutations": 8, "deletion-contraction": 7}
+# The one table of routes: name -> (function, largest n it accepts), in bench row order.  Each
+# function is read from the module when called, so a wrapper set on the module attribute runs.
+ROUTES = {
+    "definition": (lambda dg: rb_by_colorings(dg), 6),
+    "permutations": (lambda dg: rb_by_permutations(dg), 8),
+    "deletion-contraction": (lambda dg: rb_by_deletion_contraction(dg), 7),
+}
 MAX_DESCENT_ALGORITHM = 8
 
 Coloring = tuple[int, ...]
@@ -217,7 +222,7 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
 # -- deletion-contraction -----------------------------------------------------
 
 
-@lru_cache(maxsize=ROUTE_CAPACITY["deletion-contraction"] + 1)
+@lru_cache(maxsize=ROUTES["deletion-contraction"][1] + 1)
 def _discrete_expansion(n: int) -> NCSymElement:
     """The edge-free base case: sum of (block factorial product) * m over all
     set partitions; loops never affect the function."""
@@ -320,21 +325,16 @@ def monomial_coefficient(dg: Digraph, pi: SetPartition) -> int:
 
 
 def resolve_route(algorithm: str, n: int) -> str:
-    """The route that computes an n-vertex instance by the named algorithm,
-    "auto" meaning the largest-capacity route; refuses n above its capacity."""
-    route = max(ROUTE_CAPACITY, key=ROUTE_CAPACITY.get) if algorithm == "auto" else algorithm
-    if route not in ROUTE_CAPACITY:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {tuple(ROUTE_CAPACITY)} or 'auto'")
-    if n > ROUTE_CAPACITY[route]:
-        raise SizeLimitError(f"{route} route refuses n={n} (capacity {ROUTE_CAPACITY[route]})")
+    """The route that computes an n-vertex instance by the named algorithm, "auto" being the
+    permutation route whatever the capacities (it is the fastest); refuses n above its capacity."""
+    route = "permutations" if algorithm == "auto" else algorithm
+    if route not in ROUTES:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {tuple(ROUTES)} or 'auto'")
+    if n > ROUTES[route][1]:
+        raise SizeLimitError(f"{route} route refuses n={n} (capacity {ROUTES[route][1]})")
     return route
 
 
 def redei_berge(dg: Digraph, algorithm: str = "auto") -> NCSymElement:
-    """Compute the function by the named algorithm (see ROUTE_CAPACITY)."""
-    route = resolve_route(algorithm, dg.n)
-    if route == "definition":
-        return rb_by_colorings(dg)
-    if route == "permutations":
-        return rb_by_permutations(dg)
-    return rb_by_deletion_contraction(dg)
+    """Compute the function by the named algorithm (see ROUTES)."""
+    return ROUTES[resolve_route(algorithm, dg.n)][0](dg)

@@ -128,7 +128,7 @@ def test_product_check_skips_oversized_pairs():
 
 
 def test_product_budget_does_not_follow_the_route_capacity(monkeypatch):
-    monkeypatch.setitem(invariant.ROUTE_CAPACITY, "permutations", 12)
+    monkeypatch.setitem(invariant.ROUTES, "permutations", (invariant.ROUTES["permutations"][0], 12))
     (report,) = check_identities(discrete_digraph(5), ["product"], other=discrete_digraph(4))
     assert (report.status, report.witness) == ("skipped", "combined size 9 > 8")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from redeiberge import cli
+from redeiberge import cli, invariant
 from redeiberge.checks import VerificationReport
 from redeiberge.digraph import cycle_digraph, format_digraph
 from redeiberge.invariant import rb_by_permutations
@@ -123,10 +123,44 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in err
 
 
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    source = tmp_path / "bytes.dg"
+    source.write_bytes(b"n 2\n\xff 2\n")
+    code, out, err = run(capsys, "compute", str(source))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_algorithm_capacity_enforced(capsys):
     code, _, err = run(capsys, "compute", "random:7:0.3:1", "--algorithm", "definition")
     assert code == cli.EXIT_USAGE
     assert "refuses" in err
+
+
+def test_auto_keeps_the_permutation_route_when_capacities_tie(capsys, monkeypatch):
+    before = run(capsys, "compute", "random:6:0.3:7")
+    monkeypatch.setitem(invariant.ROUTES, "definition", (invariant.ROUTES["definition"][0], 8))
+    assert [invariant.resolve_route("auto", n) for n in range(9)] == ["permutations"] * 9
+    assert run(capsys, "compute", "random:6:0.3:7") == before
+
+
+@pytest.mark.parametrize(
+    "spec, text, message",
+    [
+        pytest.param("complete:+3", None, "size '+3' is not a run of ASCII digits", id="signed-size"),
+        pytest.param("complete:1_0", None, "size '1_0' is not a run of ASCII digits", id="underscored-size"),
+        pytest.param(None, "n 2\n+1 2\n", "line 2: expected integers as runs of ASCII digits", id="signed-endpoint"),
+        pytest.param(None, "n \u00b2\n", "line 1: expected 'n <count>'", id="superscript-count"),
+    ],
+)
+def test_a_size_count_or_endpoint_is_a_run_of_ascii_digits(capsys, tmp_path, spec, text, message):
+    if spec is None:
+        spec = str(tmp_path / "instance.dg")
+        Path(spec).write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "compute", spec)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_verify_cycle_all_checks_pass(capsys):

@@ -271,6 +271,23 @@ def test_dispatcher():
         redei_berge(discrete_digraph(9))
 
 
+def test_dispatch_reads_the_route_function_from_the_module(monkeypatch):
+    # perfbench's tracer wraps the route functions by their module attribute
+    monkeypatch.setattr(invariant, "rb_by_permutations", lambda dg: "fake")
+    assert redei_berge(cycle_digraph(3)) == "fake"
+    assert redei_berge(cycle_digraph(3), "permutations") == "fake"
+
+
+@pytest.mark.parametrize("name", list(invariant.ROUTES))
+def test_every_route_runs_at_its_capacity_and_refuses_above(name):
+    capacity = invariant.ROUTES[name][1]
+    dg = path_digraph(capacity)
+    assert redei_berge(dg, name).to_basis("P") == rb_by_permutations(dg)
+    with pytest.raises(SizeLimitError) as refusal:
+        redei_berge(path_digraph(capacity + 1), name)
+    assert str(refusal.value) == f"{name} route refuses n={capacity + 1} (capacity {capacity})"
+
+
 # -- tournaments -----------------------------------------------------------------------
 
 
@@ -309,7 +326,7 @@ def test_permutation_route_at_its_capacity():
 def test_tournament_formula_matches_permutation_route_beyond_its_capacity(n, monkeypatch):
     # the cycle enumeration reads no Hamiltonian cycle table, so it checks the
     # block-weight expansion up to the largest ground set a partition allows
-    monkeypatch.setitem(invariant.ROUTE_CAPACITY, "permutations", 12)
+    monkeypatch.setitem(invariant.ROUTES, "permutations", (invariant.ROUTES["permutations"][0], 12))
     t = random_tournament(n, n)
     assert rb_by_permutations(t) == rb_tournament(t)
 
