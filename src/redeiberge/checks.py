@@ -26,11 +26,10 @@ from .invariant import (
     _block_coloring,
     _block_weights,
     _nonzero_partitions,
-    _power_sum_masks,
     _split_on_edge,
 )
-from .ncsym import NCSymElement, _sum, multiply
-from .setpart import SetPartition, enumerate_partitions, singletons
+from .ncsym import NCSymElement, multiply
+from .setpart import enumerate_partitions, singletons
 
 MAX_SUBSET_EDGES = 10
 MAX_PRODUCT_SIZE = 8
@@ -258,19 +257,12 @@ class _CheckRunner:
         resolve_route("permutations", self.dg.n)
         if _deletion_tables_vanish(self.dg, edges):
             return None
-        return _difference(rb_by_permutations(self.dg), self._alternating_deletion_sum(edges))
-
-    def _alternating_deletion_sum(self, edges: Sequence[tuple[int, int]]) -> NCSymElement:
-        """The sum of (-1)^(|S|-1) W(X minus S) over the nonempty subsets S of
-        edges, summed on block masks; partitions are built for the total only."""
-        n = self.dg.n
-        total = _sum(
-            (blocks, c if len(S) % 2 else -c)
-            for S in _subsets(tuple(edges))
-            if S
-            for blocks, c in _power_sum_masks(self.dg.delete_edges(S))
-        )
-        return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): c for blocks, c in total.items() if c})
+        total = NCSymElement(self.dg.n, "P", {})
+        for S in _subsets(tuple(edges)):
+            if S:
+                term = rb_by_permutations(self.dg.delete_edges(S))
+                total = total + term if len(S) % 2 else total - term
+        return _difference(rb_by_permutations(self.dg), total)
 
 
 # definition order of the check_* methods is report order

@@ -101,51 +101,40 @@ def load_instance(source: str, default_seed: int = 0) -> tuple[Digraph, str]:
         raise UsageError(f"{source}: {exc}") from None
 
 
-def run_compute(args: argparse.Namespace) -> int:
+def _check_status(reports) -> int:
+    """Exit 1 exactly when some report says fail."""
+    return EXIT_CHECK_FAILURE if any(r.status == "fail" for r in reports) else EXIT_OK
+
+
+# Each run_* returns (exit status, output): the JSON payload under --format
+# json, else the text lines; main writes it.
+
+
+def run_compute(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
     dg, name = load_instance(args.input, args.seed)
     algorithm = resolve_route(args.algorithm, dg.n)
     result = redei_berge(dg, algorithm).to_basis(args.basis.upper())
     if args.commutative:
         result = result.commutative_image()
     if args.output == "json":
-        payload = {
-            "instance": name,
-            "command": "compute",
-            "algorithm": algorithm,
-            "element": result.to_json_dict(),
-        }
-        print(json.dumps(payload))
-        return EXIT_OK
-    print(f"instance: {name} ({dg.describe()})")
-    print(f"algorithm: {algorithm}")
-    print("\n".join(result.lines()) or "0")
-    return EXIT_OK
+        element = result.to_json_dict()
+        return EXIT_OK, {"instance": name, "command": "compute", "algorithm": algorithm, "element": element}
+    return EXIT_OK, [f"instance: {name} ({dg.describe()})", f"algorithm: {algorithm}", *(result.lines() or ["0"])]
 
 
-def run_verify(args: argparse.Namespace) -> int:
+def run_verify(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
     dg, name = load_instance(args.input, args.seed)
     reports = check_identities(dg, args.checks, instance=name)
-    failed = any(r.status == "fail" for r in reports)
     if args.output == "json":
-        payload = {
-            "instance": name,
-            "command": "verify",
-            "results": [
-                {"check": r.check, "status": r.status}
-                | ({"witness": r.witness} if r.witness else {})
-                for r in reports
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"instance: {name} ({dg.describe()})")
-        for r in reports:
-            tail = f"  ({r.witness})" if r.witness else ""
-            print(f"{r.check}: {r.status}{tail}")
-    return EXIT_CHECK_FAILURE if failed else EXIT_OK
+        results = [
+            {"check": r.check, "status": r.status} | ({"witness": r.witness} if r.witness else {}) for r in reports
+        ]
+        return _check_status(reports), {"instance": name, "command": "verify", "results": results}
+    lines = [f"{r.check}: {r.status}" + (f"  ({r.witness})" if r.witness else "") for r in reports]
+    return _check_status(reports), [f"instance: {name} ({dg.describe()})", *lines]
 
 
-def run_bench(args: argparse.Namespace) -> int:
+def run_bench(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
     dg, name = load_instance(args.input, args.seed)
     resolve_route("auto", dg.n)  # refuses an n that the default route refuses
     rows = []
@@ -157,66 +146,37 @@ def run_bench(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - start
         rows.append((algorithm, elapsed, len(element.terms), element.basis))
     if args.output == "json":
-        payload = {
-            "instance": name,
-            "command": "bench",
-            "results": [
-                {"algorithm": a, "seconds": round(t, 6), "terms": k, "basis": b}
-                for a, t, k, b in rows
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"instance: {name} ({dg.describe()})")
-        print(f"{'algorithm':<22}{'seconds':>10}  {'terms':>5}  basis")
-        for a, t, k, b in rows:
-            print(f"{a:<22}{t:>10.4f}  {k:>5}  {b}")
-    return EXIT_OK
+        results = [{"algorithm": a, "seconds": round(t, 6), "terms": k, "basis": b} for a, t, k, b in rows]
+        return EXIT_OK, {"instance": name, "command": "bench", "results": results}
+    lines = [f"instance: {name} ({dg.describe()})", f"{'algorithm':<22}{'seconds':>10}  {'terms':>5}  basis"]
+    return EXIT_OK, lines + [f"{a:<22}{t:>10.4f}  {k:>5}  {b}" for a, t, k, b in rows]
 
 
-def run_batch(args: argparse.Namespace) -> int:
+def run_batch(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
     parts = args.input.split(":")
     if (parts[0], len(parts)) not in (("random", 3), ("tournament", 2)):
         # any other spec fixes its digraph, so every seed would check the same one
         raise UsageError(f"batch needs a seedless generator spec, random:n:p or tournament:n; got {args.input!r}")
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
-    summaries = []
-    any_failed = False
-    for i in range(args.count):
-        seed = args.seed + i
-        dg = parse_generator_spec(args.input, seed)
+    reports, rows = [], []
+    for seed in range(args.seed, args.seed + args.count):
         name = f"{args.input}#seed={seed}"
-        reports = check_identities(dg, args.checks, instance=name)
-        counts = {
-            "pass": sum(r.status == "pass" for r in reports),
-            "fail": sum(r.status == "fail" for r in reports),
-            "skipped": sum(r.status == "skipped" for r in reports),
-        }
-        failures = [
-            {"check": r.check, "witness": r.witness} for r in reports if r.status == "fail"
-        ]
-        any_failed = any_failed or bool(failures)
-        summaries.append((name, counts, failures))
+        found = check_identities(parse_generator_spec(args.input, seed), args.checks, instance=name)
+        counts = {status: sum(r.status == status for r in found) for status in ("pass", "fail", "skipped")}
+        failures = [{"check": r.check, "witness": r.witness} for r in found if r.status == "fail"]
+        rows.append((name, counts, failures))
+        reports += found
     if args.output == "json":
-        payload = {
-            "command": "batch",
-            "family": args.input,
-            "count": args.count,
-            "results": [
-                {"instance": n, **c} | ({"failures": f} if f else {}) for n, c, f in summaries
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"family: {args.input}  count: {args.count}  base seed: {args.seed}")
-        for name, counts, failures in summaries:
-            print(f"{name}: {counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped")
-            for f in failures:
-                print(f"  FAIL {f['check']}: {f['witness']}")
-        total_fail = sum(c["fail"] for _, c, _ in summaries)
-        print(f"total failures: {total_fail}")
-    return EXIT_CHECK_FAILURE if any_failed else EXIT_OK
+        results = [{"instance": n, **c} | ({"failures": f} if f else {}) for n, c, f in rows]
+        payload = {"command": "batch", "family": args.input, "count": args.count, "results": results}
+        return _check_status(reports), payload
+    lines = [f"family: {args.input}  count: {args.count}  base seed: {args.seed}"]
+    for name, c, failures in rows:
+        lines.append(f"{name}: {c['pass']} pass, {c['fail']} fail, {c['skipped']} skipped")
+        lines += [f"  FAIL {f['check']}: {f['witness']}" for f in failures]
+    lines.append(f"total failures: {sum(c['fail'] for _, c, _ in rows)}")
+    return _check_status(reports), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +243,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "checks"):
             args.checks = _parse_checks(args.checks)
-        status = args.run(args)
+        status, output = args.run(args)
+        print(json.dumps(output) if args.output == "json" else "\n".join(output))
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return status
     except (UsageError, SizeLimitError) as exc:

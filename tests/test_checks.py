@@ -277,7 +277,7 @@ def digraphs_with_edge_sets(draw, max_n=6, max_edges=5):
 @example((Digraph(2, [(1, 1), (1, 2), (2, 1)]), [(1, 1), (1, 2)]))
 def test_deletion_tables_decide_as_the_alternating_sum(case):
     dg, edges = case
-    full = _difference(rb_by_permutations(dg), _CheckRunner(dg, None, "")._alternating_deletion_sum(edges))
+    full = _difference(rb_by_permutations(dg), _literal_deletion_sum(dg, edges))
     assert _deletion_tables_vanish(dg, edges) == (full is None)
 
 
@@ -365,19 +365,22 @@ def _literal_deletion_sum(dg, edges):
     [random_digraph(n, p, seed) for n in (1, 2, 3, 4, 5) for p in (0.3, 0.6) for seed in (1, 2)]
     + [random_tournament(5, 3), cycle_digraph(5)],
 )
-def test_alternating_deletion_sum_matches_the_literal_sum(dg):
+def test_alternating_deletion_sum_matches_the_literal_sum(monkeypatch, dg):
     edges = sorted(dg.edges)[:8]
-    expected = _literal_deletion_sum(dg, edges)
-    assert _CheckRunner(dg, None, "")._alternating_deletion_sum(edges) == expected
+    expected = _difference(rb_by_permutations(dg), _literal_deletion_sum(dg, edges))
+    assert _CheckRunner(dg, None, "")._deletion_sum_witness(edges) == expected
+    monkeypatch.setattr(checks, "_deletion_tables_vanish", lambda dg, edges: False)
+    assert _CheckRunner(dg, None, "")._deletion_sum_witness(edges) == expected
 
 
-def test_alternating_deletion_sum_drops_the_terms_that_cancel():
+def test_alternating_deletion_sum_drops_the_terms_that_cancel(monkeypatch):
     dg = Digraph(2, [(2, 1), (2, 2)])
     edges = sorted(dg.edges)
-    total = _CheckRunner(dg, None, "")._alternating_deletion_sum(edges)
-    assert total == _literal_deletion_sum(dg, edges)
+    total = _literal_deletion_sum(dg, edges)
     assert P("12") in rb_by_permutations(dg.delete_edges([(2, 1)])).terms
-    assert P("12") not in total.terms and total.coefficient(P("12")) == 0
+    assert P("12") not in total.terms and total == rb_by_permutations(dg)
+    monkeypatch.setattr(checks, "_deletion_tables_vanish", lambda dg, edges: False)
+    assert _CheckRunner(dg, None, "")._deletion_sum_witness(edges) is None
 
 
 # -- report plumbing -----------------------------------------------------------

@@ -1,11 +1,13 @@
 """The CLI's documented contract, property-tested through cli.main in-process.
 
 For generator specs and small digraph files with n in 0..13, `compute`,
-`verify` and `batch` keep the README's promises: exit 2 comes with exactly
-one `error:` line and nothing on stdout; exit 0 or 1 comes with no
-traceback; stdout is the same on a second run; and `verify` and `batch`
-exit 1 exactly when a report says `fail`.  Sizes above 8 are drawn only
-where the run ends in a refusal or a skip, so the whole test stays cheap.
+`verify`, `bench` and `batch` keep the README's promises: exit 2 comes with
+exactly one `error:` line and nothing on stdout; exit 0 or 1 comes with no
+traceback; stdout is the same on a second run (not for `bench`, which
+prints timings); `verify` and `batch` exit 1 exactly when a report says
+`fail`; and `bench` times each route that serves n, in route order.  Sizes
+above 8 are drawn only where the run ends in a refusal or a skip, so the
+whole test stays cheap.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from redeiberge import cli
 from redeiberge.checks import ALL_CHECKS
 from redeiberge.digraph import Digraph, format_digraph
+from redeiberge.invariant import ROUTES
 
 # every check but the two parity checks skips above the permutation route's capacity
 SKIPPING_CHECKS = ",".join(c for c in ALL_CHECKS if not c.endswith("-parity"))
@@ -71,6 +74,17 @@ def digraph_texts(draw, cheap):
 
 
 @st.composite
+def sources(draw, directory, cheap):
+    """(input, n): a generator spec, or a digraph file written to directory."""
+    if draw(st.booleans()):
+        return draw(specs(cheap))
+    text, n = draw(digraph_texts(cheap))
+    path = Path(directory) / "instance.dg"
+    path.write_text(text)
+    return str(path), n
+
+
+@st.composite
 def invocations(draw, directory):
     """argv for compute (n up to 8 by the permutation route in p, else up to
     5), verify or batch (n up to 5); above 8 every run refuses or skips."""
@@ -79,14 +93,9 @@ def invocations(draw, directory):
     if command == "batch":
         family, n = draw(specs(cheap, seeded=False))
         argv = ["batch", family, "--count", str(draw(st.integers(1, 2))), "--seed", str(draw(st.integers(-2, 50)))]
-    elif draw(st.booleans()):
-        source, n = draw(specs(cheap))
-        argv = [command, source]
     else:
-        text, n = draw(digraph_texts(cheap))
-        path = Path(directory) / "instance.dg"
-        path.write_text(text)
-        argv = [command, str(path)]
+        source, n = draw(sources(directory, cheap))
+        argv = [command, source]
     if command == "compute":
         small = n is None or n <= 5 or n >= 9
         argv += ["--basis", draw(st.sampled_from("pme" if small else "p"))]
@@ -97,6 +106,11 @@ def invocations(draw, directory):
     elif n is not None and n >= 9:
         argv += ["--checks", SKIPPING_CHECKS]
     return argv + ["--format", draw(st.sampled_from(("text", "json")))]
+
+
+def assert_one_error_line(out, err):
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def failed_reports(command, output, out):
@@ -118,11 +132,30 @@ def test_cli_contract(data):
         code, out, err = run(argv)
         assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILURE, cli.EXIT_USAGE)
         if code == cli.EXIT_USAGE:
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert_one_error_line(out, err)
             return
         assert "Traceback" not in err
         assert run(argv) == (code, out, err)
         command, output = argv[0], argv[-1]
         if command in ("verify", "batch"):
             assert (code == cli.EXIT_CHECK_FAILURE) == (failed_reports(command, output, out) > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_bench_contract(data):
+    # every route serves n <= 5, so the drawn sizes run all routes or none
+    with tempfile.TemporaryDirectory() as directory:
+        source, _ = data.draw(sources(directory, 5))
+        output = data.draw(st.sampled_from(("text", "json")))
+        code, out, err = run(["bench", source, "--format", output])
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE)
+        if code == cli.EXIT_USAGE:
+            assert_one_error_line(out, err)
+            return
+        assert "Traceback" not in err
+        if output == "json":
+            assert out.count("\n") == 1 and out.endswith("\n")
+            n = cli.load_instance(source)[0].n  # a header such as "n  3" reads as 3, not as drawn
+            served = [name for name, (_, capacity) in ROUTES.items() if capacity >= n]
+            assert [row["algorithm"] for row in json.loads(out)["results"]] == served
