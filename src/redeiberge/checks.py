@@ -323,13 +323,9 @@ def _contraction_tables_agree(moved: Digraph, deleted: Digraph, contracted: Digr
 
 def _find_triangle(dg: Digraph) -> tuple | None:
     """Lexicographically first directed 3-cycle, as its three edges."""
-    for u in range(1, dg.n + 1):
-        for v in range(1, dg.n + 1):
-            if v == u or (u, v) not in dg.edges or v < u:
-                continue
-            for w in range(1, dg.n + 1):
-                if w in (u, v) or w < u:
-                    continue
-                if (v, w) in dg.edges and (w, u) in dg.edges:
+    for u, v in sorted(dg.edges):
+        if u < v:
+            for w in range(u + 1, dg.n + 1):
+                if w != v and (v, w) in dg.edges and (w, u) in dg.edges:
                     return ((u, v), (v, w), (w, u))
     return None

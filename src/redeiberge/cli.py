@@ -28,7 +28,7 @@ from .digraph import (
 )
 from .errors import SizeLimitError
 from .invariant import ROUTES, redei_berge, resolve_route
-from .setpart import MAX_GROUND_SET
+from .setpart import MAX_GROUND_SET, _digits
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -42,11 +42,12 @@ class UsageError(Exception):
 
 
 def _checked_size(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    n = _digits(text)
+    if n is None:
         raise ValueError(f"size {text!r} is not a run of ASCII digits")
-    if int(text) > MAX_GROUND_SET:
+    if n > MAX_GROUND_SET:
         raise ValueError(f"size {text} exceeds {MAX_GROUND_SET}")
-    return int(text)
+    return n
 
 
 def parse_generator_spec(spec: str, default_seed: int = 0) -> Digraph:

@@ -13,7 +13,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
-from .setpart import MAX_GROUND_SET, _Frozen, _mask_elements, _require_permutation
+from .setpart import MAX_GROUND_SET, _digits, _Frozen, _mask_elements, _require_permutation
 
 Edge = tuple[int, int]
 
@@ -111,55 +111,37 @@ class Digraph(_Frozen):
 
     def is_tournament(self) -> bool:
         """Loopless, with exactly one orientation of every unordered pair."""
-        if any(u == v for u, v in self.edges):
-            return False
-        for u in range(1, self.n + 1):
-            for v in range(u + 1, self.n + 1):
-                if ((u, v) in self.edges) == ((v, u) in self.edges):
-                    return False
-        return True
+        n = self.n
+        return len(self.edges) == n * (n - 1) // 2 and all(u != v and (v, u) not in self.edges for u, v in self.edges)
 
     def is_disjoint_union_of_paths(self) -> bool:
-        """No loops, in- and out-degree at most one, and no directed cycle."""
-        if any(u == v for u, v in self.edges):
-            return False
-        out_deg = [0] * (self.n + 1)
-        in_deg = [0] * (self.n + 1)
-        for u, v in self.edges:
-            out_deg[u] += 1
-            in_deg[v] += 1
-        if any(d > 1 for d in out_deg) or any(d > 1 for d in in_deg):
-            return False
-        return self.find_directed_cycle() is None
+        """No loop, distinct tails, distinct heads, and no directed cycle."""
+        loops = any(u == v for u, v in self.edges)
+        tails, heads = {u for u, _ in self.edges}, {v for _, v in self.edges}
+        return not loops and len(tails) == len(self.edges) == len(heads) and self.find_directed_cycle() is None
 
     def find_directed_cycle(self) -> list[Edge] | None:
         """One directed cycle of length >= 2 (loops are not cycles here) as an
-        edge list in traversal order, or None."""
-        adj = [[v for v in range(1, self.n + 1) if v != u and (u, v) in self.edges] for u in range(self.n + 1)]
-        state = [0] * (self.n + 1)  # 0 unvisited, 1 on stack, 2 done
-        stack: list[int] = []
-
-        def dfs(v: int) -> list[Edge] | None:
-            state[v] = 1
-            stack.append(v)
-            for w in adj[v]:
-                if state[w] == 1:
-                    i = stack.index(w)
-                    cyc = stack[i:]
-                    return [(cyc[j], cyc[(j + 1) % len(cyc)]) for j in range(len(cyc))]
-                if state[w] == 0:
-                    found = dfs(w)
-                    if found is not None:
-                        return found
-            stack.pop()
-            state[v] = 2
-            return None
-
-        for v in range(1, self.n + 1):
-            if state[v] == 0:
-                found = dfs(v)
-                if found is not None:
-                    return found
+        edge list in traversal order, or None: depth first from the roots 1..n
+        not yet searched, successors in ascending order, the first edge back
+        onto the search path closing the cycle from its head to the path's end."""
+        successors = [sorted(v for u, v in self.edges if u == w and v != w) for w in range(self.n + 1)]
+        done = [False] * (self.n + 1)
+        for root in range(1, self.n + 1):
+            if done[root]:
+                continue
+            path, branches = [root], [iter(successors[root])]
+            while path:
+                w = next(branches[-1], None)
+                if w is None:
+                    done[path.pop()] = True
+                    branches.pop()
+                elif w in path:
+                    cycle = path[path.index(w):]
+                    return list(zip(cycle, cycle[1:] + cycle[:1]))
+                elif not done[w]:
+                    path.append(w)
+                    branches.append(iter(successors[w]))
         return None
 
     def hamiltonian_path_count(self) -> int:
@@ -303,15 +285,15 @@ def parse_digraph(text: str) -> Digraph:
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 2 or fields[0] != "n" or not (fields[1].isascii() and fields[1].isdigit()):
+            n = _digits(fields[1]) if len(fields) == 2 and fields[0] == "n" else None
+            if n is None:
                 raise ValueError(f"line {lineno}: expected 'n <count>', got {raw!r}")
-            n = int(fields[1])
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        if not all(field.isascii() and field.isdigit() for field in fields):
+        u, v = map(_digits, fields)
+        if u is None or v is None:
             raise ValueError(f"line {lineno}: expected integers as runs of ASCII digits, got {raw!r}")
-        u, v = int(fields[0]), int(fields[1])
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"line {lineno}: edge ({u},{v}) out of range for n={n}")
         if (u, v) in edges:

@@ -54,15 +54,6 @@ Coloring = tuple[int, ...]
 # -- friendly listings ------------------------------------------------------
 
 
-def _check_coloring(dg: Digraph, colors: Sequence[int]) -> Coloring:
-    colors = tuple(map(index, colors))  # an int or a bool; a float or a string raises TypeError
-    if len(colors) != dg.n:
-        raise ValueError(f"coloring has {len(colors)} entries for {dg.n} vertices")
-    if any(c < 1 for c in colors):
-        raise ValueError("colors must be positive integers")
-    return colors
-
-
 def count_friendly(dg: Digraph, colors: Sequence[int]) -> int:
     """Number of vertex listings that are friendly for the given coloring.
 
@@ -72,7 +63,11 @@ def count_friendly(dg: Digraph, colors: Sequence[int]) -> int:
     product over the classes of their orderings with no consecutive pair an
     edge, so it depends only on the partition into classes.
     """
-    colors = _check_coloring(dg, colors)
+    colors = tuple(map(index, colors))  # an int or a bool; a float or a string raises TypeError
+    if len(colors) != dg.n:
+        raise ValueError(f"coloring has {len(colors)} entries for {dg.n} vertices")
+    if any(c < 1 for c in colors):
+        raise ValueError("colors must be positive integers")
     classes: dict[int, list[int]] = defaultdict(list)
     for v, c in enumerate(colors, start=1):
         classes[c].append(v)

@@ -222,28 +222,16 @@ class NCSymElement(_Element):
             raise ValueError(f"basis must be one of {NC_BASES}, got {target!r}")
         if target == self.basis:
             return self
-        if self.basis == "M":
-            return self._from_m().to_basis(target)
-        if self.basis == "E":
-            return self._from_e().to_basis(target)
-        return self._p_to_m() if target == "M" else self._p_to_e()
-
-    def _from_m(self) -> "NCSymElement":
-        # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
-        terms = _sum(_along_rows(self.terms.items(), coarsenings, 1))
-        return NCSymElement(self.degree, "P", terms)
-
-    def _from_e(self) -> "NCSymElement":
-        # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
-        terms = _sum(_along_rows(self.terms.items(), refinements, 2))
-        return NCSymElement(self.degree, "P", terms)
-
-    def _p_to_m(self) -> "NCSymElement":
-        # p_pi = sum_{sigma >= pi} m_sigma
-        terms = _sum((sigma, c) for pi, c in self.terms.items() for sigma in coarsenings(pi)[0])
-        return NCSymElement(self.degree, "M", terms)
-
-    def _p_to_e(self) -> "NCSymElement":
+        if self.basis != "P":
+            # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
+            # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
+            row_of, column = (coarsenings, 1) if self.basis == "M" else (refinements, 2)
+            in_p = NCSymElement(self.degree, "P", _sum(_along_rows(self.terms.items(), row_of, column)))
+            return in_p.to_basis(target)
+        if target == "M":
+            # p_pi = sum_{sigma >= pi} m_sigma
+            terms = _sum((sigma, c) for pi, c in self.terms.items() for sigma in coarsenings(pi)[0])
+            return NCSymElement(self.degree, "M", terms)
         # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma, summed
         # as numerators over (n-1)!, which every |mu(0, pi)| = prod (|B|-1)!
         # divides

@@ -148,20 +148,26 @@ class IntPartition(tuple):
         return "(" + ",".join(map(str, self)) + ")"
 
 
+def _digits(text: str) -> int | None:
+    """The integer that a run of ASCII digits spells, or None for any other
+    text: a sign, a space, an underscore, a non-ASCII digit or nothing."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def parse_set_partition(text: str) -> SetPartition:
-    """Parse "134/2" or the explicit "{1,3,4}/{2}" form (required once n > 9)."""
+    """Parse "134/2" or the explicit "{1,3,4}/{2}" form (required once n > 9);
+    every element is a run of ASCII digits, one digit in the short form."""
     text = text.strip()
     if text == "":
         return SetPartition([])
     blocks = []
     for chunk in text.split("/"):
         chunk = chunk.strip()
-        if chunk.startswith("{") and chunk.endswith("}"):
-            blocks.append([int(x) for x in chunk[1:-1].split(",")])
-        elif chunk.isdigit():
-            blocks.append([int(c) for c in chunk])
-        else:
+        explicit = chunk.startswith("{") and chunk.endswith("}")
+        block = [_digits(x) for x in (chunk[1:-1].split(",") if explicit else chunk)]
+        if not block or None in block:
             raise ValueError(f"cannot parse set partition block {chunk!r}")
+        blocks.append(block)
     return SetPartition(blocks)
 
 

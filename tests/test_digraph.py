@@ -1,5 +1,6 @@
 """Digraph constructions, predicates, Hamiltonian-path counting, text format."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redeiberge.checks import _find_triangle
 from redeiberge.digraph import (
     Digraph,
     complete_digraph,
@@ -227,6 +229,43 @@ def test_find_directed_cycle_returns_real_cycle():
             assert b == c
 
 
+def _search_sample():
+    """Every digraph with n <= 3 (loops included), then a seeded sample with
+    4 <= n <= 7: random digraphs at several densities, random tournaments,
+    and unions of paths with and without one extra edge."""
+    for n in range(4):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+        for bits in range(1 << len(pairs)):
+            yield Digraph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(4, 7)
+        yield random_digraph(n, rng.choice((0.1, 0.2, 0.3, 0.5)), rng.randrange(10**6), loops=rng.random() < 0.5)
+    for _ in range(300):
+        yield random_tournament(rng.randint(4, 7), rng.randrange(10**6))
+    for _ in range(200):
+        n = rng.randint(4, 7)
+        order = rng.sample(range(1, n + 1), n)
+        edges = {(a, b) for a, b in zip(order, order[1:]) if rng.random() < 0.7}
+        if rng.random() < 0.5:
+            edges.add((rng.randint(1, n), rng.randint(1, n)))
+        yield Digraph(n, edges)
+
+
+def test_the_four_searches_keep_their_answers():
+    """The answers of the tournament and path-union tests, the directed cycle
+    found (cycle-decomposition takes its F from it) and the first directed
+    triangle (the triangle check's), pinned as one digest over _search_sample."""
+    rows = [
+        repr((dg.n, sorted(dg.edges), dg.is_tournament(), dg.is_disjoint_union_of_paths(),
+              dg.find_directed_cycle(), _find_triangle(dg)))
+        for dg in _search_sample()
+    ]
+    assert len(rows) == 531 + 800
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "c118bdb2c2b2314e4178756cf2b6a8933509b201d2f8cb45d263c48ed597ad54"
+
+
 def test_simple_cycle_lengths_and_evenness():
     assert has_even_directed_cycle(cycle_digraph(4))
     assert has_even_directed_cycle(Digraph(2, [(1, 2), (2, 1)]))
@@ -363,6 +402,11 @@ def test_parse_with_comments_and_blanks():
     3 1
     """
     assert parse_digraph(text) == cycle_digraph(3)
+
+
+@pytest.mark.parametrize("header", ["n  3", "n\t3"])
+def test_whitespace_separates_the_header_fields(header):
+    assert parse_digraph(f"{header}\n1 2\n") == Digraph(3, [(1, 2)])
 
 
 @pytest.mark.parametrize(

@@ -167,12 +167,34 @@ def test_rendering_large_ground_set_uses_braces():
     assert parse_set_partition(str(pi)) == pi
 
 
-def test_parse_both_grammars():
-    assert P("134/2") == SetPartition([[1, 3, 4], [2]])
-    assert P("{1,3,4}/{2}") == SetPartition([[1, 3, 4], [2]])
-    assert P("") == SetPartition([])
-    with pytest.raises(ValueError):
-        P("1a/2")
+@pytest.mark.parametrize(
+    "text, blocks",
+    [
+        ("134/2", [[1, 3, 4], [2]]),
+        ("{1,3,4}/{2}", [[1, 3, 4], [2]]),
+        ("", []),
+        ("{1,2,3,4,5,6,7,8,9}/{10}", [range(1, 10), [10]]),
+        ("{+1,2}", None),
+        ("{ 1,2}", None),
+        ("{1_0,1,2,3,4,5,6,7,8,9}", None),
+        ("\u0661\u0662", None),  # Arabic-Indic one and two
+        ("1a/2", None),
+        ("{}", None),
+        ("1//2", None),
+    ],
+)
+def test_parse_both_grammars(text, blocks):
+    """Each element is a run of ASCII digits, in the text and in a JSON key."""
+    data = {"degree": 0, "basis": "M", "terms": [{"blocks": text, "coeff": "1"}]}
+    if blocks is None:
+        with pytest.raises(ValueError, match="cannot parse set partition block"):
+            P(text)
+        with pytest.raises(ValueError, match="cannot parse set partition block"):
+            NCSymElement.from_json_dict(data)
+    else:
+        pi = SetPartition(blocks)
+        assert P(text) == pi
+        assert NCSymElement.from_json_dict({**data, "degree": pi.n}).terms == {pi: 1}
 
 
 @given(set_partitions(max_n=12))
