@@ -34,6 +34,7 @@ from .setpart import (
     MAX_GROUND_SET,
     IntPartition,
     SetPartition,
+    _mask_elements,
     enumerate_partitions,
     factorial_weight,
     inverse_perm,
@@ -134,31 +135,39 @@ def _complement_masks(successors: Sequence[int]) -> list[int]:
 
 def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (blocks, product of their weights) for every set partition of the
-    bitmask ground into nonzero-weight blocks; blocks are bitmasks, ordered by
+    bitmask ground into nonzero-weight blocks, in SetPartition order: by the
+    first block's elements, then by the rest; blocks are bitmasks, ordered by
     their lowest vertex.
 
     Depth first over an explicit stack of partial partitions (the rest of the
-    ground, the blocks so far, their product).  The block through the lowest
-    vertex of the rest takes every subset of the others; the order is that of
-    the submasks of the rest descending, so the partial with the whole rest as
-    its block comes first and is yielded at once.
+    ground, the blocks so far, their product); a partial whose rest is empty
+    is yielded when popped.  The next block is the lowest vertex of the rest
+    with any subset of the others.  Each rest's nonzero-weight candidates are
+    listed once per call, sorted by their elements and pushed in reverse, so
+    the first candidate pops first.
     """
-    if not ground:
-        yield (), 1
-        return
+    elements = _mask_elements(ground.bit_length())
+    candidates: dict[int, list[int]] = {}  # rest -> its first blocks, last first
     stack = [(ground, (), 1)]
     while stack:
         rest, blocks, coeff = stack.pop()
-        low = rest & -rest
-        others = rest ^ low
-        sub = 0
-        while sub != others:  # the proper submasks of others, ascending
-            weight = weights[low | sub]
-            if weight:
-                stack.append((others ^ sub, blocks + (low | sub,), coeff * weight))
-            sub = (sub - others) & others
-        if weights[rest]:
-            yield blocks + (rest,), coeff * weights[rest]
+        if not rest:
+            yield blocks, coeff
+            continue
+        firsts = candidates.get(rest)
+        if firsts is None:
+            low = rest & -rest
+            others = sub = rest ^ low
+            firsts = []
+            while True:  # every submask of others, descending
+                if weights[low | sub]:
+                    firsts.append(low | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & others
+            firsts.sort(key=elements.__getitem__, reverse=True)
+            candidates[rest] = firsts
+        stack += [(rest ^ block, blocks + (block,), coeff * weights[block]) for block in firsts]
 
 
 def _power_sum_masks(dg: Digraph) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -122,6 +122,7 @@ class _Element(_Frozen):
         return type(self), (self.degree, self.basis, self.terms)
 
     def _sorted_terms(self) -> list:  # keys are distinct: no coefficient is compared
+        # the permutation route's P terms arrive in this order, so their sort is one pass
         return sorted(self.terms.items(), reverse=self._DESCENDING)
 
     def __repr__(self):

@@ -103,9 +103,8 @@ class SetPartition(tuple):
         return f"SetPartition({self})"
 
     def __str__(self):
-        if self.n <= 9:
-            return "/".join(["".join(map(str, b)) for b in self.blocks])
-        return "/".join(["{" + ",".join(map(str, b)) + "}" for b in self.blocks])
+        texts = _block_texts(self.n)
+        return "/".join([texts[b] for b in self.blocks])
 
     def __len__(self):
         return len(self.blocks)
@@ -124,6 +123,15 @@ def _mask_elements(n: int) -> tuple[tuple[int, ...], ...]:
     for v in range(1, n + 1):
         table += [elements + (v,) for elements in table]
     return tuple(table)
+
+
+@lru_cache(maxsize=MAX_GROUND_SET + 1)
+def _block_texts(n: int) -> dict[tuple[int, ...], str]:
+    """For every block of _mask_elements(n), its text in str(SetPartition):
+    digits run together for n <= 9, "{a,b,...}" beyond."""
+    if n <= 9:
+        return {b: "".join(map(str, b)) for b in _mask_elements(n)}
+    return {b: "{" + ",".join(map(str, b)) + "}" for b in _mask_elements(n)}
 
 
 class IntPartition(tuple):

@@ -1,8 +1,10 @@
 """Reference oracles the suite checks the library against.
 
-All are literal and exponential: the word expansion of an NCSym element,
-the elementary coefficient of the function as a Mobius-weighted sum over
-its power-sum terms, and the friendliness test of one vertex listing.
+All but the last are literal and exponential: the word expansion of an
+NCSym element, the elementary coefficient of the function as a
+Mobius-weighted sum over its power-sum terms, and the friendliness test of
+one vertex listing.  The last is the text of a set partition, rendered
+block by block.
 """
 
 import itertools
@@ -73,3 +75,11 @@ def is_friendly(dg: Digraph, colors: Sequence[int], listing: Sequence[int]) -> b
         if ca == cb and (a, b) in dg.edges:
             return False
     return True
+
+
+def render_set_partition(pi: SetPartition) -> str:
+    """Blocks joined by "/": each block's digits run together for n <= 9,
+    "{a,b,...}" for n >= 10."""
+    if pi.n <= 9:
+        return "/".join(["".join(map(str, b)) for b in pi.blocks])
+    return "/".join(["{" + ",".join(map(str, b)) + "}" for b in pi.blocks])

@@ -2,6 +2,7 @@
 coefficient formulas, cross-checked against each other and brute force."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -329,6 +330,63 @@ def test_tournament_formula_matches_permutation_route_beyond_its_capacity(n, mon
     monkeypatch.setitem(invariant.ROUTES, "permutations", (invariant.ROUTES["permutations"][0], 12))
     t = random_tournament(n, n)
     assert rb_by_permutations(t) == rb_tournament(t)
+
+
+# -- the power-sum enumerator ----------------------------------------------------------
+
+
+def literal_nonzero_partitions(weights, vertices):
+    """Oracle: every set partition of the vertices (ascending bit positions)
+    in enumerate_partitions order, as (block masks, product of their
+    weights), zero products left out.  Relabeling 1..k to the vertices keeps
+    the order of the element tuples, so this is the enumerator's order too."""
+    out = []
+    for pi in enumerate_partitions(len(vertices)):
+        blocks = tuple(sum(1 << vertices[x - 1] for x in b) for b in pi.blocks)
+        coeff = math.prod(weights[B] for B in blocks)
+        if coeff:
+            out.append((blocks, coeff))
+    return out
+
+
+ENUMERATOR_DIGRAPHS = {
+    "sparse": lambda n: random_digraph(n, 0.2, n),
+    "half": lambda n: random_digraph(n, 0.5, n),
+    "dense": lambda n: random_digraph(n, 0.8, n),
+    "tournament": lambda n: random_tournament(n, n),
+}
+
+
+@pytest.mark.parametrize("kind", ENUMERATOR_DIGRAPHS)
+@pytest.mark.parametrize("n", range(0, 9))
+def test_enumerator_yields_the_literal_terms_in_output_order(kind, n):
+    dg = ENUMERATOR_DIGRAPHS[kind](n)
+    weights = invariant._block_weights(dg)
+    assert list(invariant._nonzero_partitions(weights, (1 << n) - 1)) == literal_nonzero_partitions(weights, range(n))
+    terms = list(rb_by_permutations(dg).terms)
+    assert terms == sorted(terms)
+
+
+def test_enumerator_on_partial_grounds_and_arbitrary_weights():
+    # block weights, and tables with zeros anywhere (singletons included), as
+    # the deletion checks pass
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.5:
+            weights = invariant._block_weights(random_digraph(n, rng.choice((0.2, 0.5, 0.8)), rng.randint(0, 10**6)))
+        else:
+            weights = [rng.choice((0, 0, 1, -2, 3)) for _ in range(1 << n)]
+        ground = rng.randrange(1 << n)
+        vertices = [v for v in range(n) if ground >> v & 1]
+        assert list(invariant._nonzero_partitions(weights, ground)) == literal_nonzero_partitions(weights, vertices)
+
+
+def test_enumerator_order_at_n_12():
+    # tournament:12:2, past the route's capacity, straight from the mask core
+    keys = [SetPartition.from_masks(12, blocks) for blocks, _ in invariant._power_sum_masks(random_tournament(12, 2))]
+    assert len(keys) == 5677
+    assert keys == sorted(keys)
 
 
 # -- commutative oracle -------------------------------------------------------------------

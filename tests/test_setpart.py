@@ -13,8 +13,10 @@ from redeiberge.errors import DegreeMismatchError, OrderViolationError, SizeLimi
 from redeiberge.ncsym import NCSymElement, multiply
 from redeiberge.setpart import (
     LATTICE_CACHE_SIZE,
+    MAX_GROUND_SET,
     IntPartition,
     SetPartition,
+    _block_texts,
     apply_perm,
     coarsenings,
     enumerate_partitions,
@@ -30,6 +32,8 @@ from redeiberge.setpart import (
     refinements,
     singletons,
 )
+
+from oracles import render_set_partition
 
 P = parse_set_partition
 
@@ -165,6 +169,38 @@ def test_rendering_large_ground_set_uses_braces():
     pi = SetPartition([list(range(1, 10)), [10]])
     assert str(pi) == "{1,2,3,4,5,6,7,8,9}/{10}"
     assert parse_set_partition(str(pi)) == pi
+
+
+def seeded_partitions(n, count, seed):
+    """count set partitions of {1..n}, each element given a random label."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        blocks = {}
+        for x in range(1, n + 1):
+            blocks.setdefault(rng.randrange(n), []).append(x)
+        yield SetPartition(blocks.values())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12])
+def test_str_reads_the_block_text_table(n):
+    """str(pi) is the literal rendering, and parses back to pi: every
+    partition up to n = 7, seeded ones at 9 (the last digit-run size), 10 and 12."""
+    partitions = enumerate_partitions(n) if n <= 7 else seeded_partitions(n, 300, n)
+    for pi in partitions:
+        assert str(pi) == render_set_partition(pi)
+        assert parse_set_partition(str(pi)) == pi
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_json_round_trip_past_the_digit_run_form(n):
+    rng = random.Random(n)
+    x = NCSymElement(n, "P", {pi: rng.randint(-9, 9) or 1 for pi in seeded_partitions(n, 50, n + 1)})
+    assert len(x.terms) > 1
+    assert NCSymElement.from_json_dict(x.to_json_dict()) == x
+
+
+def test_block_text_cache_is_bounded():
+    assert _block_texts.cache_info().maxsize == MAX_GROUND_SET + 1
 
 
 @pytest.mark.parametrize(
