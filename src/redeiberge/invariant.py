@@ -25,7 +25,7 @@ import math
 from collections import defaultdict
 from functools import lru_cache
 from operator import index
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .digraph import Digraph, hamiltonian_cycle_counts, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
@@ -34,7 +34,7 @@ from .setpart import (
     MAX_GROUND_SET,
     IntPartition,
     SetPartition,
-    _mask_elements,
+    _nonzero_partitions,
     enumerate_partitions,
     factorial_weight,
     inverse_perm,
@@ -133,49 +133,6 @@ def _complement_masks(successors: Sequence[int]) -> list[int]:
     return [full & ~(mask | 1 << v) for v, mask in enumerate(successors)]
 
 
-def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (blocks, product of their weights) for every set partition of the
-    bitmask ground into nonzero-weight blocks, in SetPartition order: by the
-    first block's elements, then by the rest; blocks are bitmasks, ordered by
-    their lowest vertex.
-
-    Depth first over an explicit stack of partial partitions (the rest of the
-    ground, the blocks so far, their product); a partial whose rest is empty
-    is yielded when popped.  The next block is the lowest vertex of the rest
-    with any subset of the others.  Each rest's nonzero-weight candidates are
-    listed once per call, sorted by their elements and pushed in reverse, so
-    the first candidate pops first.
-    """
-    elements = _mask_elements(ground.bit_length())
-    candidates: dict[int, list[int]] = {}  # rest -> its first blocks, last first
-    stack = [(ground, (), 1)]
-    while stack:
-        rest, blocks, coeff = stack.pop()
-        if not rest:
-            yield blocks, coeff
-            continue
-        firsts = candidates.get(rest)
-        if firsts is None:
-            low = rest & -rest
-            others = sub = rest ^ low
-            firsts = []
-            while True:  # every submask of others, descending
-                if weights[low | sub]:
-                    firsts.append(low | sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & others
-            firsts.sort(key=elements.__getitem__, reverse=True)
-            candidates[rest] = firsts
-        stack += [(rest ^ block, blocks + (block,), coeff * weights[block]) for block in firsts]
-
-
-def _power_sum_masks(dg: Digraph) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The nonzero power-sum terms of the function, as (block masks, coefficient):
-    the mask-level core of rb_by_permutations, with no size check."""
-    return _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1)
-
-
 def rb_by_permutations(dg: Digraph) -> NCSymElement:
     """Power-sum expansion: signed sum of p over cycle types of permutations
     whose cycles are directed cycles of the digraph or of its complement.
@@ -185,7 +142,8 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
     """
     resolve_route("permutations", dg.n)
     n = dg.n
-    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): coeff for blocks, coeff in _power_sum_masks(dg)})
+    terms = _nonzero_partitions(_block_weights(dg), (1 << n) - 1)
+    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): coeff for blocks, coeff in terms})
 
 
 def rb_tournament(dg: Digraph) -> NCSymElement:

@@ -22,7 +22,8 @@ in the test suite):
     e_pi = sum of mu(0, sigma) p_sigma over sigma <= pi
 
 All other routes compose through P.  The Mobius values come with the
-lattice rows (setpart.coarsenings and setpart.refinements), so no
+lattice rows (setpart.coarsenings and setpart.refinements), which read them
+off the cached groupings of a partition's blocks or elements, so no
 conversion evaluates mu per pair.  Every linear combination -- sums,
 products, basis changes, the commutative image -- is summed by one helper,
 _sum, which collects (key, coefficient) pairs into one coefficient per key.

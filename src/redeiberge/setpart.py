@@ -5,9 +5,11 @@ blocks ordered by their minimum).  A SetPartition is the tuple (n, blocks) and
 an IntPartition the tuple of its parts, so equality, hashing, order and
 immutability are tuple's, and the canonical form makes them agree with the
 partition.  All weights use Python's arbitrary-precision integers.
-The lattice rows (coarsenings, refinements) are built from block bitmasks
-as parallel tuples of partitions and their Mobius values, and share their
-partitions through one bounded intern cache.
+One generator, _nonzero_partitions, lists the partitions of a bitmask into
+nonzero-weight blocks in SetPartition order; enumerate_partitions, the
+power-sum terms and the lattice rows (coarsenings, refinements) come from it.
+The rows are parallel tuples of partitions and their Mobius values, and share
+their partitions through one bounded intern cache.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from math import factorial
 from operator import index, itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeMismatchError, OrderViolationError, SizeLimitError
 
@@ -184,11 +186,49 @@ def singletons(n: int) -> SetPartition:
     return SetPartition([[i] for i in range(1, n + 1)])
 
 
+def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (blocks, product of their weights) for every set partition of the
+    bitmask ground into nonzero-weight blocks, in SetPartition order: by the
+    first block's elements, then by the rest; blocks are bitmasks, ordered by
+    their lowest vertex.
+
+    Depth first over an explicit stack of partial partitions (the rest of the
+    ground, the blocks so far, their product); a partial whose rest is empty
+    is yielded when popped.  The next block is the lowest vertex of the rest
+    with any subset of the others.  Each rest's nonzero-weight candidates are
+    listed once per call, sorted by their elements and pushed in reverse, so
+    the first candidate pops first.
+    """
+    elements = _mask_elements(ground.bit_length())
+    candidates: dict[int, list[int]] = {}  # rest -> its first blocks, last first
+    stack = [(ground, (), 1)]
+    while stack:
+        rest, blocks, coeff = stack.pop()
+        if not rest:
+            yield blocks, coeff
+            continue
+        firsts = candidates.get(rest)
+        if firsts is None:
+            low = rest & -rest
+            others = sub = rest ^ low
+            firsts = []
+            while True:  # every submask of others, descending
+                if weights[low | sub]:
+                    firsts.append(low | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & others
+            firsts.sort(key=elements.__getitem__, reverse=True)
+            candidates[rest] = firsts
+        stack += [(rest ^ block, blocks + (block,), coeff * weights[block]) for block in firsts]
+
+
 def enumerate_partitions(n: int) -> list[SetPartition]:
     """Every set partition of {1..n}, in canonical-form lexicographic order."""
     if not 0 <= n <= MAX_GROUND_SET:
         raise SizeLimitError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
-    return sorted(SetPartition.from_masks(n, masks) for masks, _, _ in _merges([1 << v for v in range(n)], [0] * n))
+    full = (1 << n) - 1
+    return [SetPartition.from_masks(n, masks) for masks, _ in _nonzero_partitions([1] * (full + 1), full)]
 
 
 def refines(sigma: SetPartition, pi: SetPartition) -> bool:
@@ -283,43 +323,32 @@ def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _merges(units: Sequence[int], owners: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
-    """Every way to merge disjoint bitmasks (units, in lowest-element order)
-    into groups whose units share an owner, as (the group masks, again in
-    lowest-element order; the product over owners of mu(groups it has); the
-    product over groups of mu(units in it)).  Here mu(k) = (-1)**(k-1) (k-1)!,
-    so mu(k + 1) = -k mu(k)."""
-    grown = [((), (), (), 1, 1)]  # (group masks, group owners, units per group, the two products)
-    for unit, owner in zip(units, owners):
-        step = []
-        for masks, group_owners, sizes, opened, joined in grown:
-            k = group_owners.count(owner)  # the unit alone opens its owner's group k + 1
-            opened_more = -k * opened if k else opened
-            step.append((masks + (unit,), group_owners + (owner,), sizes + (1,), opened_more, joined))
-            for j, size in enumerate(sizes):
-                if group_owners[j] == owner:
-                    grouped = masks[:j] + (masks[j] | unit,) + masks[j + 1:]
-                    grown_sizes = sizes[:j] + (size + 1,) + sizes[j + 1:]
-                    step.append((grouped, group_owners, grown_sizes, opened, -size * joined))
-        grown = step
-    return [(masks, opened, joined) for masks, _, _, opened, joined in grown]
+@lru_cache(maxsize=MAX_GROUND_SET + 1)
+def _groupings(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Every set partition of k units (bit i for unit i) into groups, in
+    SetPartition order, as (the group masks, mu(number of groups), the product
+    of mu(|G|) over the groups G), where mu(j) = (-1)**(j-1) (j-1)!."""
+    mu = [1] + [(-1) ** (j - 1) * factorial(j - 1) for j in range(1, k + 1)]
+    full = (1 << k) - 1
+    weights = [mu[B.bit_count()] for B in range(full + 1)]
+    return tuple((groups, mu[len(groups)], joined) for groups, joined in _nonzero_partitions(weights, full))
 
 
-def _lattice_row(n: int, merges: list[tuple[tuple[int, ...], int, int]]) -> tuple[tuple, ...]:
-    """The partitions of the merges, sorted and shared through the intern
-    cache, and their two products in the same order, as three parallel
-    tuples.  The partitions are distinct, so sorting never compares a product."""
-    entries = sorted([(_interned(n, masks), opened, joined) for masks, opened, joined in merges])
-    return tuple(zip(*entries))
+def _unions(masks: Sequence[int]) -> list[int]:
+    """For every bitmask g over the positions of masks, the union of the masks it selects."""
+    table = [0]
+    for mask in masks:
+        table += [u | mask for u in table]
+    return table
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def coarsenings(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, ...]]:
     """The row (sigmas, mobius): every sigma >= pi, sorted, by merging blocks,
     and mu(pi, sigma), to which a group of k merged blocks contributes mu(k)."""
-    masks = [sum(1 << (x - 1) for x in block) for block in pi.blocks]
-    sigmas, _, joined = _lattice_row(pi.n, _merges(masks, [0] * len(masks)))
-    return sigmas, joined
+    union = _unions([sum(1 << (x - 1) for x in block) for block in pi.blocks])
+    row = [(_interned(pi.n, tuple([union[g] for g in groups])), joined) for groups, _, joined in _groupings(len(pi))]
+    return tuple(zip(*sorted(row)))
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
@@ -328,8 +357,10 @@ def refinements(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, 
     obtained by splitting blocks, with mu(sigma, pi) and mu(0-hat, sigma) in the
     parallel tuples: a block of pi split into k parts contributes mu(k) to the
     first, a part of s elements mu(s) to the second."""
-    owners = [0] * pi.n
-    for i, block in enumerate(pi.blocks):
-        for x in block:
-            owners[x - 1] = i
-    return _lattice_row(pi.n, _merges([1 << v for v in range(pi.n)], owners))
+    splits = [((), 1, 1)]  # (part masks, mu(sigma, pi), mu(0-hat, sigma)) over the blocks so far
+    for block in pi.blocks:
+        union = _unions([1 << (x - 1) for x in block])
+        ways = [(tuple([union[g] for g in groups]), a, b) for groups, a, b in _groupings(len(block))]
+        splits = [(masks + more, a * c, b * d) for masks, a, b in splits for more, c, d in ways]
+    row = [(_interned(pi.n, tuple(sorted(masks, key=lambda mask: mask & -mask))), a, b) for masks, a, b in splits]
+    return tuple(zip(*sorted(row)))

@@ -12,9 +12,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from redeiberge.digraph import Digraph
-from redeiberge.invariant import _power_sum_masks
+from redeiberge.invariant import _block_weights
 from redeiberge.ncsym import NCSymElement
-from redeiberge.setpart import SetPartition, mobius, mobius_from_bottom, refines
+from redeiberge.setpart import SetPartition, _nonzero_partitions, mobius, mobius_from_bottom, refines
 
 Word = tuple[int, ...]
 
@@ -59,7 +59,7 @@ def elementary_coefficient(dg: Digraph, pi: SetPartition) -> Fraction:
     if pi.n != dg.n:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
     total = Fraction(0)
-    for blocks, coeff in _power_sum_masks(dg):
+    for blocks, coeff in _nonzero_partitions(_block_weights(dg), (1 << dg.n) - 1):
         cycle_type = SetPartition.from_masks(dg.n, blocks)
         if refines(pi, cycle_type):
             total += Fraction(coeff * mobius(pi, cycle_type), mobius_from_bottom(cycle_type))

@@ -1,6 +1,7 @@
 """The identity-verification suite: pass/fail/skipped reporting and witnesses."""
 
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -147,6 +148,16 @@ def test_checks_skip_beyond_route_capacity(n):
         assert berge == {9: "pass", 10: "pass", 12: "pass", 13: "skipped"}[n]
 
 
+def test_commutative_refuses_before_converting(monkeypatch):
+    # with the P route raised to 9, the descent oracle's refusal must come
+    # before the P -> M conversion, which takes seconds at n = 9
+    monkeypatch.setitem(invariant.ROUTES, "permutations", (invariant.ROUTES["permutations"][0], 9))
+    start = time.perf_counter()
+    (report,) = check_identities(random_digraph(9, 0.3, 7), ["commutative"])
+    assert time.perf_counter() - start < 0.1
+    assert (report.status, report.witness) == ("skipped", "descent algorithm limited to n <= 8")
+
+
 def test_checks_pass_on_seeded_instances():
     for seed in range(8):
         dg = random_digraph(4, 0.35, seed)
@@ -204,6 +215,31 @@ def test_deletion_sums_name_the_first_differing_coefficient(monkeypatch, spec, c
     assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
 
 
+@pytest.mark.parametrize(
+    "spec, witness",
+    [
+        ("tournament:5:2", "coefficient at 1/2/345: 0 != 512"),
+        ("tournament:4:1", "coefficient at 1/234: 0 != 32"),
+        ("random:5:0.3:1", "coefficient at 1/2/345: 2 != -254"),
+        ("random:5:0.3:2", "coefficient at 1/2/345: 1 != 33"),
+        ("random:4:0.6:3", "coefficient at 1/234: 1 != 513"),
+    ],
+)
+def test_a_weight_that_reads_edges_outside_its_block_is_named_by_the_full_comparison(monkeypatch, spec, witness):
+    # a 3-vertex block weight that reads the parity of the whole edge set: the
+    # block tables of the deletions still vanish on these instances, so only
+    # the comparison of w_T(B) with w_{T & E(B)}(B) sends them to the full one
+    block_weights = invariant._block_weights
+
+    def reads_every_edge(dg):
+        return [w + len(dg.edges) % 2 if B.bit_count() == 3 else w for B, w in enumerate(block_weights(dg))]
+
+    monkeypatch.setattr(invariant, "_block_weights", reads_every_edge)
+    monkeypatch.setattr(checks, "_block_weights", reads_every_edge)
+    (report,) = check_identities(parse_generator_spec(spec), ["subset-decomposition"])
+    assert (report.status, report.witness) == ("fail", witness)
+
+
 def _keeps_the_second_of_two(delete_edges):
     def faulty(self, removed):
         removed = list(removed)
@@ -236,8 +272,8 @@ def _contract_the_wrong_way(dg):
 )
 def test_a_deletion_that_keeps_an_edge_is_named_by_the_full_comparison(monkeypatch, spec, check, witness):
     # on cycle:3 and complete:3 the block tables of the faulty deletions still
-    # vanish, so only the check that each deletion removes exactly its own
-    # edges sends these instances to the full comparison
+    # vanish, so only the comparison of w_T(B) with w_{T & E(B)}(B) sends
+    # these instances to the full comparison
     monkeypatch.setattr(Digraph, "delete_edges", _keeps_the_second_of_two(Digraph.delete_edges))
     (report,) = check_identities(parse_generator_spec(spec), [check])
     assert (report.status, report.witness) == ("fail", witness)

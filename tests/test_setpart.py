@@ -1,6 +1,7 @@
 """Set partition lattice: enumeration, refinement order, Mobius function, weights."""
 
 import copy
+import hashlib
 import itertools
 import pickle
 import random
@@ -17,6 +18,7 @@ from redeiberge.setpart import (
     IntPartition,
     SetPartition,
     _block_texts,
+    _groupings,
     apply_perm,
     coarsenings,
     enumerate_partitions,
@@ -391,9 +393,25 @@ def test_lattice_rows_copy_and_pickle_with_their_values(row_of, clone):
     assert [hash(s) for s in twin[0]] == [hash(s) for s in row[0]]
 
 
+def test_lattice_rows_and_the_enumeration_match_their_recorded_digest():
+    # one SHA-256 over the row order, the partition texts and both Mobius
+    # columns of every row for n <= 8, and every enumeration for n <= 9
+    digest = hashlib.sha256()
+    for n in range(0, 10):
+        parts = enumerate_partitions(n)
+        digest.update((f"{n}:" + " ".join(map(str, parts)) + "\n").encode())
+        for pi in parts if n <= 8 else ():
+            (up, up_mobius), (down, down_mobius, bottom) = coarsenings(pi), refinements(pi)
+            digest.update((f"{pi}>" + " ".join(f"{s}:{m}" for s, m in zip(up, up_mobius)) + "\n").encode())
+            digest.update((f"{pi}<" + " ".join(f"{s}:{m}:{b}" for s, m, b in zip(down, down_mobius, bottom)) + "\n").encode())
+    assert digest.hexdigest() == "539b2a127c80d001b0949296e210b0cf186595cda96ff11150be8876bf3d7030"
+
+
 def test_lattice_caches_are_bounded_lru_caches():
     for row_of in (coarsenings, refinements):
         assert row_of.cache_info().maxsize == LATTICE_CACHE_SIZE
+    # one entry per number of units, up to the largest ground set
+    assert _groupings.cache_info().maxsize == MAX_GROUND_SET + 1
 
 
 # -- Mobius function -------------------------------------------------------------
