@@ -8,7 +8,6 @@ silently dropped.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +27,7 @@ from .invariant import (
     _split_on_edge,
 )
 from .ncsym import NCSymElement, multiply
-from .setpart import _nonzero_partitions, enumerate_partitions, singletons
+from .setpart import _nonzero_partitions, _selections, enumerate_partitions, singletons
 
 MAX_SUBSET_EDGES = 10
 MAX_PRODUCT_SIZE = 8
@@ -181,13 +180,13 @@ class _CheckRunner:
                 f"instance too large for the exhaustive check (n <= {MAX_COUNTING_LEMMA_VERTICES}, "
                 f"|E| <= {MAX_COUNTING_LEMMA_EDGES})"
             )
-        # edge subsets as bitmasks over edges; the qualifying ones in the order
-        # of _subsets(edges), so that a witness names the first failing subset
-        subsets = [[e for i, e in enumerate(edges) if S >> i & 1] for S in range(1 << len(edges))]
+        # edge subsets as bitmasks over edges; the qualifying ones by size, then
+        # by their edges, so that a witness names the first failing subset
+        subsets = list(map(list, _selections(edges)))
         qualifying = [
             F
-            for F in map(sum, _subsets(tuple(1 << i for i in range(len(edges)))))
-            if F and not Digraph(n, subsets[F]).is_disjoint_union_of_paths()
+            for F in sorted(range(1, 1 << len(edges)), key=lambda F: (len(subsets[F]), subsets[F]))
+            if not Digraph(n, subsets[F]).is_disjoint_union_of_paths()
         ]
         if not qualifying:
             raise _Skip("hypothesis unmet: no qualifying edge subset")
@@ -258,7 +257,7 @@ class _CheckRunner:
         if _deletion_tables_vanish(self.dg, edges):
             return None
         total = NCSymElement(self.dg.n, "P", {})
-        for S in _subsets(tuple(edges)):
+        for S in _selections(edges):
             if S:
                 term = rb_by_permutations(self.dg.delete_edges(S))
                 total = total + term if len(S) % 2 else total - term
@@ -267,11 +266,6 @@ class _CheckRunner:
 
 # definition order of the check_* methods is report order
 ALL_CHECKS = tuple(m.removeprefix("check_").replace("_", "-") for m in vars(_CheckRunner) if m.startswith("check_"))
-
-
-def _subsets(items: tuple) -> Iterable[tuple]:
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 def _alternating_subset_sums(values: Sequence[int]) -> list[int]:
@@ -296,8 +290,7 @@ def _deletion_tables_vanish(dg: Digraph, edges: Sequence[tuple[int, int]]) -> bo
     outside B answers False.  Then the sum over S of (-1)^|S| p_{X minus
     S}(pi) is 0 when an edge of F crosses pi, and else the product over the
     blocks of d(B), the sum of (-1)^|T| w_T(B) over the T inside B."""
-    removals = ([e for i, e in enumerate(edges) if T >> i & 1] for T in range(1 << len(edges)))
-    tables = [_block_weights(dg.delete_edges(removed)) for removed in removals]  # w_T, T a bitmask over edges
+    tables = [_block_weights(dg.delete_edges(removed)) for removed in _selections(edges)]  # w_T, T a bitmask over edges
     d = []  # 0 on the blocks that an edge of F crosses
     for B, column in enumerate(zip(*tables)):  # column[T] = w_T(B)
         inside = sum(1 << i for i, (u, v) in enumerate(edges) if B >> u - 1 & B >> v - 1 & 1)

@@ -31,7 +31,6 @@ from .digraph import Digraph, hamiltonian_cycle_counts, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
 from .ncsym import CSymElement, NCSymElement
 from .setpart import (
-    MAX_GROUND_SET,
     IntPartition,
     SetPartition,
     _nonzero_partitions,
@@ -114,16 +113,10 @@ def _block_weights(dg: Digraph) -> list[int]:
     successors = dg.successor_masks()
     in_x = hamiltonian_cycle_counts(successors)
     in_complement = hamiltonian_cycle_counts(_complement_masks(successors))
-    weights = [sign * a + b for sign, a, b in zip(_cycle_signs(dg.n), in_x, in_complement)]
+    weights = [b + a if B.bit_count() % 2 else b - a for B, a, b in zip(range(1 << dg.n), in_x, in_complement)]
     for v in range(dg.n):
         weights[1 << v] = 1
     return weights
-
-
-@lru_cache(maxsize=MAX_GROUND_SET + 1)
-def _cycle_signs(n: int) -> tuple[int, ...]:
-    """(-1)**(|B| - 1) for every bitmask B over n vertices."""
-    return tuple(-((-1) ** B.bit_count()) for B in range(1 << n))
 
 
 def _complement_masks(successors: Sequence[int]) -> list[int]:

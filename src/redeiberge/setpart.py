@@ -9,7 +9,8 @@ One generator, _nonzero_partitions, lists the partitions of a bitmask into
 nonzero-weight blocks in SetPartition order; enumerate_partitions, the
 power-sum terms and the lattice rows (coarsenings, refinements) come from it.
 The rows are parallel tuples of partitions and their Mobius values, and share
-their partitions through one bounded intern cache.
+their partitions through one bounded intern cache.  _selections is the one
+subset table, and every Mobius value reads the one table _MU.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DegreeMismatchError, OrderViolationError, SizeLimitError
 
 MAX_GROUND_SET = 12  # Bell(12) ~ 4.2e6; enumeration beyond this is refused
+
+# _MU[k] = mu(k) for k <= MAX_GROUND_SET: the Mobius function from bottom to top of the partitions of a k-set
+_MU = (1,) + tuple((-1) ** (k - 1) * factorial(k - 1) for k in range(1, MAX_GROUND_SET + 1))
 
 # Bounds each of three caches to this many entries: the two lattice-row caches
 # (coarsenings, refinements) and the intern cache of the partitions in their
@@ -118,13 +122,19 @@ def _interned(n: int, masks: tuple[int, ...]) -> SetPartition:
     return SetPartition.from_masks(n, masks)
 
 
+def _selections(items: Sequence) -> list[tuple]:
+    """For every bitmask over the positions of items, the items it selects, in
+    order; over disjoint bitmasks, the sum of a selection is its union."""
+    table = [()]
+    for item in items:
+        table += [chosen + (item,) for chosen in table]
+    return table
+
+
 @lru_cache(maxsize=MAX_GROUND_SET + 1)
 def _mask_elements(n: int) -> tuple[tuple[int, ...], ...]:
     """For every bitmask over n elements, its elements ascending (bit v-1 is v)."""
-    table = [()]
-    for v in range(1, n + 1):
-        table += [elements + (v,) for elements in table]
-    return tuple(table)
+    return tuple(_selections(range(1, n + 1)))
 
 
 @lru_cache(maxsize=MAX_GROUND_SET + 1)
@@ -247,7 +257,7 @@ def mobius(sigma: SetPartition, pi: SetPartition) -> int:
     """Mobius function of the interval [sigma, pi] in the partition lattice.
 
     The interval factors as a product over the blocks of pi; a block holding
-    k blocks of sigma contributes (-1)**(k-1) * (k-1)!.
+    k blocks of sigma contributes mu(k) (see _MU).
     """
     if not refines(sigma, pi):
         raise OrderViolationError(f"{sigma} does not refine {pi}")
@@ -257,15 +267,15 @@ def mobius(sigma: SetPartition, pi: SetPartition) -> int:
         counts[index[b[0]]] += 1
     result = 1
     for k in counts:
-        result *= (-1) ** (k - 1) * factorial(k - 1)
+        result *= _MU[k]
     return result
 
 
 def mobius_from_bottom(pi: SetPartition) -> int:
-    """mu(0-hat, pi): each block of size s contributes (-1)**(s-1) * (s-1)!."""
+    """mu(0-hat, pi): each block of size s contributes mu(s)."""
     result = 1
     for b in pi.blocks:
-        result *= (-1) ** (len(b) - 1) * factorial(len(b) - 1)
+        result *= _MU[len(b)]
     return result
 
 
@@ -324,30 +334,21 @@ def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=MAX_GROUND_SET + 1)
-def _groupings(k: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+def _groupings(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every set partition of k units (bit i for unit i) into groups, in
-    SetPartition order, as (the group masks, mu(number of groups), the product
-    of mu(|G|) over the groups G), where mu(j) = (-1)**(j-1) (j-1)!."""
-    mu = [1] + [(-1) ** (j - 1) * factorial(j - 1) for j in range(1, k + 1)]
+    SetPartition order, as (the group masks, the product of mu(|G|) over the
+    groups G)."""
     full = (1 << k) - 1
-    weights = [mu[B.bit_count()] for B in range(full + 1)]
-    return tuple((groups, mu[len(groups)], joined) for groups, joined in _nonzero_partitions(weights, full))
-
-
-def _unions(masks: Sequence[int]) -> list[int]:
-    """For every bitmask g over the positions of masks, the union of the masks it selects."""
-    table = [0]
-    for mask in masks:
-        table += [u | mask for u in table]
-    return table
+    weights = [_MU[B.bit_count()] for B in range(full + 1)]
+    return tuple(_nonzero_partitions(weights, full))
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def coarsenings(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, ...]]:
     """The row (sigmas, mobius): every sigma >= pi, sorted, by merging blocks,
     and mu(pi, sigma), to which a group of k merged blocks contributes mu(k)."""
-    union = _unions([sum(1 << (x - 1) for x in block) for block in pi.blocks])
-    row = [(_interned(pi.n, tuple([union[g] for g in groups])), joined) for groups, _, joined in _groupings(len(pi))]
+    union = list(map(sum, _selections([sum(1 << (x - 1) for x in block) for block in pi.blocks])))
+    row = [(_interned(pi.n, tuple([union[g] for g in groups])), joined) for groups, joined in _groupings(len(pi))]
     return tuple(zip(*sorted(row)))
 
 
@@ -359,8 +360,8 @@ def refinements(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, 
     first, a part of s elements mu(s) to the second."""
     splits = [((), 1, 1)]  # (part masks, mu(sigma, pi), mu(0-hat, sigma)) over the blocks so far
     for block in pi.blocks:
-        union = _unions([1 << (x - 1) for x in block])
-        ways = [(tuple([union[g] for g in groups]), a, b) for groups, a, b in _groupings(len(block))]
+        union = list(map(sum, _selections([1 << (x - 1) for x in block])))
+        ways = [(tuple([union[g] for g in groups]), _MU[len(groups)], b) for groups, b in _groupings(len(block))]
         splits = [(masks + more, a * c, b * d) for masks, a, b in splits for more, c, d in ways]
     row = [(_interned(pi.n, tuple(sorted(masks, key=lambda mask: mask & -mask))), a, b) for masks, a, b in splits]
     return tuple(zip(*sorted(row)))

@@ -3,6 +3,7 @@
 import itertools
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,6 @@ from redeiberge.checks import (
     _contraction_tables_agree,
     _deletion_tables_vanish,
     _difference,
-    _subsets,
     check_identities,
 )
 from redeiberge.cli import parse_generator_spec
@@ -296,6 +296,75 @@ def test_a_contraction_with_the_wrong_orientation_is_named_by_the_full_compariso
     assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
 
 
+@pytest.mark.parametrize(
+    "spec, witness",
+    [
+        ("cycle:3", "coefficient at 123: 3 != 0"),
+        ("random:4:0.6:3", "coefficient at 1/234: 1 != 0"),
+        ("tournament:5:2", "coefficient at 1/2/345: 1 != 2"),
+        ("random:5:0.3:1", "coefficient at 1/2/345: 3 != 2"),
+    ],
+)
+def test_cross_algorithm_past_the_definition_capacity_compares_p_with_deletion_contraction(monkeypatch, spec, witness):
+    # with the definition route's capacity below n, the check never calls it:
+    # it passes on the P -> M comparison, and that comparison alone names a
+    # deletion-contraction fault
+    dg = parse_generator_spec(spec)
+    monkeypatch.setitem(invariant.ROUTES, "definition", (invariant.ROUTES["definition"][0], dg.n - 1))
+
+    def refuses(dg):
+        raise AssertionError("the definition route was called past its capacity")
+
+    monkeypatch.setattr(checks, "rb_by_colorings", refuses)
+    (report,) = check_identities(dg, ["cross-algorithm"])
+    assert (report.status, report.witness) == ("pass", None)
+    monkeypatch.setattr(Digraph, "contract_last_edge", _contract_the_wrong_way)
+    (report,) = check_identities(dg, ["cross-algorithm"])
+    assert (report.status, report.witness) == ("fail", witness)
+
+
+def _rewrites_p(rewrite):
+    """rb_by_permutations with its terms passed through rewrite(n, terms)."""
+    return lambda dg: NCSymElement(dg.n, "P", rewrite(dg.n, dict(rb_by_permutations(dg).terms)))
+
+
+@pytest.mark.parametrize(
+    "check, fault, witness",
+    [
+        (
+            "integrality",
+            _rewrites_p(lambda n, terms: {**terms, P("123"): terms[P("123")] + Fraction(1, 2)}),
+            "P-basis coefficient at 123 is 5/2",
+        ),
+        (
+            "p-nonnegativity",
+            _rewrites_p(lambda n, terms: {**terms, P("123"): -terms[P("123")]}),
+            "negative power-sum coefficient -2 at 123",
+        ),
+        (
+            "p-nonnegativity",
+            _rewrites_p(lambda n, terms: {k: c for k, c in terms.items() if len(k) < n}),
+            "coefficient at the all-singletons partition is 0, expected >= 1",
+        ),
+    ],
+    ids=["fraction", "negative", "no-singletons"],
+)
+def test_a_faulty_p_expansion_is_named_by_its_check(monkeypatch, check, fault, witness):
+    # cycle:3 has the P terms 1/2/3: 1 and 123: 2, and no even directed cycle
+    monkeypatch.setattr(checks, "rb_by_permutations", fault)
+    (report,) = check_identities(cycle_digraph(3), [check])
+    assert (report.status, report.witness) == ("fail", witness)
+
+
+def test_a_path_count_off_by_one_is_named_by_berge_parity(monkeypatch):
+    # one more Hamiltonian path on cycle:3, which holds the edge (1, 2), and
+    # none on its complement, which does not
+    path_count = Digraph.hamiltonian_path_count
+    monkeypatch.setattr(Digraph, "hamiltonian_path_count", lambda dg: path_count(dg) + ((1, 2) in dg.edges))
+    (report,) = check_identities(cycle_digraph(3), ["berge-parity"])
+    assert (report.status, report.witness) == ("fail", "Hamiltonian path counts 4 and 3 differ mod 2")
+
+
 @st.composite
 def digraphs_with_edge_sets(draw, max_n=6, max_edges=5):
     """A digraph with loops allowed, and a list of its edges: few such lists
@@ -389,8 +458,8 @@ def test_counting_lemma_counts_each_class_partition_once_per_edge_subset(monkeyp
 
 def _literal_deletion_sum(dg, edges):
     total = NCSymElement(dg.n, "P", {})
-    for S in _subsets(tuple(edges)):
-        if S:
+    for r in range(1, len(edges) + 1):
+        for S in itertools.combinations(edges, r):
             term = rb_by_permutations(dg.delete_edges(S))
             total = total + term if len(S) % 2 else total - term
     return total

@@ -303,10 +303,38 @@ def test_batch_json(capsys):
     assert all(r["fail"] == 0 for r in payload["results"])
 
 
+BAD_GENERATORS = [
+    ("random:abc:0.3", "bad generator spec 'random:abc:0.3': size 'abc' is not a run of ASCII digits"),
+    ("random:3:1.7:1", "bad generator spec 'random:3:1.7:1': edge probability 1.7 outside [0, 1]"),
+    ("random:3:-0.1:1", "bad generator spec 'random:3:-0.1:1': edge probability -0.1 outside [0, 1]"),
+    ("complete:13", "bad generator spec 'complete:13': size 13 exceeds 12"),
+    ("tournament:40:1", "bad generator spec 'tournament:40:1': size 40 exceeds 12"),
+    # a wrong number of arguments, for each arity the grammar has
+    ("complete:3:4", "generator 'complete' takes one argument: complete:n"),
+    ("random:5", "generator 'random' takes random:n:p[:seed]"),
+    ("random:5:0.3:1:2", "generator 'random' takes random:n:p[:seed]"),
+    ("tournament:5:1:2", "generator 'tournament' takes tournament:n[:seed]"),
+]
+
+
+@pytest.mark.parametrize("spec, message", BAD_GENERATORS, ids=[spec for spec, _ in BAD_GENERATORS])
+def test_usage_error_on_bad_generator(capsys, spec, message):
+    assert run(capsys, "compute", spec) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
-    "spec", ["random:abc:0.3", "random:3:1.7:1", "random:3:-0.1:1", "complete:13", "tournament:40:1"]
+    "argv",
+    [["compute", "cycle:3", "--basis", "q"], ["verify"], ["frobnicate"]],
+    ids=["unknown-basis", "no-input", "unknown-command"],
 )
-def test_usage_error_on_bad_generator(capsys, spec):
-    code, _, err = run(capsys, "compute", spec)
-    assert code == cli.EXIT_USAGE
-    assert "bad generator spec" in err
+def test_argument_errors_exit_2_with_usage_only(capsys, argv):
+    # argparse's own refusals: its usage text on stderr, nothing on stdout
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("usage: redeiberge") and "error: " in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.startswith("usage: redeiberge")

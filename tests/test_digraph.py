@@ -49,6 +49,8 @@ def test_edges_validated():
         Digraph(2, [(1, 3)])
     with pytest.raises(ValueError):
         Digraph(0, [(1, 1)])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Digraph(-1)
     Digraph(1, [(1, 1)])  # loops are allowed
     for n, edges in ((3, [(1, 2.5)]), (3, [(1.0, 2)]), (2.5, []), ("3", [])):
         with pytest.raises(TypeError):
@@ -60,6 +62,10 @@ def test_equality_is_exact():
     assert Digraph(2, [(1, 2)]) == Digraph(2, [(1, 2)])
     assert Digraph(2, [(1, 2)]) != Digraph(2, [(2, 1)])
     assert Digraph(2, ()) != Digraph(3, ())
+    # equal digraphs hash alike: one edge set, listed in another order and reached by a deletion
+    built = Digraph(3, [(1, 2), (2, 3), (3, 1)])
+    other = Digraph(3, [(3, 1), (2, 3), (1, 2), (1, 1)]).delete_edges([(1, 1)])
+    assert built == other and hash(built) == hash(other)
 
 
 # -- complement and opposite ----------------------------------------------------

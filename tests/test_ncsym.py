@@ -215,6 +215,14 @@ def test_add_converts_mixed_bases():
 def test_add_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         nc("P", "1") + nc("P", "12")
+    # commutative elements add only within one basis
+    with pytest.raises(DegreeMismatchError, match="equal degree and basis"):
+        CSymElement(2, "p", {IntPartition([2]): 1}) + CSymElement(2, "m", {IntPartition([2]): 1})
+
+
+def test_to_basis_refuses_an_unknown_basis():
+    with pytest.raises(ValueError, match="basis must be one of"):
+        nc("P", "12").to_basis("X")
 
 
 def test_zero_coefficients_never_stored():

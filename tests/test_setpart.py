@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redeiberge import invariant
+from redeiberge.digraph import Digraph, random_digraph, random_tournament
 from redeiberge.errors import DegreeMismatchError, OrderViolationError, SizeLimitError
 from redeiberge.ncsym import NCSymElement, multiply
 from redeiberge.setpart import (
@@ -19,6 +21,7 @@ from redeiberge.setpart import (
     SetPartition,
     _block_texts,
     _groupings,
+    _mask_elements,
     apply_perm,
     coarsenings,
     enumerate_partitions,
@@ -405,6 +408,32 @@ def test_lattice_rows_and_the_enumeration_match_their_recorded_digest():
             digest.update((f"{pi}>" + " ".join(f"{s}:{m}" for s, m in zip(up, up_mobius)) + "\n").encode())
             digest.update((f"{pi}<" + " ".join(f"{s}:{m}:{b}" for s, m, b in zip(down, down_mobius, bottom)) + "\n").encode())
     assert digest.hexdigest() == "539b2a127c80d001b0949296e210b0cf186595cda96ff11150be8876bf3d7030"
+
+
+def _digest_digraphs():
+    """Every digraph with n <= 3, loops included, then seeded ones with 4 <= n <= 8."""
+    for n in range(4):
+        pairs = list(itertools.product(range(1, n + 1), repeat=2))
+        for chosen in range(1 << len(pairs)):
+            yield Digraph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+    for n in range(4, 9):
+        for seed, p in enumerate((0.2, 0.5, 0.8)):
+            yield random_digraph(n, p, seed)
+        yield random_tournament(n, n)
+
+
+def test_subset_and_mobius_tables_match_their_recorded_digest():
+    # one SHA-256 over the block weights of _digest_digraphs, the subset
+    # table _mask_elements(n) for n <= 12, and the groupings of k <= 9 units
+    # with their Mobius products
+    digest = hashlib.sha256()
+    for dg in _digest_digraphs():
+        digest.update(f"{dg.n}:{sorted(dg.edges)}:{invariant._block_weights(dg)}\n".encode())
+    for n in range(MAX_GROUND_SET + 1):
+        digest.update(f"{n}:{_mask_elements(n)}\n".encode())
+    for k in range(10):
+        digest.update(f"{k}:{[(groups, joined) for groups, joined in _groupings(k)]}\n".encode())
+    assert digest.hexdigest() == "1e04ba07207e464cdf18b65705aca034a464e2dbb92c369150f7bb9b12300155"
 
 
 def test_lattice_caches_are_bounded_lru_caches():
