@@ -34,6 +34,7 @@ from .setpart import (
     IntPartition,
     SetPartition,
     _nonzero_partitions,
+    _trusted_partition,
     enumerate_partitions,
     factorial_weight,
     inverse_perm,
@@ -136,7 +137,7 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
     resolve_route("permutations", dg.n)
     n = dg.n
     terms = _nonzero_partitions(_block_weights(dg), (1 << n) - 1)
-    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): coeff for blocks, coeff in terms})
+    return NCSymElement(n, "P", {_trusted_partition(n, blocks): coeff for blocks, coeff in terms})
 
 
 def rb_tournament(dg: Digraph) -> NCSymElement:
@@ -171,7 +172,7 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
                 bit = ahead & -ahead
                 paths.append((bit, path | bit, length + 1))
                 ahead ^= bit
-    return NCSymElement(n, "P", {SetPartition.from_masks(n, blocks): c for blocks, c in acc.items()})
+    return NCSymElement(n, "P", {_trusted_partition(n, blocks): c for blocks, c in acc.items()})
 
 
 # -- deletion-contraction -----------------------------------------------------

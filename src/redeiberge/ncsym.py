@@ -21,12 +21,15 @@ in the test suite):
     p_pi = (1 / mu(0, pi)) * sum of mu(sigma, pi) e_sigma over sigma <= pi
     e_pi = sum of mu(0, sigma) p_sigma over sigma <= pi
 
-All other routes compose through P.  The Mobius values come with the
-lattice rows (setpart.coarsenings and setpart.refinements), which read them
-off the cached groupings of a partition's blocks or elements, so no
-conversion evaluates mu per pair.  Every linear combination -- sums,
-products, basis changes, the commutative image -- is summed by one helper,
-_sum, which collects (key, coefficient) pairs into one coefficient per key.
+All other routes compose through P.  Each basis change adds its terms into
+one list indexed by rank, a partition's place in SetPartition order among
+those of its degree (setpart's lattice table), along the rank rows
+setpart._coarser and setpart._finer, which carry the Mobius values.  So no
+conversion evaluates mu or hashes a partition per pair, and the nonzero
+entries, read back in rank order, come out sorted.  A basis change refuses
+a degree above setpart.MAX_LATTICE_DEGREE.  The commutative image sums by
+block sizes.  Sums and products collect their (key, coefficient) pairs
+through one helper, _sum.
 """
 
 from __future__ import annotations
@@ -41,14 +44,18 @@ from .errors import DegreeMismatchError
 from .setpart import (
     IntPartition,
     SetPartition,
+    _coarser,
+    _finer,
     _Frozen,
+    _lattice,
+    _rank,
     _require_permutation,
     apply_perm,
-    coarsenings,
-    factorial_weight,
+    coarsenings,  # coarsenings, mobius and refinements are not called here;
+    factorial_weight,  # perfbench's tracer wraps them under this module
     insert_last,
     lambda_of,
-    mobius,  # not called here; perfbench's tracer wraps it under this module
+    mobius,
     mobius_from_bottom,
     multiplicity_weight,
     parse_set_partition,
@@ -219,28 +226,29 @@ class NCSymElement(_Element):
         return multiply(self, other)
 
     def to_basis(self, target: str) -> "NCSymElement":
-        """Rewrite in the target basis; conversions route through P."""
+        """Rewrite in the target basis; conversions route through P.  A
+        conversion to another basis refuses a degree above
+        setpart.MAX_LATTICE_DEGREE with SizeLimitError."""
         if target not in NC_BASES:
             raise ValueError(f"basis must be one of {NC_BASES}, got {target!r}")
         if target == self.basis:
             return self
+        n = self.degree
         if self.basis != "P":
             # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
             # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
-            row_of, column = (coarsenings, 1) if self.basis == "M" else (refinements, 2)
-            in_p = NCSymElement(self.degree, "P", _sum(_along_rows(self.terms.items(), row_of, column)))
-            return in_p.to_basis(target)
+            row_of, column = (_coarser, 1) if self.basis == "M" else (_finer, 2)
+            return NCSymElement(n, "P", _rank_sums(n, self.terms.items(), row_of, column)).to_basis(target)
         if target == "M":
             # p_pi = sum_{sigma >= pi} m_sigma
-            terms = _sum((sigma, c) for pi, c in self.terms.items() for sigma in coarsenings(pi)[0])
-            return NCSymElement(self.degree, "M", terms)
+            return NCSymElement(n, "M", _rank_sums(n, self.terms.items(), _coarser, None))
         # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma, summed
         # as numerators over (n-1)!, which every |mu(0, pi)| = prod (|B|-1)!
         # divides
-        d = factorial(max(self.degree - 1, 0))
+        d = factorial(max(n - 1, 0))
         numerators = ((pi, c * (d // mobius_from_bottom(pi))) for pi, c in self.terms.items())
-        terms = _sum(_along_rows(numerators, refinements, 1))
-        return NCSymElement(self.degree, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
+        terms = _rank_sums(n, numerators, _finer, 1)
+        return NCSymElement(n, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
 
     def induct(self) -> "NCSymElement":
         """Double the last variable: degree rises by one, n+1 joins the block of n."""
@@ -264,20 +272,31 @@ class NCSymElement(_Element):
 
         Keys collapse to their block-size partitions; the coefficient picks up
         the multiplicity factor |pi| in the M basis, pi! in the E basis, and
-        nothing in the P basis.
+        nothing in the P basis.  Both factors depend on the block sizes only,
+        so the coefficients are summed per shape first, and each shape's
+        partition and factor are computed once, from its first key.
         """
         weight = {"M": multiplicity_weight, "P": lambda pi: 1, "E": factorial_weight}[self.basis]
-        terms = _sum((lambda_of(pi), c * weight(pi)) for pi, c in self.terms.items())
+        shapes: dict = {}  # block sizes, ascending -> [its first key, the sum of its coefficients]
+        for pi, c in self.terms.items():
+            shapes.setdefault(tuple(sorted(map(len, pi.blocks))), [pi, 0])[1] += c
+        terms = {lambda_of(pi): total * weight(pi) for pi, total in shapes.values()}
         return CSymElement(self.degree, self.basis.lower(), terms)
 
 
-def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, column: int) -> Iterable:
-    """(sigma, c * w) for every term (pi, c) and every entry sigma of the
-    lattice row row_of(pi), w its value in the row's tuple at column."""
+def _rank_sums(n: int, terms: Iterable[tuple[SetPartition, object]], row_of: Callable, column: int | None) -> dict:
+    """The sum over the terms (pi, c) of c * w(pi, sigma) sigma, over every
+    sigma of the rank row row_of(n, rank of pi), w the row's value at column
+    (1 for None).  The sums add into one list indexed by rank, and its nonzero
+    entries come back keyed by partition, in SetPartition order.  Refuses a
+    degree above MAX_LATTICE_DEGREE before any work."""
+    partitions = _lattice(n)[0]
+    totals = [0] * len(partitions)
     for pi, c in terms:
-        row = row_of(pi)
-        for sigma, w in zip(row[0], row[column]):
-            yield sigma, c * w
+        row = row_of(n, _rank(pi))
+        for s, w in zip(row[0], row[column] if column else itertools.repeat(1)):
+            totals[s] += c * w
+    return {partitions[s]: c for s, c in enumerate(totals) if c}
 
 
 def multiply(x: NCSymElement, y: NCSymElement) -> NCSymElement:

@@ -7,10 +7,15 @@ immutability are tuple's, and the canonical form makes them agree with the
 partition.  All weights use Python's arbitrary-precision integers.
 One generator, _nonzero_partitions, lists the partitions of a bitmask into
 nonzero-weight blocks in SetPartition order; enumerate_partitions, the
-power-sum terms and the lattice rows (coarsenings, refinements) come from it.
-The rows are parallel tuples of partitions and their Mobius values, and share
-their partitions through one bounded intern cache.  _selections is the one
-subset table, and every Mobius value reads the one table _MU.
+power-sum terms and the lattice tables come from it, and _trusted_partition
+turns its block masks into keys without validating them again.
+The lattice table of a degree n <= MAX_LATTICE_DEGREE (_lattice) lists every
+partition of {1..n} once, in SetPartition order, so that a partition's rank is
+its position there; these are the one shared instance of each lattice-row
+entry.  The lattice rows hold ranks (_coarser, _finer), parallel to their
+Mobius values; coarsenings and refinements read them as partitions.
+_selections is the one subset table, and every Mobius value reads the one
+table _MU.
 """
 
 from __future__ import annotations
@@ -27,11 +32,17 @@ MAX_GROUND_SET = 12  # Bell(12) ~ 4.2e6; enumeration beyond this is refused
 # _MU[k] = mu(k) for k <= MAX_GROUND_SET: the Mobius function from bottom to top of the partitions of a k-set
 _MU = (1,) + tuple((-1) ** (k - 1) * factorial(k - 1) for k in range(1, MAX_GROUND_SET + 1))
 
-# Bounds each of three caches to this many entries: the two lattice-row caches
-# (coarsenings, refinements) and the intern cache of the partitions in their
-# rows.  At least the sum of Bell(k) over k <= 8 (5296), so no conversion at
-# today's route capacities evicts its own entries, and each row entry of
-# degree at most 8 is one object shared by every row holding it.
+# The largest degree with a lattice table: Bell(10) = 115975 partitions, and
+# Bell(12) would be 4.2 million, so lattice rows and basis changes refuse a
+# larger degree before building anything.
+MAX_LATTICE_DEGREE = 10
+
+# Bounds each of the four lattice-row caches to this many rows: the rank rows
+# (_coarser, _finer) and the partition rows read from them (coarsenings,
+# refinements).  At least the sum of Bell(k) over k <= 8 (5296), so no
+# conversion at today's route capacities evicts its own rows.  The entries of
+# every row are shared through the per-degree lattice tables, which replace an
+# intern cache of row entries.
 LATTICE_CACHE_SIZE = 8192
 
 
@@ -70,7 +81,7 @@ class SetPartition(tuple):
                     raise ValueError(f"element {x} appears twice in one block")
                 mask |= 1 << (x - 1)
             masks.append(mask)
-        masks.sort(key=lambda mask: mask & -mask)
+        masks.sort(key=_low)
         return cls.from_masks(reduce(or_, masks, 0).bit_length(), masks)
 
     @classmethod
@@ -97,8 +108,7 @@ class SetPartition(tuple):
             previous_low = low
         if seen != (1 << n) - 1:
             raise ValueError(f"block masks {list(masks)} do not partition {{1..{n}}}")
-        elements = _mask_elements(n)
-        return tuple.__new__(cls, (n, tuple([elements[mask] for mask in masks])))
+        return _trusted_partition(n, masks)
 
     def __getnewargs__(self):
         # tuple's own would pass (n, blocks) as the blocks; copy and pickle
@@ -116,10 +126,17 @@ class SetPartition(tuple):
         return len(self.blocks)
 
 
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def _interned(n: int, masks: tuple[int, ...]) -> SetPartition:
-    """The one shared SetPartition.from_masks(n, masks) of the lattice rows."""
-    return SetPartition.from_masks(n, masks)
+def _low(mask: int) -> int:
+    """The lowest set bit of mask: the key that orders blocks canonically."""
+    return mask & -mask
+
+
+def _trusted_partition(n: int, masks: Sequence[int]) -> SetPartition:
+    """SetPartition.from_masks(n, masks) without its checks, for masks that are
+    disjoint, cover {1..n} and are ordered by lowest bit by construction, as
+    _nonzero_partitions yields them."""
+    elements = _mask_elements(n)
+    return tuple.__new__(SetPartition, (n, tuple([elements[mask] for mask in masks])))
 
 
 def _selections(items: Sequence) -> list[tuple]:
@@ -238,7 +255,7 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
     if not 0 <= n <= MAX_GROUND_SET:
         raise SizeLimitError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
     full = (1 << n) - 1
-    return [SetPartition.from_masks(n, masks) for masks, _ in _nonzero_partitions([1] * (full + 1), full)]
+    return [_trusted_partition(n, masks) for masks, _ in _nonzero_partitions([1] * (full + 1), full)]
 
 
 def refines(sigma: SetPartition, pi: SetPartition) -> bool:
@@ -343,25 +360,71 @@ def _groupings(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(_nonzero_partitions(weights, full))
 
 
+@lru_cache(maxsize=MAX_LATTICE_DEGREE + 1)
+def _lattice(n: int) -> tuple[tuple[SetPartition, ...], dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """The lattice table of degree n: (partitions, rank, block_mask).
+
+    partitions lists every set partition of {1..n} in SetPartition order, so
+    a partition's rank is its index there; rank maps the block masks of each
+    (ordered by lowest bit) to its rank, and block_mask maps each block of
+    _mask_elements(n) to its bitmask.  Refuses n > MAX_LATTICE_DEGREE.
+    """
+    if not 0 <= n <= MAX_LATTICE_DEGREE:
+        raise SizeLimitError(f"degree {n} has no lattice table (limit {MAX_LATTICE_DEGREE}): Bell({n}) partitions")
+    full = (1 << n) - 1
+    rank = {masks: r for r, (masks, _) in enumerate(_nonzero_partitions([1] * (full + 1), full))}
+    partitions = tuple([_trusted_partition(n, masks) for masks in rank])
+    return partitions, rank, {block: mask for mask, block in enumerate(_mask_elements(n))}
+
+
+def _rank(pi: SetPartition) -> int:
+    """The index of pi in the lattice table of its degree."""
+    _, rank, block_mask = _lattice(pi.n)
+    return rank[tuple([block_mask[b] for b in pi.blocks])]
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _coarser(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rank row (ranks, mobius) of the partition pi of rank r: the rank of
+    every sigma >= pi, ascending, made by merging blocks, and mu(pi, sigma),
+    to which a group of k merged blocks contributes mu(k)."""
+    partitions, rank, block_mask = _lattice(n)
+    pi = partitions[r]
+    union = list(map(sum, _selections([block_mask[b] for b in pi.blocks])))
+    row = [(rank[tuple([union[g] for g in groups])], joined) for groups, joined in _groupings(len(pi))]
+    return tuple(zip(*sorted(row)))
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _finer(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The rank row (ranks, mobius, bottom) of the partition pi of rank r: the
+    rank of every sigma <= pi, ascending, made by splitting blocks, with
+    mu(sigma, pi) and mu(0-hat, sigma) in the parallel tuples: a block of pi
+    split into k parts contributes mu(k) to the first, a part of s elements
+    mu(s) to the second."""
+    partitions, rank, block_mask = _lattice(n)
+    splits = [((), 1, 1)]  # (part masks, mu(sigma, pi), mu(0-hat, sigma)) over the blocks so far
+    for block in partitions[r].blocks:
+        union = list(map(sum, _selections([1 << (x - 1) for x in block])))
+        ways = [(tuple([union[g] for g in groups]), _MU[len(groups)], b) for groups, b in _groupings(len(block))]
+        splits = [(masks + more, a * c, b * d) for masks, a, b in splits for more, c, d in ways]
+    row = [(rank[tuple(sorted(masks, key=_low))], a, b) for masks, a, b in splits]
+    return tuple(zip(*sorted(row)))
+
+
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def coarsenings(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, ...]]:
-    """The row (sigmas, mobius): every sigma >= pi, sorted, by merging blocks,
-    and mu(pi, sigma), to which a group of k merged blocks contributes mu(k)."""
-    union = list(map(sum, _selections([sum(1 << (x - 1) for x in block) for block in pi.blocks])))
-    row = [(_interned(pi.n, tuple([union[g] for g in groups])), joined) for groups, joined in _groupings(len(pi))]
-    return tuple(zip(*sorted(row)))
+    """The row (sigmas, mobius): every sigma >= pi, sorted, and mu(pi, sigma);
+    the rank row _coarser read as partitions.  Refuses a degree above
+    MAX_LATTICE_DEGREE."""
+    ranks, mobius_values = _coarser(pi.n, _rank(pi))
+    return tuple(map(_lattice(pi.n)[0].__getitem__, ranks)), mobius_values
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def refinements(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, ...], tuple[int, ...]]:
-    """The row (sigmas, mobius, bottom): every partition sigma <= pi, sorted,
-    obtained by splitting blocks, with mu(sigma, pi) and mu(0-hat, sigma) in the
-    parallel tuples: a block of pi split into k parts contributes mu(k) to the
-    first, a part of s elements mu(s) to the second."""
-    splits = [((), 1, 1)]  # (part masks, mu(sigma, pi), mu(0-hat, sigma)) over the blocks so far
-    for block in pi.blocks:
-        union = list(map(sum, _selections([1 << (x - 1) for x in block])))
-        ways = [(tuple([union[g] for g in groups]), _MU[len(groups)], b) for groups, b in _groupings(len(block))]
-        splits = [(masks + more, a * c, b * d) for masks, a, b in splits for more, c, d in ways]
-    row = [(_interned(pi.n, tuple(sorted(masks, key=lambda mask: mask & -mask))), a, b) for masks, a, b in splits]
-    return tuple(zip(*sorted(row)))
+    """The row (sigmas, mobius, bottom): every sigma <= pi, sorted, with
+    mu(sigma, pi) and mu(0-hat, sigma); the rank row _finer read as
+    partitions.  Refuses a degree above MAX_LATTICE_DEGREE."""
+    ranks, *columns = _finer(pi.n, _rank(pi))
+    return (tuple(map(_lattice(pi.n)[0].__getitem__, ranks)), *columns)

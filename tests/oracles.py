@@ -1,20 +1,34 @@
 """Reference oracles the suite checks the library against.
 
-All but the last are literal and exponential: the word expansion of an
+The first three are literal and exponential: the word expansion of an
 NCSym element, the elementary coefficient of the function as a
 Mobius-weighted sum over its power-sum terms, and the friendliness test of
-one vertex listing.  The last is the text of a set partition, rendered
-block by block.
+one vertex listing.  The rest are literal forms of what the library
+computes faster: the text of a set partition, rendered block by block; a
+basis change summed pair by pair into a dict keyed by partition, along the
+rows coarsenings and refinements; and the commutative image, term by term.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from math import factorial
+from typing import Callable, Iterable, Sequence
 
 from redeiberge.digraph import Digraph
 from redeiberge.invariant import _block_weights
-from redeiberge.ncsym import NCSymElement
-from redeiberge.setpart import SetPartition, _nonzero_partitions, mobius, mobius_from_bottom, refines
+from redeiberge.ncsym import CSymElement, NCSymElement, _sum
+from redeiberge.setpart import (
+    SetPartition,
+    _nonzero_partitions,
+    coarsenings,
+    factorial_weight,
+    lambda_of,
+    mobius,
+    mobius_from_bottom,
+    multiplicity_weight,
+    refinements,
+    refines,
+)
 
 Word = tuple[int, ...]
 
@@ -83,3 +97,44 @@ def render_set_partition(pi: SetPartition) -> str:
     if pi.n <= 9:
         return "/".join(["".join(map(str, b)) for b in pi.blocks])
     return "/".join(["{" + ",".join(map(str, b)) + "}" for b in pi.blocks])
+
+
+def convert_along_rows(element: NCSymElement, target: str) -> NCSymElement:
+    """element in the target basis, through P, by the four formulas of
+    redeiberge.ncsym: every (sigma, c * w) of the row of every term (pi, c)
+    is collected by ncsym._sum into one coefficient per partition."""
+    n = element.degree
+    if target == element.basis:
+        return element
+    if element.basis != "P":
+        # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
+        # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
+        row_of, column = (coarsenings, 1) if element.basis == "M" else (refinements, 2)
+        in_p = NCSymElement(n, "P", _sum(_along_rows(element.terms.items(), row_of, column)))
+        return convert_along_rows(in_p, target)
+    if target == "M":
+        # p_pi = sum_{sigma >= pi} m_sigma
+        return NCSymElement(n, "M", _sum((sigma, c) for pi, c in element.terms.items() for sigma in coarsenings(pi)[0]))
+    # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma, over (n-1)!
+    d = factorial(max(n - 1, 0))
+    numerators = ((pi, c * (d // mobius_from_bottom(pi))) for pi, c in element.terms.items())
+    terms = _sum(_along_rows(numerators, refinements, 1))
+    return NCSymElement(n, "E", {sigma: Fraction(c, d) for sigma, c in terms.items()})
+
+
+def _along_rows(terms: Iterable[tuple[SetPartition, object]], row_of: Callable, column: int) -> Iterable:
+    """(sigma, c * w) for every term (pi, c) and every entry sigma of the
+    lattice row row_of(pi), w its value in the row's tuple at column."""
+    for pi, c in terms:
+        row = row_of(pi)
+        for sigma, w in zip(row[0], row[column]):
+            yield sigma, c * w
+
+
+def commutative_image_by_terms(element: NCSymElement) -> CSymElement:
+    """The commutative image summed term by term: pi goes to lambda_of(pi),
+    with the factor multiplicity_weight(pi) in M, factorial_weight(pi) in E
+    and 1 in P."""
+    weight = {"M": multiplicity_weight, "P": lambda pi: 1, "E": factorial_weight}[element.basis]
+    terms = _sum((lambda_of(pi), c * weight(pi)) for pi, c in element.terms.items())
+    return CSymElement(element.degree, element.basis.lower(), terms)

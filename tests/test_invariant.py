@@ -367,6 +367,30 @@ def test_enumerator_yields_the_literal_terms_in_output_order(kind, n):
     assert terms == sorted(terms)
 
 
+KEY_DIGRAPHS = {
+    **ENUMERATOR_DIGRAPHS,
+    **SMALL_DIGRAPHS,
+    "complete": complete_digraph,
+    "discrete": discrete_digraph,
+    "path": path_digraph,
+    "cycle": lambda n: cycle_digraph(n) if n else discrete_digraph(0),
+}
+
+
+@pytest.mark.parametrize("kind", KEY_DIGRAPHS)
+@pytest.mark.parametrize("n", range(0, 9))
+def test_keys_built_without_validation_equal_the_validated_ones(kind, n):
+    # rb_by_permutations and rb_tournament build their keys from the masks
+    # they enumerate without checking them again; each must be the partition
+    # the validating SetPartition.from_masks makes of its own masks
+    dg = KEY_DIGRAPHS[kind](n)
+    routes = (rb_by_permutations, rb_tournament) if dg.is_tournament() else (rb_by_permutations,)
+    for route in routes:
+        for key in route(dg).terms:
+            twin = SetPartition.from_masks(n, [sum(1 << (x - 1) for x in block) for block in key.blocks])
+            assert type(key) is SetPartition and key == twin and hash(key) == hash(twin), (route, key)
+
+
 def test_enumerator_on_partial_grounds_and_arbitrary_weights():
     # block weights, and tables with zeros anywhere (singletons included), as
     # the deletion checks pass

@@ -6,6 +6,7 @@ import itertools
 import json
 import pickle
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -15,21 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redeiberge.digraph import Digraph, cycle_digraph, random_digraph, random_tournament
-from redeiberge.errors import DegreeMismatchError
+from redeiberge.errors import DegreeMismatchError, SizeLimitError
 from redeiberge.invariant import rb_by_permutations
 from redeiberge.ncsym import CSymElement, NCSymElement, multiply
 from redeiberge.setpart import (
+    MAX_LATTICE_DEGREE,
     IntPartition,
     SetPartition,
+    _lattice,
     enumerate_partitions,
     mobius,
     mobius_from_bottom,
     parse_set_partition,
     refinements,
     refines,
+    singletons,
 )
 
-from oracles import expand
+from oracles import commutative_image_by_terms, convert_along_rows, expand
 
 P = parse_set_partition
 
@@ -166,6 +170,68 @@ def test_conversion_matches_the_formulas(source, target, data):
     assert converted == NCSymElement(x.degree, target, _from_p_by_formula(_to_p_by_formula(x), target))
     # integral coefficients are ints; only non-integral ones are Fractions
     assert all(type(c) is int or c.denominator > 1 for c in converted.terms.values())
+
+
+def seeded_element(n, basis, rng, size):
+    """About size distinct random keys of degree n (each element a random block
+    label, so no enumeration of the degree), with int and Fraction
+    coefficients, some of them zero."""
+    keys = set()
+    for _ in range(size):
+        labels = [rng.randrange(n) for _ in range(n)]
+        keys.add(SetPartition([[x + 1 for x in range(n) if labels[x] == label] for label in set(labels)]))
+    coefficients = (rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return NCSymElement(n, basis, {k: rng.choice(coefficients) for k in keys})
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_conversions_equal_the_row_sum_oracle_with_keys_ascending(n):
+    rng = random.Random(n)
+    for source, target in itertools.permutations("MPE", 2):
+        for size in (1, 3, 12, 40):
+            x = seeded_element(n, source, rng, size)
+            converted = x.to_basis(target)
+            assert converted.terms == convert_along_rows(x, target).terms, (source, target, x)
+            keys = list(converted.terms)
+            assert keys == sorted(keys), (source, target, x)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_commutative_image_equals_the_per_term_formula(n):
+    rng = random.Random(100 + n)
+    for basis in "MPE":
+        for size in (1, 3, 12, 40):
+            x = seeded_element(n, basis, rng, size)
+            assert x.commutative_image() == commutative_image_by_terms(x), x
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_commutative_image_of_sparse_elements_builds_no_lattice_table(n):
+    rng = random.Random(200 + n)
+    tables = _lattice.cache_info().currsize
+    for basis in "MPE":
+        x = seeded_element(n, basis, rng, 60)
+        assert x.commutative_image() == commutative_image_by_terms(x), x
+    assert _lattice.cache_info().currsize == tables
+
+
+@pytest.mark.parametrize("n", range(MAX_LATTICE_DEGREE + 1, 13))
+def test_conversion_to_another_basis_refuses_a_degree_without_a_lattice_table(n):
+    tables = _lattice.cache_info().currsize
+    for pi in (singletons(n), SetPartition([range(1, n + 1)])):
+        for source, target in itertools.permutations("MPE", 2):
+            x = NCSymElement(n, source, {pi: 1})
+            start = time.perf_counter()
+            with pytest.raises(SizeLimitError, match=f"degree {n}"):
+                x.to_basis(target)
+            assert time.perf_counter() - start < 0.1, (source, target, pi)
+    assert _lattice.cache_info().currsize == tables
+
+
+def test_conversion_to_its_own_basis_is_the_element_at_n_12():
+    for basis in "MPE":
+        x = NCSymElement(12, basis, {singletons(12): 2, SetPartition([range(1, 13)]): -1})
+        assert x.to_basis(basis) is x
 
 
 @pytest.mark.parametrize(

@@ -17,10 +17,14 @@ from redeiberge.ncsym import NCSymElement, multiply
 from redeiberge.setpart import (
     LATTICE_CACHE_SIZE,
     MAX_GROUND_SET,
+    MAX_LATTICE_DEGREE,
     IntPartition,
     SetPartition,
     _block_texts,
+    _coarser,
+    _finer,
     _groupings,
+    _lattice,
     _mask_elements,
     apply_perm,
     coarsenings,
@@ -437,8 +441,12 @@ def test_subset_and_mobius_tables_match_their_recorded_digest():
 
 
 def test_lattice_caches_are_bounded_lru_caches():
-    for row_of in (coarsenings, refinements):
+    for row_of in (coarsenings, refinements, _coarser, _finer):
         assert row_of.cache_info().maxsize == LATTICE_CACHE_SIZE
+    # one lattice table per degree it serves, Bell(n) partitions each
+    assert _lattice.cache_info().maxsize == MAX_LATTICE_DEGREE + 1
+    with pytest.raises(SizeLimitError):
+        _lattice(MAX_LATTICE_DEGREE + 1)
     # one entry per number of units, up to the largest ground set
     assert _groupings.cache_info().maxsize == MAX_GROUND_SET + 1
 
