@@ -29,11 +29,10 @@ from typing import Sequence
 
 from .digraph import Digraph, hamiltonian_cycle_counts, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
-from .ncsym import CSymElement, NCSymElement
+from .ncsym import CSymElement, NCSymElement, _PowerSumTable
 from .setpart import (
     IntPartition,
     SetPartition,
-    _nonzero_partitions,
     _trusted_partition,
     enumerate_partitions,
     factorial_weight,
@@ -135,9 +134,7 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
     coefficient is a product of block weights (see _block_weights).
     """
     resolve_route("permutations", dg.n)
-    n = dg.n
-    terms = _nonzero_partitions(_block_weights(dg), (1 << n) - 1)
-    return NCSymElement(n, "P", {_trusted_partition(n, blocks): coeff for blocks, coeff in terms})
+    return _PowerSumTable(dg.n, _block_weights(dg))
 
 
 def rb_tournament(dg: Digraph) -> NCSymElement:

@@ -5,6 +5,14 @@ partitions, and CSymElement, its commutative image in Sym, keyed by integer
 partitions.  Their base, _Element, owns validation, immutability, equality
 and scalar arithmetic; each class adds what differs.
 
+An NCSymElement is of one of two kinds.  The plain kind holds its terms.
+_PowerSumTable, the permutation route's P expansion, holds the block-weight
+table w whose products over the blocks are its coefficients; its terms are
+built on first read.  lines(), to_json_dict(), == between two tables and the
+basis changes to M and E read the table and build no key; every other
+operation reads terms, and whatever it returns, a copy or a pickle
+included, is of the plain kind.
+
 NCSym elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
 fixed degree.  A coefficient is stored as an int whenever it is integral and
@@ -23,7 +31,8 @@ in the test suite):
 
 All other routes compose through P.  Each basis change adds its terms into
 one list indexed by rank, a partition's place in SetPartition order among
-those of its degree (setpart's lattice table), along the rank rows
+those of its degree (setpart's lattice table, whose rank dict is keyed by
+the block masks that _mask_terms yields per term), along the rank rows
 setpart._coarser and setpart._finer, which carry the Mobius values.  So no
 conversion evaluates mu or hashes a partition per pair, and the nonzero
 entries, read back in rank order, come out sorted.  A basis change refuses
@@ -36,23 +45,30 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import attrgetter, index
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, SizeLimitError
 from .setpart import (
+    _MU,
+    MAX_GROUND_SET,
     IntPartition,
     SetPartition,
     _coarser,
     _finer,
     _Frozen,
     _lattice,
-    _rank,
+    _low,
+    _mask_elements,
+    _mask_texts,
+    _nonzero_partitions,
     _require_permutation,
-    apply_perm,
-    coarsenings,  # coarsenings, mobius and refinements are not called here;
-    factorial_weight,  # perfbench's tracer wraps them under this module
+    _selections,
+    _trusted_partition,
+    apply_perm,  # apply_perm, coarsenings, insert_last, mobius, mobius_from_bottom
+    coarsenings,  # and refinements are not called here; perfbench's tracer
+    factorial_weight,  # wraps them under this module
     insert_last,
     lambda_of,
     mobius,
@@ -101,12 +117,19 @@ class _Element(_Frozen):
     subclass names its bases (_BASES), reads a key's size (_key_size), labels a
     key (_label), sets the order (_DESCENDING), the JSON key field with its
     render and parse (_JSON_KEY) and fixed fields (_JSON_TAGS), and multiplies
-    two of its elements (_product)."""
+    two of its elements (_product).  Results, copies and type checks use the
+    algebra's class (_ALGEBRA), so that a kind of element derived from it
+    mixes with the plain one."""
 
     _DESCENDING = False
     _JSON_TAGS: dict = {}
 
     __slots__ = ("degree", "basis", "terms")
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if _Element in cls.__bases__:  # an algebra; a subclass of it is a kind of its elements
+            cls._ALGEBRA = cls
 
     def __init__(self, degree: int, basis: str, terms: Mapping):
         if basis not in self._BASES:
@@ -127,7 +150,7 @@ class _Element(_Frozen):
         object.__setattr__(self, "terms", kept)
 
     def __reduce__(self):
-        return type(self), (self.degree, self.basis, self.terms)
+        return self._ALGEBRA, (self.degree, self.basis, self.terms)
 
     def _sorted_terms(self) -> list:  # keys are distinct: no coefficient is compared
         # the permutation route's P terms arrive in this order, so their sort is one pass
@@ -164,7 +187,7 @@ class _Element(_Frozen):
 
     def __eq__(self, other):
         return (
-            isinstance(other, type(self))
+            isinstance(other, self._ALGEBRA)
             and self.degree == other.degree
             and self.basis == other.basis
             and self.terms == other.terms
@@ -172,10 +195,10 @@ class _Element(_Frozen):
 
     def scale(self, c):
         c = _exact(c)
-        return type(self)(self.degree, self.basis, {k: c * v for k, v in self.terms.items()})
+        return self._ALGEBRA(self.degree, self.basis, {k: c * v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, self._ALGEBRA):
             return NotImplemented
         return self + other.scale(-1)
 
@@ -187,7 +210,7 @@ class _Element(_Frozen):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, type(self)):
+        if not isinstance(other, self._ALGEBRA):
             return NotImplemented
         return self._product(other)
 
@@ -238,34 +261,53 @@ class NCSymElement(_Element):
             # m_pi = sum_{sigma >= pi} mu(pi, sigma) p_sigma
             # e_pi = sum_{sigma <= pi} mu(0, sigma) p_sigma
             row_of, column = (_coarser, 1) if self.basis == "M" else (_finer, 2)
-            return NCSymElement(n, "P", _rank_sums(n, self.terms.items(), row_of, column)).to_basis(target)
+            return NCSymElement(n, "P", _rank_sums(n, self._mask_terms(), row_of, column)).to_basis(target)
         if target == "M":
             # p_pi = sum_{sigma >= pi} m_sigma
-            return NCSymElement(n, "M", _rank_sums(n, self.terms.items(), _coarser, None))
+            return NCSymElement(n, "M", _rank_sums(n, self._mask_terms(), _coarser, None))
         # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma, summed
         # as numerators over (n-1)!, which every |mu(0, pi)| = prod (|B|-1)!
-        # divides
+        # divides; a block B contributes mu(|B|) to mu(0, pi)
         d = factorial(max(n - 1, 0))
-        numerators = ((pi, c * (d // mobius_from_bottom(pi))) for pi, c in self.terms.items())
+        numerators = (
+            (masks, c * (d // prod([_MU[B.bit_count()] for B in masks]))) for masks, c in self._mask_terms()
+        )
         terms = _rank_sums(n, numerators, _finer, 1)
         return NCSymElement(n, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
 
+    def _mask_terms(self) -> Iterator[tuple[tuple[int, ...], object]]:
+        """(the block masks of pi, ordered by lowest bit, coefficient) per term
+        (pi, coefficient); degree at most MAX_LATTICE_DEGREE."""
+        block_mask = _lattice(self.degree)[2]
+        for pi, c in self.terms.items():
+            yield tuple([block_mask[b] for b in pi.blocks]), c
+
     def induct(self) -> "NCSymElement":
         """Double the last variable: degree rises by one, n+1 joins the block of n."""
-        if self.degree < 1:
+        n = self.degree
+        if n < 1:
             raise ValueError("induction undefined in degree 0: no last variable")
         x = self.to_basis("P") if self.basis == "E" else self
-        terms = {insert_last(pi): c for pi, c in x.terms.items()}
-        return NCSymElement(self.degree + 1, x.basis, terms)
+        if x.terms and n >= MAX_GROUND_SET:
+            raise SizeLimitError(f"element {n + 1} outside 1..{MAX_GROUND_SET}")
+        # the block of n gains bit n; no block's lowest element moves
+        image = {b: B | (B >> (n - 1) & 1) << n for B, b in enumerate(_mask_elements(n))}
+        terms = {_trusted_partition(n + 1, [image[b] for b in pi.blocks]): c for pi, c in x.terms.items()}
+        return NCSymElement(n + 1, x.basis, terms)
 
     def act(self, delta: Sequence[int]) -> "NCSymElement":
         """Permute variable positions: basis key pi goes to delta(pi)."""
-        if len(delta) != self.degree:
-            raise DegreeMismatchError(f"permutation of [{len(delta)}] acting in degree {self.degree}")
-        _require_permutation(delta, self.degree)
+        n = self.degree
+        if len(delta) != n:
+            raise DegreeMismatchError(f"permutation of [{len(delta)}] acting in degree {n}")
+        _require_permutation(delta, n)
         x = self.to_basis("P") if self.basis == "E" else self
-        terms = {apply_perm(delta, pi): c for pi, c in x.terms.items()}
-        return NCSymElement(self.degree, x.basis, terms)
+        # every block's image mask, read off the subset table of the images of 1..n
+        image = dict(zip(_mask_elements(n), map(sum, _selections([1 << (v - 1) for v in delta]))))
+        terms = {
+            _trusted_partition(n, sorted([image[b] for b in pi.blocks], key=_low)): c for pi, c in x.terms.items()
+        }
+        return NCSymElement(n, x.basis, terms)
 
     def commutative_image(self) -> "CSymElement":
         """Let the variables commute.
@@ -284,16 +326,62 @@ class NCSymElement(_Element):
         return CSymElement(self.degree, self.basis.lower(), terms)
 
 
-def _rank_sums(n: int, terms: Iterable[tuple[SetPartition, object]], row_of: Callable, column: int | None) -> dict:
-    """The sum over the terms (pi, c) of c * w(pi, sigma) sigma, over every
-    sigma of the rank row row_of(n, rank of pi), w the row's value at column
-    (1 for None).  The sums add into one list indexed by rank, and its nonzero
-    entries come back keyed by partition, in SetPartition order.  Refuses a
-    degree above MAX_LATTICE_DEGREE before any work."""
-    partitions = _lattice(n)[0]
+class _PowerSumTable(NCSymElement):
+    """The P expansion whose coefficient at pi is the product of w(B) over the
+    blocks B of pi, held as the table w of every vertex bitmask (w = 1 on
+    singletons): the permutation route's element.
+
+    terms is built on first read, one key per nonzero product.  lines(),
+    to_json_dict(), == against another table and the basis changes (through
+    _mask_terms) read the table and build no key; every other operation reads
+    terms.  A copy or a pickle is a plain NCSymElement.
+    """
+
+    __slots__ = ("_weights",)
+
+    def __init__(self, degree: int, weights: Sequence[int]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "basis", "P")
+        object.__setattr__(self, "_weights", tuple(weights))
+
+    def __getattr__(self, name):
+        # reached only while a slot is empty, so the first read of terms fills it
+        if name != "terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        terms = {_trusted_partition(self.degree, masks): c for masks, c in self._mask_terms()}
+        object.__setattr__(self, "terms", terms)
+        return terms
+
+    def _mask_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        return _nonzero_partitions(self._weights, (1 << self.degree) - 1)
+
+    def __eq__(self, other):
+        if isinstance(other, _PowerSumTable):
+            # the coefficient at {B} with singletons is w(B), so the tables
+            # agree exactly when the elements do (w[0] is no block's weight)
+            return self.degree == other.degree and self._weights[1:] == other._weights[1:]
+        return super().__eq__(other)
+
+    def lines(self) -> list[str]:
+        texts = _mask_texts(self.degree)
+        return [f"p[{'/'.join([texts[B] for B in masks])}]  {c}" for masks, c in self._mask_terms()]
+
+    def to_json_dict(self) -> dict:
+        texts = _mask_texts(self.degree)
+        terms = [{"blocks": "/".join([texts[B] for B in masks]), "coeff": str(c)} for masks, c in self._mask_terms()]
+        return {"degree": self.degree, "basis": "P", "terms": terms}
+
+
+def _rank_sums(n: int, terms: Iterable[tuple[tuple[int, ...], object]], row_of: Callable, column: int | None) -> dict:
+    """The sum over the terms (the block masks of pi, c) of c * w(pi, sigma)
+    sigma, over every sigma of the rank row row_of(n, rank of pi), w the row's
+    value at column (1 for None).  The sums add into one list indexed by rank,
+    and its nonzero entries come back keyed by partition, in SetPartition
+    order.  Refuses a degree above MAX_LATTICE_DEGREE before any work."""
+    partitions, rank, _ = _lattice(n)
     totals = [0] * len(partitions)
-    for pi, c in terms:
-        row = row_of(n, _rank(pi))
+    for masks, c in terms:
+        row = row_of(n, rank[masks])
         for s, w in zip(row[0], row[column] if column else itertools.repeat(1)):
             totals[s] += c * w
     return {partitions[s]: c for s, c in enumerate(totals) if c}

@@ -8,7 +8,8 @@ partition.  All weights use Python's arbitrary-precision integers.
 One generator, _nonzero_partitions, lists the partitions of a bitmask into
 nonzero-weight blocks in SetPartition order; enumerate_partitions, the
 power-sum terms and the lattice tables come from it, and _trusted_partition
-turns its block masks into keys without validating them again.
+turns its block masks into keys without validating them again.  A block's
+text is read by its elements (_block_texts) or by its mask (_mask_texts).
 The lattice table of a degree n <= MAX_LATTICE_DEGREE (_lattice) lists every
 partition of {1..n} once, in SetPartition order, so that a partition's rank is
 its position there; these are the one shared instance of each lattice-row
@@ -134,7 +135,7 @@ def _low(mask: int) -> int:
 def _trusted_partition(n: int, masks: Sequence[int]) -> SetPartition:
     """SetPartition.from_masks(n, masks) without its checks, for masks that are
     disjoint, cover {1..n} and are ordered by lowest bit by construction, as
-    _nonzero_partitions yields them."""
+    _nonzero_partitions yields them or a permutation's image sorted by _low."""
     elements = _mask_elements(n)
     return tuple.__new__(SetPartition, (n, tuple([elements[mask] for mask in masks])))
 
@@ -161,6 +162,12 @@ def _block_texts(n: int) -> dict[tuple[int, ...], str]:
     if n <= 9:
         return {b: "".join(map(str, b)) for b in _mask_elements(n)}
     return {b: "{" + ",".join(map(str, b)) + "}" for b in _mask_elements(n)}
+
+
+@lru_cache(maxsize=MAX_GROUND_SET + 1)
+def _mask_texts(n: int) -> tuple[str, ...]:
+    """For every bitmask over n elements, its block's text in _block_texts(n)."""
+    return tuple(_block_texts(n).values())
 
 
 class IntPartition(tuple):

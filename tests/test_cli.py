@@ -254,6 +254,29 @@ def test_bench_json(capsys):
     assert set(names) == {"permutations", "deletion-contraction"}
 
 
+def test_bench_times_each_route_until_its_terms_are_counted(capsys, monkeypatch):
+    events = []
+
+    class Lazy:
+        basis = "P"
+
+        @property
+        def terms(self):
+            events.append("terms")
+            return {}
+
+    def clock():
+        events.append("clock")
+        return 0.0
+
+    for name in invariant.ROUTES:
+        monkeypatch.setitem(invariant.ROUTES, name, (lambda dg: Lazy(), invariant.ROUTES[name][1]))
+    monkeypatch.setattr(cli.time, "perf_counter", clock)
+    code, _, _ = run(capsys, "bench", "cycle:3")
+    assert code == 0
+    assert events == ["clock", "terms", "clock"] * len(invariant.ROUTES)
+
+
 def test_bench_refuses_size_no_route_accepts(capsys):
     code, out, err = run(capsys, "bench", "random:9:0.3:1")
     assert code == cli.EXIT_USAGE

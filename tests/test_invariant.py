@@ -34,6 +34,7 @@ from redeiberge.ncsym import CSymElement, NCSymElement, multiply
 from redeiberge.setpart import (
     IntPartition,
     SetPartition,
+    _nonzero_partitions,
     enumerate_partitions,
     factorial_weight,
     parse_set_partition,
@@ -362,7 +363,7 @@ ENUMERATOR_DIGRAPHS = {
 def test_enumerator_yields_the_literal_terms_in_output_order(kind, n):
     dg = ENUMERATOR_DIGRAPHS[kind](n)
     weights = invariant._block_weights(dg)
-    assert list(invariant._nonzero_partitions(weights, (1 << n) - 1)) == literal_nonzero_partitions(weights, range(n))
+    assert list(_nonzero_partitions(weights, (1 << n) - 1)) == literal_nonzero_partitions(weights, range(n))
     terms = list(rb_by_permutations(dg).terms)
     assert terms == sorted(terms)
 
@@ -403,13 +404,13 @@ def test_enumerator_on_partial_grounds_and_arbitrary_weights():
             weights = [rng.choice((0, 0, 1, -2, 3)) for _ in range(1 << n)]
         ground = rng.randrange(1 << n)
         vertices = [v for v in range(n) if ground >> v & 1]
-        assert list(invariant._nonzero_partitions(weights, ground)) == literal_nonzero_partitions(weights, vertices)
+        assert list(_nonzero_partitions(weights, ground)) == literal_nonzero_partitions(weights, vertices)
 
 
 def test_enumerator_order_at_n_12():
     # tournament:12:2, past the route's capacity, straight from the mask core
     weights = invariant._block_weights(random_tournament(12, 2))
-    keys = [SetPartition.from_masks(12, blocks) for blocks, _ in invariant._nonzero_partitions(weights, (1 << 12) - 1)]
+    keys = [SetPartition.from_masks(12, blocks) for blocks, _ in _nonzero_partitions(weights, (1 << 12) - 1)]
     assert len(keys) == 5677
     assert keys == sorted(keys)
 
@@ -462,7 +463,7 @@ def test_monomial_coefficient_examples():
     dg = random_digraph(12, 0.3, 7)
     one_block = monomial_coefficient(dg, SetPartition([range(1, 13)]))
     weights = invariant._block_weights(dg)
-    assert one_block == sum(c for _, c in invariant._nonzero_partitions(weights, (1 << 12) - 1)) == 1932328
+    assert one_block == sum(c for _, c in _nonzero_partitions(weights, (1 << 12) - 1)) == 1932328
 
 
 def test_elementary_coefficient_on_discrete_two():

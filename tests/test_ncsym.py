@@ -24,7 +24,9 @@ from redeiberge.setpart import (
     IntPartition,
     SetPartition,
     _lattice,
+    apply_perm,
     enumerate_partitions,
+    insert_last,
     mobius,
     mobius_from_bottom,
     parse_set_partition,
@@ -421,6 +423,25 @@ def test_act_permutes_word_positions():
             image = tuple(word[delta.index(j + 1)] for j in range(n))
             moved[image] = c
         assert acted == moved
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_act_and_induct_keys_are_those_of_apply_perm_and_insert_last(n):
+    rng = random.Random(300 + n)
+    keys = enumerate_partitions(n)
+    x = NCSymElement(n, "M", {pi: c for c, pi in enumerate(keys, start=1)})
+    for _ in range(5):
+        delta = list(range(1, n + 1))
+        rng.shuffle(delta)
+        acted = x.act(delta)
+        assert list(acted.terms.items()) == [(apply_perm(delta, pi), c) for pi, c in x.terms.items()]
+    if n:
+        assert list(x.induct().terms.items()) == [(insert_last(pi), c) for pi, c in x.terms.items()]
+
+
+def test_induct_refuses_a_thirteenth_element():
+    with pytest.raises(SizeLimitError, match="element 13 outside 1..12"):
+        NCSymElement(12, "P", {singletons(12): 1}).induct()
 
 
 # -- commutative image -----------------------------------------------------------------------
