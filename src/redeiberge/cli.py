@@ -96,7 +96,8 @@ def load_instance(source: str, default_seed: int = 0) -> tuple[Digraph, str]:
         raise UsageError(f"cannot read {source!r}: {exc}") from None
     try:
         dg = parse_digraph(text)
-        _checked_size(str(dg.n))
+        if dg.n > MAX_GROUND_SET:
+            raise ValueError(f"size {dg.n} exceeds {MAX_GROUND_SET}")
         return dg, source
     except ValueError as exc:
         raise UsageError(f"{source}: {exc}") from None

@@ -271,7 +271,7 @@ def monomial_coefficient(dg: Digraph, pi: SetPartition) -> int:
     if pi.n != dg.n:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
     paths = hamiltonian_path_counts(_complement_masks(dg.successor_masks()))
-    return math.prod(paths[sum(1 << (v - 1) for v in block)] for block in pi.blocks)
+    return math.prod(paths[B] for B in pi.masks)
 
 
 # -- dispatcher -----------------------------------------------------------------

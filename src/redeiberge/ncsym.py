@@ -29,16 +29,16 @@ in the test suite):
     p_pi = (1 / mu(0, pi)) * sum of mu(sigma, pi) e_sigma over sigma <= pi
     e_pi = sum of mu(0, sigma) p_sigma over sigma <= pi
 
-All other routes compose through P.  Each basis change adds its terms into
-one list indexed by rank, a partition's place in SetPartition order among
-those of its degree (setpart's lattice table, whose rank dict is keyed by
-the block masks that _mask_terms yields per term), along the rank rows
-setpart._coarser and setpart._finer, which carry the Mobius values.  So no
-conversion evaluates mu or hashes a partition per pair, and the nonzero
-entries, read back in rank order, come out sorted.  A basis change refuses
-a degree above setpart.MAX_LATTICE_DEGREE.  The commutative image sums by
-block sizes.  Sums and products collect their (key, coefficient) pairs
-through one helper, _sum.
+All other routes compose through P.  A key is the tuple (n, blocks, masks),
+and every basis change, act, induct and multiply reads its block masks.  Each
+basis change adds its terms into one list indexed by rank, a partition's place
+in SetPartition order among those of its degree (setpart's lattice table,
+whose rank dict is keyed by pi.masks, as _mask_terms yields them), along the
+rank rows setpart._coarser and setpart._finer, which carry the Mobius values.
+So no conversion evaluates mu or hashes a partition per pair, and the nonzero
+entries, read back in rank order, come out sorted.  A basis change refuses a
+degree above setpart.MAX_LATTICE_DEGREE.  The commutative image sums by block
+sizes; sums and products collect their (key, coefficient) pairs through _sum.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .setpart import (
     _Frozen,
     _lattice,
     _low,
-    _mask_elements,
     _mask_texts,
     _nonzero_partitions,
     _require_permutation,
@@ -276,11 +275,8 @@ class NCSymElement(_Element):
         return NCSymElement(n, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
 
     def _mask_terms(self) -> Iterator[tuple[tuple[int, ...], object]]:
-        """(the block masks of pi, ordered by lowest bit, coefficient) per term
-        (pi, coefficient); degree at most MAX_LATTICE_DEGREE."""
-        block_mask = _lattice(self.degree)[2]
-        for pi, c in self.terms.items():
-            yield tuple([block_mask[b] for b in pi.blocks]), c
+        """(pi.masks, coefficient) per term (pi, coefficient)."""
+        return ((pi.masks, c) for pi, c in self.terms.items())
 
     def induct(self) -> "NCSymElement":
         """Double the last variable: degree rises by one, n+1 joins the block of n."""
@@ -291,8 +287,9 @@ class NCSymElement(_Element):
         if x.terms and n >= MAX_GROUND_SET:
             raise SizeLimitError(f"element {n + 1} outside 1..{MAX_GROUND_SET}")
         # the block of n gains bit n; no block's lowest element moves
-        image = {b: B | (B >> (n - 1) & 1) << n for B, b in enumerate(_mask_elements(n))}
-        terms = {_trusted_partition(n + 1, [image[b] for b in pi.blocks]): c for pi, c in x.terms.items()}
+        terms = {
+            _trusted_partition(n + 1, [B | (B >> (n - 1) & 1) << n for B in pi.masks]): c for pi, c in x.terms.items()
+        }
         return NCSymElement(n + 1, x.basis, terms)
 
     def act(self, delta: Sequence[int]) -> "NCSymElement":
@@ -303,10 +300,8 @@ class NCSymElement(_Element):
         _require_permutation(delta, n)
         x = self.to_basis("P") if self.basis == "E" else self
         # every block's image mask, read off the subset table of the images of 1..n
-        image = dict(zip(_mask_elements(n), map(sum, _selections([1 << (v - 1) for v in delta]))))
-        terms = {
-            _trusted_partition(n, sorted([image[b] for b in pi.blocks], key=_low)): c for pi, c in x.terms.items()
-        }
+        image = list(map(sum, _selections([1 << (v - 1) for v in delta])))
+        terms = {_trusted_partition(n, sorted([image[B] for B in pi.masks], key=_low)): c for pi, c in x.terms.items()}
         return NCSymElement(n, x.basis, terms)
 
     def commutative_image(self) -> "CSymElement":
@@ -378,7 +373,7 @@ def _rank_sums(n: int, terms: Iterable[tuple[tuple[int, ...], object]], row_of: 
     value at column (1 for None).  The sums add into one list indexed by rank,
     and its nonzero entries come back keyed by partition, in SetPartition
     order.  Refuses a degree above MAX_LATTICE_DEGREE before any work."""
-    partitions, rank, _ = _lattice(n)
+    partitions, rank = _lattice(n)
     totals = [0] * len(partitions)
     for masks, c in terms:
         row = row_of(n, rank[masks])
@@ -392,17 +387,15 @@ def multiply(x: NCSymElement, y: NCSymElement) -> NCSymElement:
 
     p_pi * p_rho = p over the union of pi with rho shifted past deg(x); the
     rule is validated against the word-expansion oracle in the test suite.
+    Refuses a degree above MAX_GROUND_SET before any work.
     """
-    xp = x.to_basis("P")
-    yp = y.to_basis("P")
-    offset = x.degree
-    shifted = [
-        (tuple(tuple(v + offset for v in block) for block in rho.blocks), b) for rho, b in yp.terms.items()
-    ]
-    terms = _sum(
-        (SetPartition(pi.blocks + blocks), a * b) for pi, a in xp.terms.items() for blocks, b in shifted
-    )
-    return NCSymElement(x.degree + y.degree, "P", terms)
+    n, offset = x.degree + y.degree, x.degree
+    if n > MAX_GROUND_SET:
+        raise SizeLimitError(f"ground set size {n} exceeds {MAX_GROUND_SET}")
+    xp, yp = x.to_basis("P"), y.to_basis("P")
+    shifted = [(tuple([B << offset for B in rho.masks]), b) for rho, b in yp.terms.items()]
+    terms = _sum((_trusted_partition(n, pi.masks + masks), a * b) for pi, a in xp.terms.items() for masks, b in shifted)
+    return NCSymElement(n, "P", terms)
 
 
 class CSymElement(_Element):

@@ -1,22 +1,23 @@
 """The lattice of set partitions of {1..n} under refinement.
 
 Partitions are kept in canonical form (elements ascending inside each block,
-blocks ordered by their minimum).  A SetPartition is the tuple (n, blocks) and
-an IntPartition the tuple of its parts, so equality, hashing, order and
+blocks ordered by their minimum).  A SetPartition is the tuple (n, blocks,
+masks), masks being the blocks as bitmasks (bit v-1 for element v), and an
+IntPartition the tuple of its parts, so equality, hashing, order and
 immutability are tuple's, and the canonical form makes them agree with the
 partition.  All weights use Python's arbitrary-precision integers.
 One generator, _nonzero_partitions, lists the partitions of a bitmask into
 nonzero-weight blocks in SetPartition order; enumerate_partitions, the
 power-sum terms and the lattice tables come from it, and _trusted_partition
 turns its block masks into keys without validating them again.  A block's
-text is read by its elements (_block_texts) or by its mask (_mask_texts).
+text is read by its mask (_mask_texts).
 The lattice table of a degree n <= MAX_LATTICE_DEGREE (_lattice) lists every
 partition of {1..n} once, in SetPartition order, so that a partition's rank is
-its position there; these are the one shared instance of each lattice-row
-entry.  The lattice rows hold ranks (_coarser, _finer), parallel to their
-Mobius values; coarsenings and refinements read them as partitions.
-_selections is the one subset table, and every Mobius value reads the one
-table _MU.
+its position there, looked up by pi.masks; these are the one shared instance
+of each lattice-row entry.  The lattice rows hold ranks (_coarser, _finer),
+parallel to their Mobius values; coarsenings and refinements read them as
+partitions.  _selections is the one subset table, and every Mobius value
+reads the one table _MU.
 """
 
 from __future__ import annotations
@@ -63,13 +64,15 @@ class _Frozen:
 class SetPartition(tuple):
     """A partition of {1..n} into disjoint nonempty blocks.
 
-    The instance is the tuple (n, blocks), so equality, hashing and order are
-    tuple's; len() is the number of blocks."""
+    The instance is the tuple (n, blocks, masks), masks being the blocks as
+    bitmasks (bit v-1 for element v); they follow from the blocks, so
+    equality, hashing and order are tuple's; len() is the number of blocks."""
 
     __slots__ = ()
 
     n = property(itemgetter(0))
     blocks = property(itemgetter(1))
+    masks = property(itemgetter(2))
 
     def __new__(cls, blocks: Iterable[Iterable[int]]):
         masks = []
@@ -112,7 +115,7 @@ class SetPartition(tuple):
         return _trusted_partition(n, masks)
 
     def __getnewargs__(self):
-        # tuple's own would pass (n, blocks) as the blocks; copy and pickle
+        # tuple's own would pass (n, blocks, masks) as the blocks; copy and pickle
         # rebuild through the validating constructor
         return (self.blocks,)
 
@@ -120,8 +123,8 @@ class SetPartition(tuple):
         return f"SetPartition({self})"
 
     def __str__(self):
-        texts = _block_texts(self.n)
-        return "/".join([texts[b] for b in self.blocks])
+        texts = _mask_texts(self.n)
+        return "/".join([texts[B] for B in self.masks])
 
     def __len__(self):
         return len(self.blocks)
@@ -137,7 +140,7 @@ def _trusted_partition(n: int, masks: Sequence[int]) -> SetPartition:
     disjoint, cover {1..n} and are ordered by lowest bit by construction, as
     _nonzero_partitions yields them or a permutation's image sorted by _low."""
     elements = _mask_elements(n)
-    return tuple.__new__(SetPartition, (n, tuple([elements[mask] for mask in masks])))
+    return tuple.__new__(SetPartition, (n, tuple([elements[mask] for mask in masks]), tuple(masks)))
 
 
 def _selections(items: Sequence) -> list[tuple]:
@@ -156,18 +159,12 @@ def _mask_elements(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=MAX_GROUND_SET + 1)
-def _block_texts(n: int) -> dict[tuple[int, ...], str]:
-    """For every block of _mask_elements(n), its text in str(SetPartition):
+def _mask_texts(n: int) -> tuple[str, ...]:
+    """For every bitmask over n elements, its block's text in str(SetPartition):
     digits run together for n <= 9, "{a,b,...}" beyond."""
     if n <= 9:
-        return {b: "".join(map(str, b)) for b in _mask_elements(n)}
-    return {b: "{" + ",".join(map(str, b)) + "}" for b in _mask_elements(n)}
-
-
-@lru_cache(maxsize=MAX_GROUND_SET + 1)
-def _mask_texts(n: int) -> tuple[str, ...]:
-    """For every bitmask over n elements, its block's text in _block_texts(n)."""
-    return tuple(_block_texts(n).values())
+        return tuple(["".join(map(str, b)) for b in _mask_elements(n)])
+    return tuple(["{" + ",".join(map(str, b)) + "}" for b in _mask_elements(n)])
 
 
 class IntPartition(tuple):
@@ -368,26 +365,14 @@ def _groupings(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 @lru_cache(maxsize=MAX_LATTICE_DEGREE + 1)
-def _lattice(n: int) -> tuple[tuple[SetPartition, ...], dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """The lattice table of degree n: (partitions, rank, block_mask).
-
-    partitions lists every set partition of {1..n} in SetPartition order, so
-    a partition's rank is its index there; rank maps the block masks of each
-    (ordered by lowest bit) to its rank, and block_mask maps each block of
-    _mask_elements(n) to its bitmask.  Refuses n > MAX_LATTICE_DEGREE.
-    """
+def _lattice(n: int) -> tuple[tuple[SetPartition, ...], dict[tuple[int, ...], int]]:
+    """The lattice table of degree n: (partitions, rank), partitions every set
+    partition of {1..n} in SetPartition order and rank the index of each there
+    (its rank), keyed by its masks.  Refuses n > MAX_LATTICE_DEGREE."""
     if not 0 <= n <= MAX_LATTICE_DEGREE:
         raise SizeLimitError(f"degree {n} has no lattice table (limit {MAX_LATTICE_DEGREE}): Bell({n}) partitions")
-    full = (1 << n) - 1
-    rank = {masks: r for r, (masks, _) in enumerate(_nonzero_partitions([1] * (full + 1), full))}
-    partitions = tuple([_trusted_partition(n, masks) for masks in rank])
-    return partitions, rank, {block: mask for mask, block in enumerate(_mask_elements(n))}
-
-
-def _rank(pi: SetPartition) -> int:
-    """The index of pi in the lattice table of its degree."""
-    _, rank, block_mask = _lattice(pi.n)
-    return rank[tuple([block_mask[b] for b in pi.blocks])]
+    partitions = tuple(enumerate_partitions(n))
+    return partitions, {pi.masks: r for r, pi in enumerate(partitions)}
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
@@ -395,9 +380,9 @@ def _coarser(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The rank row (ranks, mobius) of the partition pi of rank r: the rank of
     every sigma >= pi, ascending, made by merging blocks, and mu(pi, sigma),
     to which a group of k merged blocks contributes mu(k)."""
-    partitions, rank, block_mask = _lattice(n)
+    partitions, rank = _lattice(n)
     pi = partitions[r]
-    union = list(map(sum, _selections([block_mask[b] for b in pi.blocks])))
+    union = list(map(sum, _selections(pi.masks)))
     row = [(rank[tuple([union[g] for g in groups])], joined) for groups, joined in _groupings(len(pi))]
     return tuple(zip(*sorted(row)))
 
@@ -409,7 +394,7 @@ def _finer(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     mu(sigma, pi) and mu(0-hat, sigma) in the parallel tuples: a block of pi
     split into k parts contributes mu(k) to the first, a part of s elements
     mu(s) to the second."""
-    partitions, rank, block_mask = _lattice(n)
+    partitions, rank = _lattice(n)
     splits = [((), 1, 1)]  # (part masks, mu(sigma, pi), mu(0-hat, sigma)) over the blocks so far
     for block in partitions[r].blocks:
         union = list(map(sum, _selections([1 << (x - 1) for x in block])))
@@ -424,8 +409,9 @@ def coarsenings(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, 
     """The row (sigmas, mobius): every sigma >= pi, sorted, and mu(pi, sigma);
     the rank row _coarser read as partitions.  Refuses a degree above
     MAX_LATTICE_DEGREE."""
-    ranks, mobius_values = _coarser(pi.n, _rank(pi))
-    return tuple(map(_lattice(pi.n)[0].__getitem__, ranks)), mobius_values
+    partitions, rank = _lattice(pi.n)
+    ranks, mobius_values = _coarser(pi.n, rank[pi.masks])
+    return tuple(map(partitions.__getitem__, ranks)), mobius_values
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
@@ -433,5 +419,6 @@ def refinements(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, 
     """The row (sigmas, mobius, bottom): every sigma <= pi, sorted, with
     mu(sigma, pi) and mu(0-hat, sigma); the rank row _finer read as
     partitions.  Refuses a degree above MAX_LATTICE_DEGREE."""
-    ranks, *columns = _finer(pi.n, _rank(pi))
-    return (tuple(map(_lattice(pi.n)[0].__getitem__, ranks)), *columns)
+    partitions, rank = _lattice(pi.n)
+    ranks, *columns = _finer(pi.n, rank[pi.masks])
+    return (tuple(map(partitions.__getitem__, ranks)), *columns)

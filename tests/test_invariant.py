@@ -382,14 +382,21 @@ KEY_DIGRAPHS = {
 @pytest.mark.parametrize("n", range(0, 9))
 def test_keys_built_without_validation_equal_the_validated_ones(kind, n):
     # rb_by_permutations and rb_tournament build their keys from the masks
-    # they enumerate without checking them again; each must be the partition
-    # the validating SetPartition.from_masks makes of its own masks
+    # they enumerate without checking them again, and act, induct and
+    # multiply from the masks of theirs; each must be the partition the
+    # validating SetPartition.from_masks makes of its own masks, and carry
+    # those masks
     dg = KEY_DIGRAPHS[kind](n)
     routes = (rb_by_permutations, rb_tournament) if dg.is_tournament() else (rb_by_permutations,)
     for route in routes:
-        for key in route(dg).terms:
-            twin = SetPartition.from_masks(n, [sum(1 << (x - 1) for x in block) for block in key.blocks])
-            assert type(key) is SetPartition and key == twin and hash(key) == hash(twin), (route, key)
+        x = route(dg)
+        derived = [x.act(tuple(range(n, 0, -1))), multiply(x, rb_by_permutations(path_digraph(2)))]
+        for y in [x, *derived, *([x.induct()] if n else [])]:
+            for key in y.terms:
+                masks = tuple(sum(1 << (v - 1) for v in block) for block in key.blocks)
+                twin = SetPartition.from_masks(key.n, masks)
+                assert type(key) is SetPartition and key == twin and hash(key) == hash(twin), (route, key)
+                assert key.masks == masks, (route, key)
 
 
 def test_enumerator_on_partial_grounds_and_arbitrary_weights():

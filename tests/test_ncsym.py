@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redeiberge import ncsym, setpart
 from redeiberge.digraph import Digraph, cycle_digraph, random_digraph, random_tournament
 from redeiberge.errors import DegreeMismatchError, SizeLimitError
 from redeiberge.invariant import rb_by_permutations
@@ -442,6 +443,27 @@ def test_act_and_induct_keys_are_those_of_apply_perm_and_insert_last(n):
 def test_induct_refuses_a_thirteenth_element():
     with pytest.raises(SizeLimitError, match="element 13 outside 1..12"):
         NCSymElement(12, "P", {singletons(12): 1}).induct()
+
+
+def test_multiply_refuses_degree_13_before_building_any_key(monkeypatch):
+    # two M elements with every key of degrees 7 and 6: converting either to P
+    # through an uncached lattice table would build keys, and so would joining
+    # any pair of their P terms
+    x = NCSymElement(7, "M", dict.fromkeys(enumerate_partitions(7), 1))
+    y = NCSymElement(6, "M", dict.fromkeys(enumerate_partitions(6), 1))
+    built = []
+
+    def counting(n, masks):
+        built.append(masks)
+        return trusted(n, masks)
+
+    trusted = setpart._trusted_partition
+    monkeypatch.setattr(ncsym, "_lattice", setpart._lattice.__wrapped__)
+    for module in (setpart, ncsym):
+        monkeypatch.setattr(module, "_trusted_partition", counting)
+    with pytest.raises(SizeLimitError, match="ground set size 13 exceeds 12"):
+        multiply(x, y)
+    assert built == []
 
 
 # -- commutative image -----------------------------------------------------------------------

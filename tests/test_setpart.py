@@ -20,12 +20,12 @@ from redeiberge.setpart import (
     MAX_LATTICE_DEGREE,
     IntPartition,
     SetPartition,
-    _block_texts,
     _coarser,
     _finer,
     _groupings,
     _lattice,
     _mask_elements,
+    _mask_texts,
     apply_perm,
     coarsenings,
     enumerate_partitions,
@@ -209,7 +209,7 @@ def test_json_round_trip_past_the_digit_run_form(n):
 
 
 def test_block_text_cache_is_bounded():
-    assert _block_texts.cache_info().maxsize == MAX_GROUND_SET + 1
+    assert _mask_texts.cache_info().maxsize == MAX_GROUND_SET + 1
 
 
 @pytest.mark.parametrize(
@@ -272,7 +272,7 @@ def test_partitions_have_the_value_semantics_of_their_tuples():
     shapes = sorted({lambda_of(pi) for pi in shuffled})  # every integer partition of n <= 5
     assert [lam.parts for lam in shapes] == sorted(lam.parts for lam in shapes)
     for pi in everything:
-        assert hash(pi) == hash((pi.n, pi.blocks))
+        assert hash(pi) == hash((pi.n, pi.blocks, pi.masks))
         assert len(pi) == len(pi.blocks)
     for lam in shapes:
         assert type(lam.parts) is tuple and tuple(lam) == lam.parts
@@ -384,9 +384,20 @@ def test_every_construction_of_a_partition_is_equal_with_equal_hash(n):
     everything_down = refinements(min(enumerate_partitions(n), key=len))[0]  # the fewest blocks: the top
     assert all(a is b for a, b in zip(everything_up, everything_down))
     for pi, from_row in zip(enumerate_partitions(n), everything_up):
-        for other in (from_row, SetPartition.from_masks(n, _masks(pi)), parse_set_partition(str(pi))):
+        built = (
+            from_row,
+            SetPartition([reversed(b) for b in reversed(pi.blocks)]),
+            SetPartition.from_masks(n, _masks(pi)),
+            parse_set_partition(str(pi)),
+            copy.copy(pi),
+            copy.deepcopy(pi),
+            pickle.loads(pickle.dumps(pi)),
+        )
+        for other in (pi, *built):
             assert other == pi and hash(other) == hash(pi), (pi, other)
             assert {other: 1} == {pi: 1}
+            # the masks field is the blocks as bitmasks, whatever built the key
+            assert type(other) is SetPartition and other.masks == tuple(_masks(other)), (pi, other)
 
 
 @pytest.mark.parametrize("row_of", [coarsenings, refinements])
