@@ -8,10 +8,10 @@ and scalar arithmetic; each class adds what differs.
 An NCSymElement is of one of two kinds.  The plain kind holds its terms.
 _PowerSumTable, the permutation route's P expansion, holds the block-weight
 table w whose products over the blocks are its coefficients; its terms are
-built on first read.  lines(), to_json_dict(), == between two tables and the
-basis changes to M and E read the table and build no key; every other
-operation reads terms, and whatever it returns, a copy or a pickle
-included, is of the plain kind.
+built on first read.  Both kinds print and change basis from the block masks
+that _mask_terms yields in output order, so a table's outputs, basis changes
+and == against another table build no key; every other operation reads
+terms, and whatever it returns, a copy or a pickle included, is plain.
 
 NCSym elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
@@ -54,7 +54,6 @@ from .setpart import (
     _MU,
     MAX_GROUND_SET,
     IntPartition,
-    SetPartition,
     _coarser,
     _finer,
     _Frozen,
@@ -113,15 +112,14 @@ class _Element(_Frozen):
     """What both algebras share: a homogeneous element of one degree, stored
     as a mapping basis-key -> coefficient with exact (see _exact), nonzero
     coefficients, printed in one key order by repr, lines() and JSON.  A
-    subclass names its bases (_BASES), reads a key's size (_key_size), labels a
-    key (_label), sets the order (_DESCENDING), the JSON key field with its
-    render and parse (_JSON_KEY) and fixed fields (_JSON_TAGS), and multiplies
-    two of its elements (_product).  Results, copies and type checks use the
-    algebra's class (_ALGEBRA), so that a kind of element derived from it
-    mixes with the plain one."""
+    subclass names its bases (_BASES), reads a key's size (_key_size), sets the
+    order (_DESCENDING), labels its terms in it for repr and lines() (_labels),
+    writes its JSON (to_json_dict), reads a JSON key (_JSON_KEY: field, parse)
+    and multiplies two of its elements (_product).  Results, copies and type
+    checks use the algebra's class (_ALGEBRA), so that a kind of element
+    derived from it mixes with the plain one."""
 
     _DESCENDING = False
-    _JSON_TAGS: dict = {}
 
     __slots__ = ("degree", "basis", "terms")
 
@@ -152,27 +150,21 @@ class _Element(_Frozen):
         return self._ALGEBRA, (self.degree, self.basis, self.terms)
 
     def _sorted_terms(self) -> list:  # keys are distinct: no coefficient is compared
-        # the permutation route's P terms arrive in this order, so their sort is one pass
         return sorted(self.terms.items(), reverse=self._DESCENDING)
 
     def __repr__(self):
-        if not self.terms:
+        labels = self._labels()
+        if not labels:
             return f"<0 (degree {self.degree}, {self.basis} basis)>"
-        return "<" + " + ".join([f"{c}*{self._label(key)}" for key, c in self._sorted_terms()]) + ">"
+        return "<" + " + ".join([f"{c}*{label}" for label, c in labels]) + ">"
 
     def lines(self) -> list[str]:
         """One "label  coefficient" line per term, in output order; none for zero."""
-        return [f"{self._label(key)}  {c}" for key, c in self._sorted_terms()]
-
-    def to_json_dict(self) -> dict:
-        """Serialized form, keys degree, basis, any tags, terms, in output order."""
-        field, render, _ = self._JSON_KEY
-        terms = [{field: render(key), "coeff": str(c)} for key, c in self._sorted_terms()]
-        return {"degree": self.degree, "basis": self.basis, **self._JSON_TAGS, "terms": terms}
+        return [f"{label}  {c}" for label, c in self._labels()]
 
     @classmethod
     def from_json_dict(cls, data: Mapping):
-        field, _, parse = cls._JSON_KEY
+        field, parse = cls._JSON_KEY
         # a string coefficient is parsed exactly; any other value goes to the
         # constructor, which refuses a float
         terms = _sum((parse(t[field]), Fraction(c) if isinstance(c := t["coeff"], str) else c) for t in data["terms"])
@@ -221,7 +213,7 @@ class NCSymElement(_Element):
 
     _BASES = NC_BASES
     _key_size = attrgetter("n")
-    _JSON_KEY = ("blocks", str, parse_set_partition)
+    _JSON_KEY = ("blocks", parse_set_partition)
 
     # in this class's own namespace, where perfbench's tracer wraps it
     scale = _Element.scale
@@ -229,8 +221,15 @@ class NCSymElement(_Element):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def _label(self, pi: SetPartition) -> str:
-        return f"{self.basis.lower()}[{pi}]"
+    def _labels(self) -> list[tuple[str, object]]:
+        texts, letter = _mask_texts(self.degree), self.basis.lower()
+        return [(f"{letter}[{'/'.join([texts[B] for B in masks])}]", c) for masks, c in self._mask_terms()]
+
+    def to_json_dict(self) -> dict:
+        """Serialized form, keys degree, basis, terms, in output order."""
+        texts = _mask_texts(self.degree)
+        terms = [{"blocks": "/".join([texts[B] for B in masks]), "coeff": str(c)} for masks, c in self._mask_terms()]
+        return {"degree": self.degree, "basis": self.basis, "terms": terms}
 
     def __add__(self, other: "NCSymElement") -> "NCSymElement":
         if not isinstance(other, NCSymElement):
@@ -275,8 +274,8 @@ class NCSymElement(_Element):
         return NCSymElement(n, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
 
     def _mask_terms(self) -> Iterator[tuple[tuple[int, ...], object]]:
-        """(pi.masks, coefficient) per term (pi, coefficient)."""
-        return ((pi.masks, c) for pi, c in self.terms.items())
+        """(pi.masks, coefficient) per term (pi, coefficient), in output order."""
+        return ((pi.masks, c) for pi, c in self._sorted_terms())
 
     def induct(self) -> "NCSymElement":
         """Double the last variable: degree rises by one, n+1 joins the block of n."""
@@ -284,7 +283,7 @@ class NCSymElement(_Element):
         if n < 1:
             raise ValueError("induction undefined in degree 0: no last variable")
         x = self.to_basis("P") if self.basis == "E" else self
-        if x.terms and n >= MAX_GROUND_SET:
+        if n >= MAX_GROUND_SET:
             raise SizeLimitError(f"element {n + 1} outside 1..{MAX_GROUND_SET}")
         # the block of n gains bit n; no block's lowest element moves
         terms = {
@@ -326,10 +325,10 @@ class _PowerSumTable(NCSymElement):
     blocks B of pi, held as the table w of every vertex bitmask (w = 1 on
     singletons): the permutation route's element.
 
-    terms is built on first read, one key per nonzero product.  lines(),
-    to_json_dict(), == against another table and the basis changes (through
-    _mask_terms) read the table and build no key; every other operation reads
-    terms.  A copy or a pickle is a plain NCSymElement.
+    terms is built on first read, one key per nonzero product.  The class
+    holds only the storage: outputs and basis changes read the enumerator's
+    masks (_mask_terms), and == against another table compares the tables, so
+    none of these builds a key.  A copy or a pickle is a plain NCSymElement.
     """
 
     __slots__ = ("_weights",)
@@ -356,15 +355,6 @@ class _PowerSumTable(NCSymElement):
             # agree exactly when the elements do (w[0] is no block's weight)
             return self.degree == other.degree and self._weights[1:] == other._weights[1:]
         return super().__eq__(other)
-
-    def lines(self) -> list[str]:
-        texts = _mask_texts(self.degree)
-        return [f"p[{'/'.join([texts[B] for B in masks])}]  {c}" for masks, c in self._mask_terms()]
-
-    def to_json_dict(self) -> dict:
-        texts = _mask_texts(self.degree)
-        terms = [{"blocks": "/".join([texts[B] for B in masks]), "coeff": str(c)} for masks, c in self._mask_terms()]
-        return {"degree": self.degree, "basis": "P", "terms": terms}
 
 
 def _rank_sums(n: int, terms: Iterable[tuple[tuple[int, ...], object]], row_of: Callable, column: int | None) -> dict:
@@ -407,11 +397,15 @@ class CSymElement(_Element):
     _BASES = C_BASES
     _key_size = attrgetter("size")
     _DESCENDING = True
-    _JSON_KEY = ("parts", list, IntPartition)
-    _JSON_TAGS = {"commutative": True}
+    _JSON_KEY = ("parts", IntPartition)
 
-    def _label(self, lam: IntPartition) -> str:
-        return f"{self.basis}{lam}"
+    def _labels(self) -> list[tuple[str, object]]:
+        return [(f"{self.basis}{lam}", c) for lam, c in self._sorted_terms()]
+
+    def to_json_dict(self) -> dict:
+        """Serialized form, keys degree, basis, commutative, terms, in output order."""
+        terms = [{"parts": list(lam), "coeff": str(c)} for lam, c in self._sorted_terms()]
+        return {"degree": self.degree, "basis": self.basis, "commutative": True, "terms": terms}
 
     def __add__(self, other: "CSymElement") -> "CSymElement":
         if not isinstance(other, CSymElement):

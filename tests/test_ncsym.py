@@ -2,6 +2,7 @@
 word-expansion oracle and by exact round trips."""
 
 import copy
+import hashlib
 import itertools
 import json
 import pickle
@@ -445,6 +446,12 @@ def test_induct_refuses_a_thirteenth_element():
         NCSymElement(12, "P", {singletons(12): 1}).induct()
 
 
+@pytest.mark.parametrize("basis", ["P", "M"])
+def test_induct_refuses_a_thirteenth_element_for_zero_too(basis):
+    with pytest.raises(SizeLimitError, match="element 13 outside 1..12"):
+        NCSymElement(12, basis, {}).induct()
+
+
 def test_multiply_refuses_degree_13_before_building_any_key(monkeypatch):
     # two M elements with every key of degrees 7 and 6: converting either to P
     # through an uncached lattice table would build keys, and so would joining
@@ -563,6 +570,22 @@ def test_lines_are_the_terms_in_output_order():
     assert w.lines() == ["p[1/2/3]  1", "p[123]  2"]
     assert w.scale(Fraction(1, 2)).commutative_image().lines() == ["p(3)  1", "p(1,1,1)  1/2"]
     assert NCSymElement(2, "M", {}).lines() == []
+
+
+def test_plain_elements_print_from_their_block_masks(monkeypatch):
+    # repr, lines() and the JSON of plain P, M and E elements for n <= 8 (the
+    # P terms inserted in reverse order, so the printer sorts them) match one
+    # recorded SHA-256 with str(SetPartition) raising: no key text is built
+    def unused(pi):
+        raise AssertionError("str(SetPartition) called while printing an element")
+
+    monkeypatch.setattr(SetPartition, "__str__", unused)
+    digest = hashlib.sha256()
+    for n in range(9):
+        p = NCSymElement(n, "P", dict(reversed(rb_by_permutations(random_digraph(n, 0.4, n)).terms.items())))
+        for x in (p, p.to_basis("M"), p.to_basis("E"), NCSymElement(n, "M", {})):
+            digest.update(f"{x!r}\n{x.lines()}\n{x.to_json_dict()}\n".encode())
+    assert digest.hexdigest() == "1f7ef89078d78d222c9623ac8dbb00431028ab55e26a9a818f1eaabaf2ed3ba9"
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, "1/2", Decimal("0.1"), None])

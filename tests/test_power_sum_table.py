@@ -122,7 +122,7 @@ def test_rendering_equality_and_conversion_build_no_key(monkeypatch, dg):
         NCSymElement(dg.n, "P", {singletons(dg.n): 1}).to_basis(basis)
     monkeypatch.setattr(ncsym, "_trusted_partition", counting)
     x, y = rb_by_permutations(dg), rb_by_permutations(dg)
-    for read in (x.lines, x.to_json_dict, lambda: x == y, lambda: x.to_basis("M"), lambda: x.to_basis("E")):
+    for read in (x.lines, x.to_json_dict, x.__repr__, lambda: x == y, lambda: x.to_basis("M"), lambda: x.to_basis("E")):
         read()
     assert built == []
     terms = x.terms
