@@ -16,10 +16,10 @@ terms, and whatever it returns, a copy or a pickle included, is plain.
 NCSym elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
 fixed degree.  A coefficient is stored as an int whenever it is integral and
-as a Fraction otherwise.  Only P -> E divides, by mu(0, pi): it sums integer
-numerators over (n-1)! and divides once per output key, so a Fraction comes
-only from there or from rational input.  Final digraph invariants are
-nevertheless integral, which callers assert rather than assume.
+as a Fraction otherwise.  Only P -> E divides, by mu(0, pi) from the lattice
+table: it sums integer numerators over (n-1)! and divides once per output key,
+so a Fraction comes only from there or from rational input.  Final digraph
+invariants are nevertheless integral, which callers assert rather than assume.
 
 Basis change formulas (each validated against the word-expansion oracle
 in the test suite):
@@ -30,7 +30,8 @@ in the test suite):
     e_pi = sum of mu(0, sigma) p_sigma over sigma <= pi
 
 All other routes compose through P.  A key is the tuple (n, blocks, masks),
-and every basis change, act, induct and multiply reads its block masks.  Each
+and every basis change, act, induct and multiply reads its block masks; act
+relabels them in every basis, since m, p and e are each equivariant.  Each
 basis change adds its terms into one list indexed by rank, a partition's place
 in SetPartition order among those of its degree (setpart's lattice table,
 whose rank dict is keyed by pi.masks, as _mask_terms yields them), along the
@@ -45,13 +46,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from operator import attrgetter, index
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, SizeLimitError
 from .setpart import (
-    _MU,
     MAX_GROUND_SET,
     IntPartition,
     _coarser,
@@ -100,12 +100,6 @@ def _exact(c) -> int | Fraction:
             raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
-
-
-def _quotient(x: int | Fraction, d: int) -> int | Fraction:
-    """x / d, as an int when d divides x."""
-    q, r = divmod(x, d)
-    return Fraction(x, d) if r else q
 
 
 class _Element(_Frozen):
@@ -265,13 +259,12 @@ class NCSymElement(_Element):
             return NCSymElement(n, "M", _rank_sums(n, self._mask_terms(), _coarser, None))
         # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma, summed
         # as numerators over (n-1)!, which every |mu(0, pi)| = prod (|B|-1)!
-        # divides; a block B contributes mu(|B|) to mu(0, pi)
+        # divides; mu(0, pi) is the lattice table's bottom at the rank of pi
+        _, rank, bottom = _lattice(n)
         d = factorial(max(n - 1, 0))
-        numerators = (
-            (masks, c * (d // prod([_MU[B.bit_count()] for B in masks]))) for masks, c in self._mask_terms()
-        )
+        numerators = ((masks, c * (d // bottom[rank[masks]])) for masks, c in self._mask_terms())
         terms = _rank_sums(n, numerators, _finer, 1)
-        return NCSymElement(n, "E", {sigma: _quotient(c, d) for sigma, c in terms.items()})
+        return NCSymElement(n, "E", {sigma: Fraction(c, d) for sigma, c in terms.items()})
 
     def _mask_terms(self) -> Iterator[tuple[tuple[int, ...], object]]:
         """(pi.masks, coefficient) per term (pi, coefficient), in output order."""
@@ -292,16 +285,15 @@ class NCSymElement(_Element):
         return NCSymElement(n + 1, x.basis, terms)
 
     def act(self, delta: Sequence[int]) -> "NCSymElement":
-        """Permute variable positions: basis key pi goes to delta(pi)."""
+        """Permute variable positions: basis key pi goes to delta(pi), in its basis."""
         n = self.degree
         if len(delta) != n:
             raise DegreeMismatchError(f"permutation of [{len(delta)}] acting in degree {n}")
         _require_permutation(delta, n)
-        x = self.to_basis("P") if self.basis == "E" else self
-        # every block's image mask, read off the subset table of the images of 1..n
-        image = list(map(sum, _selections([1 << (v - 1) for v in delta])))
-        terms = {_trusted_partition(n, sorted([image[B] for B in pi.masks], key=_low)): c for pi, c in x.terms.items()}
-        return NCSymElement(n, x.basis, terms)
+        # the image to[B] of every block mask B, read off the subset table of the images of 1..n
+        to = list(map(sum, _selections([1 << (v - 1) for v in delta])))
+        terms = {_trusted_partition(n, sorted([to[B] for B in pi.masks], key=_low)): c for pi, c in self.terms.items()}
+        return NCSymElement(n, self.basis, terms)
 
     def commutative_image(self) -> "CSymElement":
         """Let the variables commute.
@@ -363,7 +355,7 @@ def _rank_sums(n: int, terms: Iterable[tuple[tuple[int, ...], object]], row_of: 
     value at column (1 for None).  The sums add into one list indexed by rank,
     and its nonzero entries come back keyed by partition, in SetPartition
     order.  Refuses a degree above MAX_LATTICE_DEGREE before any work."""
-    partitions, rank = _lattice(n)
+    partitions, rank, _ = _lattice(n)
     totals = [0] * len(partitions)
     for masks, c in terms:
         row = row_of(n, rank[masks])

@@ -12,12 +12,12 @@ power-sum terms and the lattice tables come from it, and _trusted_partition
 turns its block masks into keys without validating them again.  A block's
 text is read by its mask (_mask_texts).
 The lattice table of a degree n <= MAX_LATTICE_DEGREE (_lattice) lists every
-partition of {1..n} once, in SetPartition order, so that a partition's rank is
-its position there, looked up by pi.masks; these are the one shared instance
-of each lattice-row entry.  The lattice rows hold ranks (_coarser, _finer),
-parallel to their Mobius values; coarsenings and refinements read them as
-partitions.  _selections is the one subset table, and every Mobius value
-reads the one table _MU.
+partition of {1..n} once, in SetPartition order, with mu(0-hat, pi): a
+partition's rank is its position there, looked up by pi.masks.  These are the
+one shared instance of each lattice-row entry.  The rank rows (_coarser,
+_finer) list merges and splits from the tables of smaller degrees, parallel to
+their Mobius values; coarsenings and refinements read them as partitions.
+_selections is the one subset table, and every Mobius value reads _MU.
 """
 
 from __future__ import annotations
@@ -354,54 +354,47 @@ def inverse_perm(delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@lru_cache(maxsize=MAX_GROUND_SET + 1)
-def _groupings(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every set partition of k units (bit i for unit i) into groups, in
-    SetPartition order, as (the group masks, the product of mu(|G|) over the
-    groups G)."""
-    full = (1 << k) - 1
-    weights = [_MU[B.bit_count()] for B in range(full + 1)]
-    return tuple(_nonzero_partitions(weights, full))
-
-
 @lru_cache(maxsize=MAX_LATTICE_DEGREE + 1)
-def _lattice(n: int) -> tuple[tuple[SetPartition, ...], dict[tuple[int, ...], int]]:
-    """The lattice table of degree n: (partitions, rank), partitions every set
-    partition of {1..n} in SetPartition order and rank the index of each there
-    (its rank), keyed by its masks.  Refuses n > MAX_LATTICE_DEGREE."""
+def _lattice(n: int) -> tuple[tuple[SetPartition, ...], dict[tuple[int, ...], int], tuple[int, ...]]:
+    """The lattice table of degree n: (partitions, rank, bottom), every set
+    partition of {1..n} in SetPartition order, the index (rank) of each there
+    keyed by its masks, and mu(0-hat, pi) at the rank of pi, to which a block
+    of s elements contributes mu(s).  Refuses n > MAX_LATTICE_DEGREE."""
     if not 0 <= n <= MAX_LATTICE_DEGREE:
         raise SizeLimitError(f"degree {n} has no lattice table (limit {MAX_LATTICE_DEGREE}): Bell({n}) partitions")
-    partitions = tuple(enumerate_partitions(n))
-    return partitions, {pi.masks: r for r, pi in enumerate(partitions)}
+    full = (1 << n) - 1
+    masks, bottom = zip(*_nonzero_partitions([_MU[B.bit_count()] for B in range(full + 1)], full))
+    return tuple([_trusted_partition(n, m) for m in masks]), {m: r for r, m in enumerate(masks)}, bottom
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _coarser(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The rank row (ranks, mobius) of the partition pi of rank r: the rank of
-    every sigma >= pi, ascending, made by merging blocks, and mu(pi, sigma),
-    to which a group of k merged blocks contributes mu(k)."""
-    partitions, rank = _lattice(n)
+    every sigma >= pi, ascending, one per partition G of pi's k blocks, as the
+    lattice table of degree k lists them, and mu(pi, sigma), G's bottom."""
+    partitions, rank, _ = _lattice(n)
     pi = partitions[r]
     union = list(map(sum, _selections(pi.masks)))
-    row = [(rank[tuple([union[g] for g in groups])], joined) for groups, joined in _groupings(len(pi))]
+    groupings, _, joined = _lattice(len(pi))
+    row = [(rank[tuple([union[g] for g in groups])], mu) for (_, _, groups), mu in zip(groupings, joined)]
     return tuple(zip(*sorted(row)))
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _finer(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The rank row (ranks, mobius, bottom) of the partition pi of rank r: the
-    rank of every sigma <= pi, ascending, made by splitting blocks, with
-    mu(sigma, pi) and mu(0-hat, sigma) in the parallel tuples: a block of pi
-    split into k parts contributes mu(k) to the first, a part of s elements
-    mu(s) to the second."""
-    partitions, rank = _lattice(n)
-    splits = [((), 1, 1)]  # (part masks, mu(sigma, pi), mu(0-hat, sigma)) over the blocks so far
+    rank of every sigma <= pi, ascending, one per choice of a partition of
+    each block B, as the lattice table of degree |B| lists them, with
+    mu(sigma, pi), to which a block split into k parts contributes mu(k), and
+    mu(0-hat, sigma), the bottom of the table of degree n, in parallel tuples."""
+    partitions, rank, bottom = _lattice(n)
+    splits = [((), 1)]  # (part masks, mu(sigma, pi)) over the blocks so far
     for block in partitions[r].blocks:
         union = list(map(sum, _selections([1 << (x - 1) for x in block])))
-        ways = [(tuple([union[g] for g in groups]), _MU[len(groups)], b) for groups, b in _groupings(len(block))]
-        splits = [(masks + more, a * c, b * d) for masks, a, b in splits for more, c, d in ways]
-    row = [(rank[tuple(sorted(masks, key=_low))], a, b) for masks, a, b in splits]
-    return tuple(zip(*sorted(row)))
+        ways = [(tuple([union[g] for g in groups]), _MU[len(groups)]) for _, _, groups in _lattice(len(block))[0]]
+        splits = [(masks + more, a * c) for masks, a in splits for more, c in ways]
+    ranks, mobius_values = zip(*sorted([(rank[tuple(sorted(masks, key=_low))], a) for masks, a in splits]))
+    return ranks, mobius_values, tuple(map(bottom.__getitem__, ranks))
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
@@ -409,7 +402,7 @@ def coarsenings(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, 
     """The row (sigmas, mobius): every sigma >= pi, sorted, and mu(pi, sigma);
     the rank row _coarser read as partitions.  Refuses a degree above
     MAX_LATTICE_DEGREE."""
-    partitions, rank = _lattice(pi.n)
+    partitions, rank, _ = _lattice(pi.n)
     ranks, mobius_values = _coarser(pi.n, rank[pi.masks])
     return tuple(map(partitions.__getitem__, ranks)), mobius_values
 
@@ -419,6 +412,6 @@ def refinements(pi: SetPartition) -> tuple[tuple[SetPartition, ...], tuple[int, 
     """The row (sigmas, mobius, bottom): every sigma <= pi, sorted, with
     mu(sigma, pi) and mu(0-hat, sigma); the rank row _finer read as
     partitions.  Refuses a degree above MAX_LATTICE_DEGREE."""
-    partitions, rank = _lattice(pi.n)
+    partitions, rank, _ = _lattice(pi.n)
     ranks, *columns = _finer(pi.n, rank[pi.masks])
     return (tuple(map(partitions.__getitem__, ranks)), *columns)

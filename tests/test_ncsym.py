@@ -427,6 +427,29 @@ def test_act_permutes_word_positions():
         assert acted == moved
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_act_on_an_e_element_stays_in_e_and_relabels_its_keys(n):
+    # e_pi is equivariant: moving the positions of a word keeps its letters
+    # distinct inside each block, so delta(e_pi) = e_delta(pi)
+    rng = random.Random(400 + n)
+    for _ in range(4):
+        delta = list(range(1, n + 1))
+        rng.shuffle(delta)
+        x = random_element(n, "E", rng, max_terms=6)
+        acted = x.act(delta)
+        assert acted.basis == "E"
+        assert acted.terms == {apply_perm(delta, pi): c for pi, c in x.terms.items()}
+        moved = {tuple(word[delta.index(j + 1)] for j in range(n)): c for word, c in expand(x, n).items()}
+        assert expand(acted, n) == moved
+
+
+def test_act_on_an_e_element_of_degree_11_needs_no_lattice_table():
+    reversal = tuple(range(11, 0, -1))
+    x = NCSymElement(11, "E", {SetPartition([range(1, 11), [11]]): 3, singletons(11): -1})
+    acted = x.act(reversal)
+    assert acted == NCSymElement(11, "E", {SetPartition([[1], range(2, 12)]): 3, singletons(11): -1})
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_act_and_induct_keys_are_those_of_apply_perm_and_insert_last(n):
     rng = random.Random(300 + n)

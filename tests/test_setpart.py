@@ -22,7 +22,6 @@ from redeiberge.setpart import (
     SetPartition,
     _coarser,
     _finer,
-    _groupings,
     _lattice,
     _mask_elements,
     _mask_texts,
@@ -439,15 +438,17 @@ def _digest_digraphs():
 
 def test_subset_and_mobius_tables_match_their_recorded_digest():
     # one SHA-256 over the block weights of _digest_digraphs, the subset
-    # table _mask_elements(n) for n <= 12, and the groupings of k <= 9 units
-    # with their Mobius products
+    # table _mask_elements(n) for n <= 12, and the partitions of k <= 9 units
+    # as the lattice table of degree k lists them: their masks and bottom, the
+    # product of mu(|G|) over their groups G
     digest = hashlib.sha256()
     for dg in _digest_digraphs():
         digest.update(f"{dg.n}:{sorted(dg.edges)}:{invariant._block_weights(dg)}\n".encode())
     for n in range(MAX_GROUND_SET + 1):
         digest.update(f"{n}:{_mask_elements(n)}\n".encode())
     for k in range(10):
-        digest.update(f"{k}:{[(groups, joined) for groups, joined in _groupings(k)]}\n".encode())
+        partitions, _, bottom = _lattice(k)
+        digest.update(f"{k}:{[(pi.masks, mu) for pi, mu in zip(partitions, bottom)]}\n".encode())
     assert digest.hexdigest() == "1e04ba07207e464cdf18b65705aca034a464e2dbb92c369150f7bb9b12300155"
 
 
@@ -458,8 +459,6 @@ def test_lattice_caches_are_bounded_lru_caches():
     assert _lattice.cache_info().maxsize == MAX_LATTICE_DEGREE + 1
     with pytest.raises(SizeLimitError):
         _lattice(MAX_LATTICE_DEGREE + 1)
-    # one entry per number of units, up to the largest ground set
-    assert _groupings.cache_info().maxsize == MAX_GROUND_SET + 1
 
 
 # -- Mobius function -------------------------------------------------------------
@@ -500,6 +499,16 @@ def test_mobius_from_bottom_matches_general():
     for n in range(1, 6):
         for pi in enumerate_partitions(n):
             assert mobius_from_bottom(pi) == mobius(singletons(n), pi)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_lattice_table_carries_mobius_from_bottom_at_each_rank(n):
+    partitions, rank, bottom = _lattice(n)
+    assert partitions == tuple(enumerate_partitions(n))
+    assert len(bottom) == len(partitions) == len(rank)
+    for r, pi in enumerate(partitions):
+        assert rank[pi.masks] == r
+        assert bottom[r] == mobius_from_bottom(pi), pi
 
 
 # -- statistics -------------------------------------------------------------------
