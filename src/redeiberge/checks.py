@@ -23,6 +23,7 @@ from .invariant import (
     rb_tournament,
     resolve_route,
     _block_coloring,
+    _block_weight_tables,
     _block_weights,
     _split_on_edge,
 )
@@ -290,7 +291,8 @@ def _deletion_tables_vanish(dg: Digraph, edges: Sequence[tuple[int, int]]) -> bo
     outside B answers False.  Then the sum over S of (-1)^|S| p_{X minus
     S}(pi) is 0 when an edge of F crosses pi, and else the product over the
     blocks of d(B), the sum of (-1)^|T| w_T(B) over the T inside B."""
-    tables = [_block_weights(dg.delete_edges(removed)) for removed in _selections(edges)]  # w_T, T a bitmask over edges
+    deletions = (dg.delete_edges(removed) for removed in _selections(edges))  # each held only for its masks
+    tables = _block_weight_tables(deletions)  # w_T, T a bitmask over edges, from one pass over all of them
     d = []  # 0 on the blocks that an edge of F crosses
     for B, column in enumerate(zip(*tables)):  # column[T] = w_T(B)
         inside = sum(1 << i for i, (u, v) in enumerate(edges) if B >> u - 1 & B >> v - 1 & 1)

@@ -4,12 +4,22 @@ Vertices are labeled 1..n and equality is exact (same n, same edge set);
 there is no isomorphism quotient.  Loops are permitted, and the complement
 is taken inside the full square V x V, so it creates a loop wherever the
 original digraph lacks one.
+
+The per-subset cycle and path tables come from one Held-Karp loop,
+_held_karp, which counts the cycles of k digraphs on the same vertices at
+once: lane i's count sits in the i-th fixed-width field of one int per
+vertex subset, and a step along an edge keeps the lanes that have it by one
+AND.  One lane is the plain table.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from operator import index
+import sys
+from array import array
+from functools import reduce
+from operator import index, or_
 from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
@@ -164,10 +174,33 @@ def hamiltonian_cycle_counts(successors: Sequence[int]) -> list[int]:
     the result counts the cycles through exactly the vertices of bitmask S, each
     once (a 2-cycle once, a single vertex never).
     """
-    n = len(successors)
+    return hamiltonian_cycle_tables([successors])[0]
+
+
+def hamiltonian_cycle_tables(lanes: Sequence[Sequence[int]]) -> list[list[int]]:
+    """hamiltonian_cycle_counts of every successor list in lanes, all over the
+    same n vertices, from one Held-Karp pass: lane i's table is entry i.
+
+    The pass counts every lane at once in the fields of one int per subset
+    (see _held_karp), each field 8, 16, 32 or 64 bits wide, the narrowest
+    that holds an n-bit mask and (n - 1)!, the most cycles through n
+    vertices: 8 bits up to n = 6, 16 up to 9, 32 from 10 (and at the 13
+    vertices of the path table's apex).  Several lanes are unpacked through
+    a memoryview cast; one lane's entries are its counts.
+    """
+    lengths = set(map(len, lanes))
+    if len(lengths) != 1:
+        raise ValueError(f"cycle-count tables need successor lists of one length, got lengths {sorted(lengths)}")
+    (n,) = lengths
     if n > MAX_GROUND_SET:
         raise SizeLimitError(f"cycle-count table refuses n={n} (limit {MAX_GROUND_SET})")
-    return _held_karp(successors)
+    counts = _held_karp(lanes)
+    if len(lanes) == 1:
+        return [counts]
+    code, k = _LANE_CODES[n], len(lanes)
+    size = k * array(code).itemsize
+    fields = memoryview(b"".join([entry.to_bytes(size, sys.byteorder) for entry in counts])).cast(code)
+    return [fields[i::k].tolist() for i in range(k)]
 
 
 def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
@@ -181,38 +214,64 @@ def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
     if n > MAX_GROUND_SET:
         raise SizeLimitError(f"Hamiltonian-path table refuses n={n} (limit {MAX_GROUND_SET})")
     apex = 1 << n
-    table = _held_karp([mask | apex for mask in successors] + [apex - 1])[apex:]
+    table = _held_karp([[mask | apex for mask in successors] + [apex - 1]])[apex:]
     table[0] = 1
     return table
 
 
-def _held_karp(successors: Sequence[int]) -> list[int]:
-    """The cycle table of hamiltonian_cycle_counts, with no size check.  Paths
-    grow from the lowest vertex of S, so each cycle counts once.  A row is
-    made when a path first reaches S and holds only the ends reached."""
-    n = len(successors)
+# _LANE_CODES[n]: the array type code of one lane's field over n vertices (see
+# hamiltonian_cycle_tables), n up to the path table's apex, MAX_GROUND_SET + 1
+_LANE_CODES = tuple(
+    next(code for code in "BHIQ" if max((1 << n) - 1, math.factorial(max(n - 1, 0))) >> 8 * array(code).itemsize == 0)
+    for n in range(MAX_GROUND_SET + 2)
+)
+
+
+def _held_karp(lanes: Sequence[Sequence[int]]) -> list[int]:
+    """The cycle tables of k successor lists over the same n vertices, with no
+    check.  Entry S holds lane i's count in the i-th field of _LANE_CODES[n]'s
+    width; with one lane, the field is the whole entry.  Paths grow from the
+    lowest vertex of S, so each cycle counts once.  A row is made when a path
+    first reaches S and holds only the ends reached, with every lane's count
+    of paths over S from its lowest vertex to that end; a step v -> w keeps
+    the lanes that have that edge, by one AND with has[v][w]."""
+    n = len(lanes[0])
     vertices = _mask_elements(n)  # the vertices of every bitmask, ascending
-    succ = (0,) + tuple(successors)  # succ[v]: the successors of vertex v
     bit = (0,) + tuple(1 << v for v in range(n))  # bit[v]: vertex v's bit
+    if len(lanes) == 1:  # the one lane has every edge that a step takes
+        ones, succ, has = 1, (0, *lanes[0]), [(-1,) * (n + 1)] * (n + 1)
+    else:
+        code = _LANE_CODES[n]
+        ones = int.from_bytes(array(code, [1] * len(lanes)), sys.byteorder)  # a 1 in every field
+        field = (1 << 8 * array(code).itemsize) - 1
+        succ = [0]  # succ[v]: the successors of vertex v in any lane
+        has = [()]  # has[v][w]: a full field in every lane with the edge v -> w
+        for column in zip(*lanes):  # each lane's successors of one vertex
+            packed = int.from_bytes(array(code, column), sys.byteorder)  # lane i's in field i
+            succ.append(reduce(or_, column))
+            has.append((0,) + tuple((packed >> w & ones) * field for w in range(n)))
     counts = [0] * (1 << n)
     paths: list[dict[int, int] | None] = [None] * (1 << n)  # paths[S][v]: paths over S from its lowest vertex to v
     for v in range(1, n + 1):
-        paths[bit[v]] = {v: 1}
+        paths[bit[v]] = {v: ones}
     for S in range(1, 1 << n):
         row = paths[S]
         if row is None:
             continue
         paths[S] = None  # every extension of these paths lies in a larger S
         low = S & -S
+        first, ahead = low.bit_length(), ~S & -low  # the start; the vertices unvisited and above it
         for v, ways in row.items():
-            if succ[v] & low:
-                counts[S] += ways
-            for w in vertices[succ[v] & ~S & -low]:  # unvisited and above the start
-                target = paths[S | bit[w]]
+            out, lanes_v = succ[v], has[v]
+            if out & low:
+                counts[S] += ways & lanes_v[first]
+            for w in vertices[out & ahead]:
+                kept, T = ways & lanes_v[w], S | bit[w]
+                target = paths[T]
                 if target is None:
-                    paths[S | bit[w]] = {w: ways}
+                    paths[T] = {w: kept}
                 else:
-                    target[w] = target.get(w, 0) + ways
+                    target[w] = target.get(w, 0) + kept
     return counts
 
 

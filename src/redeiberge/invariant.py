@@ -24,13 +24,14 @@ import itertools
 import math
 from collections import defaultdict
 from functools import lru_cache
-from operator import index
-from typing import Sequence
+from operator import add, index, mul
+from typing import Iterable, Sequence
 
-from .digraph import Digraph, hamiltonian_cycle_counts, hamiltonian_path_counts
+from .digraph import Digraph, hamiltonian_cycle_tables, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
 from .ncsym import CSymElement, NCSymElement, _PowerSumTable
 from .setpart import (
+    MAX_GROUND_SET,
     IntPartition,
     SetPartition,
     _trusted_partition,
@@ -105,18 +106,31 @@ def rb_by_colorings(dg: Digraph) -> NCSymElement:
 
 
 def _block_weights(dg: Digraph) -> list[int]:
-    """For every vertex bitmask B, the signed count of permutations of B that
-    are one directed cycle of the digraph or of its complement: a fixed point
-    weighs 1 (it is a cycle of exactly one side, the complement holding the
-    missing loops), a longer cycle (-1)**(|B| - 1) in the digraph, +1 in the
-    complement."""
-    successors = dg.successor_masks()
-    in_x = hamiltonian_cycle_counts(successors)
-    in_complement = hamiltonian_cycle_counts(_complement_masks(successors))
-    weights = [b + a if B.bit_count() % 2 else b - a for B, a, b in zip(range(1 << dg.n), in_x, in_complement)]
-    for v in range(dg.n):
-        weights[1 << v] = 1
-    return weights
+    """The block weights of one digraph (see _block_weight_tables)."""
+    return _block_weight_tables([dg])[0]
+
+
+def _block_weight_tables(digraphs: Iterable[Digraph]) -> list[list[int]]:
+    """For each digraph, all on the same n vertices, and every vertex bitmask
+    B, the signed count of permutations of B that are one directed cycle of
+    the digraph or of its complement: a fixed point weighs 1 (it is a cycle of
+    exactly one side, the complement holding the missing loops), a longer
+    cycle (-1)**(|B| - 1) in the digraph, +1 in the complement.  One
+    Held-Karp pass counts the cycles of every digraph, one lane each, and one
+    more those of every complement."""
+    lanes = [dg.successor_masks() for dg in digraphs]
+    in_x = hamiltonian_cycle_tables(lanes)
+    tables = hamiltonian_cycle_tables([_complement_masks(successors) for successors in lanes])
+    n = len(lanes[0])
+    for a, weights in zip(in_x, tables):  # each complement's counts become its digraph's weights
+        weights[:] = map(add, weights, map(mul, _SIGNS, a))  # map stops with a
+        for v in range(n):
+            weights[1 << v] = 1
+    return tables
+
+
+# _SIGNS[B]: (-1)**(|B| - 1), for every bitmask B over MAX_GROUND_SET vertices
+_SIGNS = [1 if B.bit_count() % 2 else -1 for B in range(1 << MAX_GROUND_SET)]
 
 
 def _complement_masks(successors: Sequence[int]) -> list[int]:

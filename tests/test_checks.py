@@ -31,7 +31,7 @@ from redeiberge.digraph import (
 )
 from redeiberge.invariant import _split_on_edge, count_friendly, rb_by_permutations
 from redeiberge.ncsym import NCSymElement
-from redeiberge.setpart import parse_set_partition
+from redeiberge.setpart import _selections, parse_set_partition
 
 P = parse_set_partition
 
@@ -229,13 +229,17 @@ def test_a_weight_that_reads_edges_outside_its_block_is_named_by_the_full_compar
     # a 3-vertex block weight that reads the parity of the whole edge set: the
     # block tables of the deletions still vanish on these instances, so only
     # the comparison of w_T(B) with w_{T & E(B)}(B) sends them to the full one
-    block_weights = invariant._block_weights
+    block_weight_tables = invariant._block_weight_tables
 
-    def reads_every_edge(dg):
-        return [w + len(dg.edges) % 2 if B.bit_count() == 3 else w for B, w in enumerate(block_weights(dg))]
+    def reads_every_edge(digraphs):
+        digraphs = list(digraphs)
+        return [
+            [w + len(dg.edges) % 2 if B.bit_count() == 3 else w for B, w in enumerate(weights)]
+            for dg, weights in zip(digraphs, block_weight_tables(digraphs))
+        ]
 
-    monkeypatch.setattr(invariant, "_block_weights", reads_every_edge)
-    monkeypatch.setattr(checks, "_block_weights", reads_every_edge)
+    monkeypatch.setattr(invariant, "_block_weight_tables", reads_every_edge)
+    monkeypatch.setattr(checks, "_block_weight_tables", reads_every_edge)
     (report,) = check_identities(parse_generator_spec(spec), ["subset-decomposition"])
     assert (report.status, report.witness) == ("fail", witness)
 
@@ -384,6 +388,18 @@ def test_deletion_tables_decide_as_the_alternating_sum(case):
     dg, edges = case
     full = _difference(rb_by_permutations(dg), _literal_deletion_sum(dg, edges))
     assert _deletion_tables_vanish(dg, edges) == (full is None)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"{family}:{seed}" for family in ("random:4:0.3", "random:5:0.3", "tournament:4", "tournament:5") for seed in (1, 2, 3)]
+    + ["cycle:8"],
+)
+def test_block_weight_tables_of_the_deletions_equal_the_weights_of_each(spec):
+    # the deletion checks read all 2^|F| tables from one call, one lane per deletion
+    dg = parse_generator_spec(spec)
+    deletions = [dg.delete_edges(S) for S in _selections(sorted(dg.edges)[: checks.MAX_SUBSET_EDGES])]
+    assert invariant._block_weight_tables(deletions) == [invariant._block_weights(d) for d in deletions]
 
 
 @st.composite

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import math
 import random
+import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from redeiberge.digraph import (
     cycle_digraph,
     discrete_digraph,
     format_digraph,
+    _LANE_CODES,
     hamiltonian_cycle_counts,
+    hamiltonian_cycle_tables,
     hamiltonian_path_counts,
     has_even_directed_cycle,
     parse_digraph,
@@ -307,6 +311,44 @@ def test_cycle_count_table_against_brute_force():
         hamiltonian_cycle_counts([0] * 13)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 64])
+def test_cycle_tables_of_many_lanes_equal_the_table_of_each(k):
+    # a step keeps only the lanes with its edge, so the lanes mix dense and
+    # sparse digraphs, loops (dropped) and 2-cycles (counted once)
+    rng = random.Random(31 + k)
+    for n in range(7):
+        sample = [random_digraph(n, rng.choice([0.2, 0.5, 0.8]), rng.randint(0, 10**6)) for _ in range(k)]
+        if k > 1:
+            sample[-1] = complete_digraph(n)
+        lanes = [dg.successor_masks() for dg in sample]
+        tables = hamiltonian_cycle_tables(lanes)
+        assert len(tables) == k
+        for i, dg in enumerate(sample):
+            assert tables[i] == hamiltonian_cycle_counts(lanes[i]) == brute_force_cycle_counts(dg), (n, i, dg)
+
+
+def test_lane_width_holds_the_largest_count_and_isolates_the_lanes():
+    # (n - 1)! cycles run through all n vertices of the complete digraph; a
+    # lane that overflowed its field would carry into the empty lane beside it
+    assert [array(code).itemsize for code in _LANE_CODES] == [1] * 7 + [2] * 3 + [4] * 4
+    complete, empty = complete_digraph(12).successor_masks(), discrete_digraph(12).successor_masks()
+    start = time.perf_counter()
+    tables = hamiltonian_cycle_tables([complete, empty, complete])
+    seconds = time.perf_counter() - start
+    assert [table[-1] for table in tables] == [math.factorial(11), 0, math.factorial(11)]
+    assert tables[0] == tables[2] == hamiltonian_cycle_counts(complete)
+    assert not any(tables[1])
+    assert seconds < 2, seconds
+
+
+@pytest.mark.parametrize("lanes", [[], [[0, 0], [0]], [[0] * 13, [0] * 12], [[1], [0, 1]]])
+def test_cycle_tables_refuse_no_lanes_and_lanes_of_unequal_length(lanes):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="successor lists of one length"):
+        hamiltonian_cycle_tables(lanes)
+    assert time.perf_counter() - start < 0.1
+
+
 # -- Hamiltonian paths --------------------------------------------------------------------
 
 
@@ -360,9 +402,11 @@ def test_path_count_table_against_brute_force():
 
 
 def test_hamiltonian_size_guard():
-    # the path table takes the apex as a thirteenth vertex of its cycle table
+    # the path table takes the apex as a thirteenth vertex of its cycle table,
+    # whose lane field is 32 bits wide: 12! > 2**16
     assert discrete_digraph(12).hamiltonian_path_count() == 0
-    assert complete_digraph(12).hamiltonian_path_count() == math.factorial(12)
+    assert complete_digraph(12).hamiltonian_path_count() == math.factorial(12) > 1 << 16
+    assert hamiltonian_path_counts(complete_digraph(12).successor_masks())[(1 << 11) - 1] == math.factorial(11)
     with pytest.raises(SizeLimitError, match="n=13"):
         discrete_digraph(13).hamiltonian_path_count()
     with pytest.raises(SizeLimitError, match="n=13"):
