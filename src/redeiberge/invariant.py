@@ -1,6 +1,7 @@
 """The Redei-Berge function of a labeled digraph in noncommuting variables.
 
-Three independent algorithms compute the same element:
+Three independent algorithms compute the same element, and a fourth computes
+it for tournaments:
 
   * rb_by_colorings      -- straight from the defining sum over colorings and
                             friendly listings (monomial basis);
@@ -10,11 +11,13 @@ Three independent algorithms compute the same element:
                             blocks of each cycle type and read off per-subset
                             Hamiltonian cycle counts;
   * rb_by_deletion_contraction -- the recursion W(X) = W(X minus e) minus
-                            W(X contract e) inducted, after relabeling the
-                            chosen edge to (n-1, n).
+                            W(X contract e) inducted, the contraction taken
+                            after relabeling the chosen edge to (n-1, n);
+  * rb_tournament        -- Grinberg-Stanley's formula, a power-sum block
+                            table of the tournament's odd directed cycles.
 
 rb_commutative computes the classical commutative Redei-Berge function from
-descent sets of vertex listings, entirely independently of the three routes
+descent sets of vertex listings, entirely independently of the routes
 above, and serves as the cross-check once variables are allowed to commute.
 """
 
@@ -34,7 +37,6 @@ from .setpart import (
     MAX_GROUND_SET,
     IntPartition,
     SetPartition,
-    _trusted_partition,
     enumerate_partitions,
     factorial_weight,
     inverse_perm,
@@ -154,36 +156,31 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
 def rb_tournament(dg: Digraph) -> NCSymElement:
     """Tournament power-sum expansion: 2**(number of nontrivial cycles) summed
     over permutations whose nontrivial cycles are odd directed cycles of the
-    tournament (fixed points are unrestricted).  Each permutation is listed
-    once, depth first over a stack of (unplaced vertices, cycle masks, power
-    of 2): the next cycle is the lowest unplaced vertex alone, or an odd
-    directed cycle of length >= 3 through it, grown as paths of successors."""
+    tournament.  It factors over the blocks of each cycle type: the table is
+    1 on a singleton and 2 per odd cycle through exactly B, each found once,
+    as a path from its lowest vertex through higher ones back onto it."""
     if not dg.is_tournament():
         raise ValueError("tournament expansion requires a tournament")
     resolve_route("permutations", dg.n)
     n = dg.n
     successors = dg.successor_masks()
-    acc: dict[tuple[int, ...], int] = defaultdict(int)
-    stack = [((1 << n) - 1, (), 1)]
-    while stack:
-        rest, blocks, power = stack.pop()
-        if not rest:
-            acc[blocks] += power
-            continue
-        low = rest & -rest
-        stack.append((rest ^ low, blocks + (low,), power))
-        paths = [(low, low, 1)]  # (last vertex's bit, path mask, path length)
+    weights = [0] * (1 << n)
+    for v in range(n):
+        low = 1 << v
+        weights[low] = 1
+        higher = -low << 1  # the vertices above v
+        paths = [(v, low)]  # (last vertex, path mask)
         while paths:
-            last, path, length = paths.pop()
-            ahead = successors[last.bit_length() - 1]
-            if length >= 3 and length % 2 and ahead & low:
-                stack.append((rest ^ path, blocks + (path,), 2 * power))
-            ahead &= rest & ~path
+            last, path = paths.pop()
+            ahead = successors[last]
+            if ahead & low and path.bit_count() & 1:  # no loop closes a path of one vertex
+                weights[path] += 2
+            ahead &= higher & ~path
             while ahead:
                 bit = ahead & -ahead
-                paths.append((bit, path | bit, length + 1))
+                paths.append((bit.bit_length() - 1, path | bit))
                 ahead ^= bit
-    return NCSymElement(n, "P", {_trusted_partition(n, blocks): c for blocks, c in acc.items()})
+    return _PowerSumTable(n, weights)
 
 
 # -- deletion-contraction -----------------------------------------------------
@@ -196,32 +193,31 @@ def _discrete_expansion(n: int) -> NCSymElement:
     return NCSymElement(n, "M", {pi: factorial_weight(pi) for pi in enumerate_partitions(n)})
 
 
-def _split_on_edge(dg: Digraph, u: int, v: int) -> tuple[tuple[int, ...], Digraph, Digraph, Digraph]:
+def _split_on_edge(dg: Digraph, u: int, v: int) -> tuple[tuple[int, ...], Digraph, Digraph]:
     """The deletion-contraction step on the edge (u, v): the permutation delta
     sending u to n-1 and v to n, order-preserving elsewhere; the digraph
-    relabeled by delta; and that digraph with (n-1, n) deleted and with it
-    contracted."""
+    relabeled by delta; and that digraph with (n-1, n) contracted."""
     n = dg.n
     delta = inverse_perm([w for w in range(1, n + 1) if w != u and w != v] + [u, v])
     moved = dg.relabel(delta)
-    return delta, moved, moved.delete_edges([(n - 1, n)]), moved.contract_last_edge()
+    return delta, moved, moved.contract_last_edge()
 
 
 def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
     """Monomial-basis expansion by the deletion-contraction recursion.
 
-    The lexicographically smallest non-loop edge is moved onto (n-1, n) by an
-    order-preserving relabeling, the recursion applied there, and the result
-    pulled back; the relabeling step keeps every recursive call on the
-    distinguished edge the contraction is defined for.
+    W(X) = W(X minus e) - delta^-1 (W(delta X contract (n-1, n))) inducted
+    for the smallest non-loop edge e, which the order-preserving relabeling
+    delta moves onto (n-1, n), the edge a contraction is defined for.  W
+    commutes with relabeling, so only the contraction is relabeled.
     """
     resolve_route("deletion-contraction", dg.n)  # n only shrinks below, so this refuses at the top only
     non_loop = dg.non_loop_edges()
     if not non_loop:
         return _discrete_expansion(dg.n)
-    delta, _, deleted, contracted = _split_on_edge(dg, *non_loop[0])
-    recursed = rb_by_deletion_contraction(deleted) - rb_by_deletion_contraction(contracted).induct()
-    return recursed.act(inverse_perm(delta))
+    delta, _, contracted = _split_on_edge(dg, *non_loop[0])
+    inducted = rb_by_deletion_contraction(contracted).induct()
+    return rb_by_deletion_contraction(dg.delete_edges(non_loop[:1])) - inducted.act(inverse_perm(delta))
 
 
 # -- commutative oracle via descent sets --------------------------------------

@@ -6,12 +6,13 @@ partitions.  Their base, _Element, owns validation, immutability, equality
 and scalar arithmetic; each class adds what differs.
 
 An NCSymElement is of one of two kinds.  The plain kind holds its terms.
-_PowerSumTable, the permutation route's P expansion, holds the block-weight
-table w whose products over the blocks are its coefficients; its terms are
-built on first read.  Both kinds print and change basis from the block masks
-that _mask_terms yields in output order, so a table's outputs, basis changes
-and == against another table build no key; every other operation reads
-terms, and whatever it returns, a copy or a pickle included, is plain.
+_PowerSumTable, the P expansion of the permutation and tournament routes,
+holds the block table w whose products over the blocks are its
+coefficients; its terms are built on first read.  Both kinds print and
+change basis from the block masks that _mask_terms yields in output order,
+so a table's outputs, basis changes and == against another table build no
+key; every other operation reads terms, and whatever it returns, a copy or
+a pickle included, is plain.
 
 NCSym elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
@@ -315,7 +316,7 @@ class NCSymElement(_Element):
 class _PowerSumTable(NCSymElement):
     """The P expansion whose coefficient at pi is the product of w(B) over the
     blocks B of pi, held as the table w of every vertex bitmask (w = 1 on
-    singletons): the permutation route's element.
+    singletons): the element of the permutation and tournament routes.
 
     terms is built on first read, one key per nonzero product.  The class
     holds only the storage: outputs and basis changes read the enumerator's

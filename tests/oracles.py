@@ -1,12 +1,13 @@
 """Reference oracles the suite checks the library against.
 
-The first three are literal and exponential: the word expansion of an
+The first four are literal and exponential: the word expansion of an
 NCSym element, the elementary coefficient of the function as a
-Mobius-weighted sum over its power-sum terms, and the friendliness test of
-one vertex listing.  The rest are literal forms of what the library
-computes faster: the text of a set partition, rendered block by block; a
-basis change summed pair by pair into a dict keyed by partition, along the
-rows coarsenings and refinements; and the commutative image, term by term.
+Mobius-weighted sum over its power-sum terms, the friendliness test of one
+vertex listing, and the tournament formula summed over every permutation.
+The rest are literal forms of what the library computes faster: the text of
+a set partition, rendered block by block; a basis change summed pair by
+pair into a dict keyed by partition, along the rows coarsenings and
+refinements; and the commutative image, term by term.
 """
 
 import itertools
@@ -89,6 +90,30 @@ def is_friendly(dg: Digraph, colors: Sequence[int], listing: Sequence[int]) -> b
         if ca == cb and (a, b) in dg.edges:
             return False
     return True
+
+
+def tournament_formula(dg: Digraph) -> NCSymElement:
+    """Grinberg-Stanley's tournament formula, permutation by permutation:
+    p of the cycle partition, weighted 2**(number of nontrivial cycles),
+    summed over every permutation of 1..n whose nontrivial cycles are odd
+    directed cycles of dg."""
+    n = dg.n
+    terms: dict[SetPartition, int] = {}
+    for image in itertools.permutations(range(1, n + 1)):
+        cycles, seen = [], set()
+        for start in range(1, n + 1):
+            cycle, v = [], start
+            while v not in seen:
+                seen.add(v)
+                cycle.append(v)
+                v = image[v - 1]
+            if cycle:
+                cycles.append(cycle)
+        nontrivial = [c for c in cycles if len(c) > 1]
+        if all(len(c) % 2 and all((v, image[v - 1]) in dg.edges for v in c) for c in nontrivial):
+            pi = SetPartition(cycles)
+            terms[pi] = terms.get(pi, 0) + 2 ** len(nontrivial)
+    return NCSymElement(n, "P", terms)
 
 
 def render_set_partition(pi: SetPartition) -> str:

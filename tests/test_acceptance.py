@@ -40,6 +40,8 @@ from redeiberge.setpart import (
     singletons,
 )
 
+from oracles import tournament_formula
+
 
 def all_digraphs(n, loops=True):
     pairs = [
@@ -119,7 +121,7 @@ def test_criterion_3_closed_forms():
 def test_criterion_4_tournament_suite():
     def examine(t):
         expansion = rb_tournament(t)
-        assert expansion == rb_by_permutations(t), t
+        assert expansion == rb_by_permutations(t) and expansion == tournament_formula(t), t
         assert all(
             c.denominator == 1 and c >= 0 for c in expansion.terms.values()
         ), t
@@ -134,7 +136,7 @@ def test_criterion_4_tournament_suite():
     for n in (5, 6):
         for seed in range(100):
             examine(random_tournament(n, seed * 17 + n))
-    print("ACCEPTANCE 4 tournament suite (64 exhaustive + 100 seeds at n in {5,6}): PASS")
+    print("ACCEPTANCE 4 tournament suite (64 exhaustive + 100 seeds at n in {5,6}, against the literal formula): PASS")
 
 
 def test_criterion_5_identity_battery():

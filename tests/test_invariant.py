@@ -40,7 +40,7 @@ from redeiberge.setpart import (
     parse_set_partition,
 )
 
-from oracles import elementary_coefficient, is_friendly
+from oracles import elementary_coefficient, is_friendly, tournament_formula
 
 P = parse_set_partition
 
@@ -306,11 +306,13 @@ def test_tournament_requires_tournament():
 
 
 def test_tournament_matches_permutation_expansion():
+    # and the literal formula, summed permutation by permutation, which reads
+    # neither route's block table
     rng = random.Random(41)
     for _ in range(30):
-        t = random_tournament(rng.randint(2, 5), rng.randint(0, 10**6))
+        t = random_tournament(rng.randint(2, 7), rng.randint(0, 10**6))
         expansion = rb_tournament(t)
-        assert expansion == rb_by_permutations(t)
+        assert expansion == rb_by_permutations(t) and expansion == tournament_formula(t), t
         assert all(c > 0 and c.denominator == 1 for c in expansion.terms.values())
 
 
@@ -330,7 +332,11 @@ def test_tournament_formula_matches_permutation_route_beyond_its_capacity(n, mon
     # block-weight expansion up to the largest ground set a partition allows
     monkeypatch.setitem(invariant.ROUTES, "permutations", (invariant.ROUTES["permutations"][0], 12))
     t = random_tournament(n, n)
-    assert rb_by_permutations(t) == rb_tournament(t)
+    x, y = rb_by_permutations(t), rb_tournament(t)
+    assert x == y
+    for table in (x, y):  # the comparison read the two block tables, and no term
+        with pytest.raises(AttributeError):
+            object.__getattribute__(table, "terms")
 
 
 # -- the power-sum enumerator ----------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The permutation route's element, which holds its P expansion as a block
-table, against the plain NCSymElement of the same terms."""
+"""The element of the permutation and tournament routes, which holds its P
+expansion as a block table, against the plain NCSymElement of the same
+terms."""
 
 import copy
 import pickle
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from redeiberge import ncsym
 from redeiberge.cli import GENERATOR_KINDS, parse_generator_spec
 from redeiberge.digraph import Digraph, random_digraph, random_tournament
-from redeiberge.invariant import _block_weights, rb_by_permutations
+from redeiberge.invariant import _block_weights, rb_by_permutations, rb_tournament
 from redeiberge.ncsym import NCSymElement, _PowerSumTable
 from redeiberge.setpart import SetPartition, singletons
 
@@ -32,14 +33,14 @@ def _same(a, b):
     assert a == b and b == a and repr(a) == repr(b)
 
 
-def _agree(dg):
-    x = rb_by_permutations(dg)  # no term of it is read before the comparisons below
-    plain = NCSymElement(dg.n, "P", dict(rb_by_permutations(dg).terms))
+def _agree(dg, route=rb_by_permutations):
+    x = route(dg)  # no term of it is read before the comparisons below
+    plain = NCSymElement(dg.n, "P", dict(route(dg).terms))
     n = dg.n
     assert type(x) is not NCSymElement
     assert x.lines() == plain.lines()
     assert x.to_json_dict() == plain.to_json_dict()
-    assert x == plain and plain == x and x == rb_by_permutations(dg)
+    assert x == plain and plain == x and x == route(dg) and x == rb_by_permutations(dg)
     assert not (x != plain or plain != x)
     for basis in "ME":
         _same(x.to_basis(basis), plain.to_basis(basis))
@@ -75,12 +76,15 @@ def _agree(dg):
         _same(x.induct(), plain.induct())
     for clone in (copy.copy, copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))):
         _same(clone(x), plain)
-        _same(clone(rb_by_permutations(dg)), plain)  # before its terms are read
+        _same(clone(route(dg)), plain)  # before its terms are read
 
 
 @pytest.mark.parametrize("spec", list(_specs()))
 def test_the_route_element_agrees_with_the_plain_element_on_every_generator_kind(spec):
-    _agree(parse_generator_spec(spec))
+    dg = parse_generator_spec(spec)
+    _agree(dg)
+    if spec.startswith("tournament"):
+        _agree(dg, rb_tournament)
 
 
 @st.composite
@@ -108,9 +112,16 @@ def test_the_table_equality_is_exact():
 
 
 @pytest.mark.parametrize(
-    "dg", [random_digraph(7, 0.3, 1), random_tournament(8, 2), random_digraph(0, 0.3, 1)], ids=["random", "tournament", "empty"]
+    "dg, route",
+    [
+        (random_digraph(7, 0.3, 1), rb_by_permutations),
+        (random_tournament(8, 2), rb_by_permutations),
+        (random_tournament(8, 2), rb_tournament),
+        (random_digraph(0, 0.3, 1), rb_by_permutations),
+    ],
+    ids=["random", "tournament", "tournament-route", "empty"],
 )
-def test_rendering_equality_and_conversion_build_no_key(monkeypatch, dg):
+def test_rendering_equality_and_conversion_build_no_key(monkeypatch, dg, route):
     built = []
 
     def counting(n, masks):
@@ -121,7 +132,7 @@ def test_rendering_equality_and_conversion_build_no_key(monkeypatch, dg):
     for basis in "ME":  # the lattice tables exist before the count starts
         NCSymElement(dg.n, "P", {singletons(dg.n): 1}).to_basis(basis)
     monkeypatch.setattr(ncsym, "_trusted_partition", counting)
-    x, y = rb_by_permutations(dg), rb_by_permutations(dg)
+    x, y = route(dg), rb_by_permutations(dg)
     for read in (x.lines, x.to_json_dict, x.__repr__, lambda: x == y, lambda: x.to_basis("M"), lambda: x.to_basis("E")):
         read()
     assert built == []
