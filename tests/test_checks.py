@@ -2,7 +2,6 @@
 
 import itertools
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,9 +28,11 @@ from redeiberge.digraph import (
     random_digraph,
     random_tournament,
 )
-from redeiberge.invariant import _split_on_edge, count_friendly, rb_by_permutations
+from redeiberge.invariant import _complement_masks, _split_on_edge, count_friendly, rb_by_permutations
 from redeiberge.ncsym import NCSymElement
 from redeiberge.setpart import _selections, parse_set_partition
+
+from oracles import counting_lemma_witness
 
 P = parse_set_partition
 
@@ -181,14 +182,28 @@ def test_instance_label_threads_through():
 
 
 def test_counting_lemma_names_the_first_failing_coloring(monkeypatch):
-    def off_by_one(dg, colors):
-        count = count_friendly(dg, colors)
-        return count + 1 if len(dg.edges) == 3 and tuple(colors) == (1, 2, 2, 1) else count
+    # one wrong friendly count: of X minus S for one S of three edges, at the
+    # colorings with classes 123/4, where it is the path count of block 123
+    dg = parse_generator_spec("tournament:4:1")
+    edges = sorted(dg.edges)
+    S = [(1, 2), (2, 3), (2, 4)]
+    lane = sum(1 << edges.index(e) for e in S)
+    path_tables = checks.hamiltonian_path_tables
 
-    monkeypatch.setattr(checks, "count_friendly", off_by_one)
-    (report,) = check_identities(parse_generator_spec("tournament:4:1"), ["counting-lemma"])
+    def off_by_one(lanes):
+        tables = path_tables(lanes)
+        tables[lane][0b0111] += 1
+        return tables
+
+    def literal_off_by_one(deleted, colors):
+        classes_123_4 = colors[0] == colors[1] == colors[2] != colors[3]
+        return count_friendly(deleted, colors) + (deleted == dg.delete_edges(S) and classes_123_4)
+
+    monkeypatch.setattr(checks, "hamiltonian_path_tables", off_by_one)
+    (report,) = check_identities(dg, ["counting-lemma"])
     assert report.status == "fail"
-    assert report.witness == "coloring (1, 2, 2, 1), subset [(1, 2), (2, 3), (2, 4)]: 2 != 1"
+    assert report.witness == counting_lemma_witness(dg, literal_off_by_one)
+    assert report.witness == "coloring (1, 1, 1, 2), subset [(1, 2), (2, 3), (2, 4)]: 4 != 3"
 
 
 @pytest.mark.parametrize(
@@ -456,21 +471,65 @@ def test_friendly_counts_depend_only_on_the_partition_into_color_classes(dg):
         assert count_friendly(dg, colors) == count_friendly(dg, rgs), colors
 
 
-def test_counting_lemma_counts_each_class_partition_once_per_edge_subset(monkeypatch):
-    seen = []
+def test_counting_lemma_makes_one_path_table_call_over_every_deletion(monkeypatch):
+    calls = []
+    path_tables = checks.hamiltonian_path_tables
 
-    def recording(dg, colors):
-        seen.append(tuple(colors))
-        return count_friendly(dg, colors)
+    def recording(lanes):
+        calls.append(lanes)
+        return path_tables(lanes)
 
-    monkeypatch.setattr(checks, "count_friendly", recording)
+    def refused(dg, colors):
+        raise AssertionError("count_friendly called")
+
+    monkeypatch.setattr(checks, "hamiltonian_path_tables", recording)
+    monkeypatch.setattr(checks, "count_friendly", refused)
+    monkeypatch.setattr(invariant, "count_friendly", refused)
     dg = parse_generator_spec("tournament:4:1")
     (report,) = check_identities(dg, ["counting-lemma"])
     assert report.status == "pass"
-    block_colorings = sorted({_restricted_growth(colors) for colors in itertools.product(range(1, 5), repeat=4)})
-    assert len(block_colorings) == 15  # Bell(4)
-    assert Counter(seen) == {colors: 2 ** len(dg.edges) for colors in block_colorings}
-    assert list(dict.fromkeys(seen)) == block_colorings  # in product order
+    deleted = [dg.delete_edges(S) for S in _selections(sorted(dg.edges))]
+    assert len(deleted) == 2 ** len(dg.edges) == 64
+    assert calls == [[_complement_masks(d.successor_masks()) for d in deleted]]
+
+
+def _friendly_counts_match_count_friendly(dg):
+    """_friendly_counts of every deletion of dg, for every partition's
+    restricted growth string in product order, against count_friendly."""
+    deleted = [dg.delete_edges(S) for S in _selections(sorted(dg.edges))]
+    table = checks._friendly_counts(deleted)
+    colorings = itertools.product(range(1, dg.n + 1), repeat=dg.n)
+    block_colorings = sorted({_restricted_growth(colors) for colors in colorings})
+    assert list(table) == block_colorings
+    for colors, counts in table.items():
+        assert counts == [count_friendly(d, colors) for d in deleted], colors
+
+
+@pytest.mark.parametrize(
+    "spec", [f"tournament:4:{s}" for s in (1, 2, 3)] + [f"random:4:{p}:{s}" for p in (0.3, 0.6) for s in (1, 2, 3)]
+)
+def test_counting_lemma_path_table_counts_equal_the_literal_friendly_counts(spec):
+    dg = parse_generator_spec(spec)
+    _friendly_counts_match_count_friendly(dg)
+    (report,) = check_identities(dg, ["counting-lemma"])
+    if report.status != "skipped":  # the random ones at p = 0.6 have 7 to 10 edges, above the check's 6
+        assert (report.status, report.witness) == ("pass", counting_lemma_witness(dg, count_friendly))
+
+
+@st.composite
+def digraphs_with_at_most(draw, max_n, max_edges):
+    """A digraph on at most max_n vertices, loops allowed, with at most max_edges edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    return Digraph(n, draw(st.sets(st.sampled_from(pairs), max_size=max_edges)))
+
+
+@given(digraphs_with_at_most(max_n=4, max_edges=checks.MAX_COUNTING_LEMMA_EDGES))
+@settings(max_examples=30, deadline=None)
+def test_counting_lemma_path_table_counts_equal_the_literal_friendly_counts_on_drawn_digraphs(dg):
+    _friendly_counts_match_count_friendly(dg)
+    (report,) = check_identities(dg, ["counting-lemma"])
+    assert report.status in ("pass", "skipped"), report.witness
 
 
 def _literal_deletion_sum(dg, edges):

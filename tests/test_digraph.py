@@ -22,6 +22,7 @@ from redeiberge.digraph import (
     hamiltonian_cycle_counts,
     hamiltonian_cycle_tables,
     hamiltonian_path_counts,
+    hamiltonian_path_tables,
     has_even_directed_cycle,
     parse_digraph,
     path_digraph,
@@ -341,11 +342,22 @@ def test_lane_width_holds_the_largest_count_and_isolates_the_lanes():
     assert seconds < 2, seconds
 
 
-@pytest.mark.parametrize("lanes", [[], [[0, 0], [0]], [[0] * 13, [0] * 12], [[1], [0, 1]]])
-def test_cycle_tables_refuse_no_lanes_and_lanes_of_unequal_length(lanes):
+@pytest.mark.parametrize("tables", [hamiltonian_cycle_tables, hamiltonian_path_tables])
+@pytest.mark.parametrize(
+    "lanes, error, match",
+    [
+        ([], ValueError, "successor lists of one length"),
+        ([[0, 0], [0]], ValueError, "successor lists of one length"),
+        ([[0] * 13, [0] * 12], ValueError, "successor lists of one length"),
+        ([[1], [0, 1]], ValueError, "successor lists of one length"),
+        ([[0] * 13, [0] * 13], SizeLimitError, "n=13"),
+    ],
+)
+def test_cycle_tables_refuse_no_lanes_and_lanes_of_unequal_length(tables, lanes, error, match):
+    # and n = 13, the path tables on n itself, not on the 14 vertices with the apex
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="successor lists of one length"):
-        hamiltonian_cycle_tables(lanes)
+    with pytest.raises(error, match=match):
+        tables(lanes)
     assert time.perf_counter() - start < 0.1
 
 
@@ -399,6 +411,45 @@ def test_path_count_table_against_brute_force():
             relabel = {v: i for i, v in enumerate(induced, start=1)}
             sub = Digraph(len(induced), {(relabel[u], relabel[v]) for u, v in dg.edges if u in relabel and v in relabel})
             assert count == brute_force_hamiltonian(sub), (dg, induced)
+
+
+def brute_force_path_counts(dg):
+    """The listings of every vertex subset whose consecutive pairs are all edges."""
+    counts = []
+    for subset in range(1 << dg.n):
+        vertices = [v for v in range(1, dg.n + 1) if subset >> (v - 1) & 1]
+        listings = itertools.permutations(vertices)
+        counts.append(sum(all((a, b) in dg.edges for a, b in zip(order, order[1:])) for order in listings))
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64])
+def test_path_tables_of_many_lanes_equal_the_table_of_each(k):
+    # as for the cycle tables, the lanes mix dense and sparse digraphs and loops
+    rng = random.Random(37 + k)
+    for n in range(7):
+        sample = [random_digraph(n, rng.choice([0.2, 0.5, 0.8]), rng.randint(0, 10**6)) for _ in range(k)]
+        if k > 1:
+            sample[-1] = complete_digraph(n)
+        lanes = [dg.successor_masks() for dg in sample]
+        tables = hamiltonian_path_tables(lanes)
+        assert len(tables) == k
+        for i, dg in enumerate(sample):
+            assert tables[i] == hamiltonian_path_counts(lanes[i]) == brute_force_path_counts(dg), (n, i, dg)
+
+
+def test_path_lane_width_holds_the_largest_count_and_isolates_the_lanes():
+    # 12! paths run through all 12 vertices of the complete digraph, in the
+    # 32-bit fields of the 13 vertices with the apex; a lane that overflowed
+    # would carry into the empty lane beside it
+    complete, empty = complete_digraph(12).successor_masks(), discrete_digraph(12).successor_masks()
+    start = time.perf_counter()
+    tables = hamiltonian_path_tables([complete, empty, complete])
+    seconds = time.perf_counter() - start
+    assert [table[-1] for table in tables] == [math.factorial(12), 0, math.factorial(12)] == [479001600, 0, 479001600]
+    assert tables[0] == tables[2] == [math.factorial(S.bit_count()) for S in range(1 << 12)]
+    assert tables[1] == [int(S.bit_count() <= 1) for S in range(1 << 12)]
+    assert seconds < 4, seconds
 
 
 def test_hamiltonian_size_guard():
