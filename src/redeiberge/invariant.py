@@ -32,11 +32,12 @@ from typing import Iterable, Sequence
 
 from .digraph import Digraph, hamiltonian_cycle_tables, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
-from .ncsym import CSymElement, NCSymElement, _PowerSumTable
+from .ncsym import CSymElement, NCSymElement, _act_masks, _induct_masks, _PowerSumTable
 from .setpart import (
     MAX_GROUND_SET,
     IntPartition,
     SetPartition,
+    _trusted_partition,
     enumerate_partitions,
     factorial_weight,
     inverse_perm,
@@ -47,7 +48,7 @@ from .setpart import (
 ROUTES = {
     "definition": (lambda dg: rb_by_colorings(dg), 6),
     "permutations": (lambda dg: rb_by_permutations(dg), 8),
-    "deletion-contraction": (lambda dg: rb_by_deletion_contraction(dg), 7),
+    "deletion-contraction": (lambda dg: rb_by_deletion_contraction(dg), 8),
 }
 MAX_DESCENT_ALGORITHM = 8
 
@@ -187,10 +188,11 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
 
 
 @lru_cache(maxsize=ROUTES["deletion-contraction"][1] + 1)
-def _discrete_expansion(n: int) -> NCSymElement:
-    """The edge-free base case: sum of (block factorial product) * m over all
-    set partitions; loops never affect the function."""
-    return NCSymElement(n, "M", {pi: factorial_weight(pi) for pi in enumerate_partitions(n)})
+def _discrete_expansion(n: int) -> dict[tuple[int, ...], int]:
+    """The edge-free base case on block masks: pi.masks -> the product of
+    |B|! over the blocks of pi, for every set partition pi (loops never
+    affect the function); shared by every call, so never changed."""
+    return {pi.masks: factorial_weight(pi) for pi in enumerate_partitions(n)}
 
 
 def _split_on_edge(dg: Digraph, u: int, v: int) -> tuple[tuple[int, ...], Digraph, Digraph]:
@@ -209,15 +211,40 @@ def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
     W(X) = W(X minus e) - delta^-1 (W(delta X contract (n-1, n))) inducted
     for the smallest non-loop edge e, which the order-preserving relabeling
     delta moves onto (n-1, n), the edge a contraction is defined for.  W
-    commutes with relabeling, so only the contraction is relabeled.
+    commutes with relabeling, so only the contraction is relabeled.  Loops
+    never affect W, so the recursion runs on the loopless digraph, over M
+    coefficients keyed by block masks (see _deletion_contraction), and only
+    the result becomes an element.
     """
-    resolve_route("deletion-contraction", dg.n)  # n only shrinks below, so this refuses at the top only
-    non_loop = dg.non_loop_edges()
-    if not non_loop:
+    n = dg.n
+    resolve_route("deletion-contraction", n)  # n only shrinks below, so this refuses at the top only
+    terms = _deletion_contraction(Digraph(n, dg.non_loop_edges()), {})
+    return NCSymElement(n, "M", {_trusted_partition(n, masks): c for masks, c in terms.items()})
+
+
+def _deletion_contraction(dg: Digraph, memo: dict) -> dict[tuple[int, ...], int]:
+    """W of a loopless digraph as block masks -> nonzero M coefficient.  memo,
+    made by the top-level call, holds the result of every digraph met, keyed
+    by the exact digraph (n, edges), as Haggard, Pearce and Royle cache the
+    graphs their Tutte recursion has computed.  Its results and those of
+    _discrete_expansion are shared, so the difference is taken in a copy."""
+    key = (dg.n, dg.edges)
+    if key in memo:
+        return memo[key]
+    if not dg.edges:
         return _discrete_expansion(dg.n)
-    delta, _, contracted = _split_on_edge(dg, *non_loop[0])
-    inducted = rb_by_deletion_contraction(contracted).induct()
-    return rb_by_deletion_contraction(dg.delete_edges(non_loop[:1])) - inducted.act(inverse_perm(delta))
+    e = min(dg.edges)
+    delta, _, contracted = _split_on_edge(dg, *e)
+    inducted = _induct_masks(dg.n - 1, _deletion_contraction(contracted, memo).items())
+    terms = dict(_deletion_contraction(dg.delete_edges([e]), memo))
+    for masks, c in _act_masks(inverse_perm(delta), inducted.items()).items():
+        c = terms.get(masks, 0) - c
+        if c:
+            terms[masks] = c
+        else:
+            del terms[masks]
+    memo[key] = terms
+    return terms
 
 
 # -- commutative oracle via descent sets --------------------------------------

@@ -32,7 +32,9 @@ in the test suite):
 
 All other routes compose through P.  A key is the tuple (n, blocks, masks),
 and every basis change, act, induct and multiply reads its block masks; act
-relabels them in every basis, since m, p and e are each equivariant.  Each
+relabels them in every basis, since m, p and e are each equivariant.  act and
+induct are _act_masks and _induct_masks on an element's terms, which the
+deletion-contraction route also calls on its mask-keyed dicts.  Each
 basis change adds its terms into one list indexed by rank, a partition's place
 in SetPartition order among those of its degree (setpart's lattice table,
 whose rank dict is keyed by pi.masks, as _mask_terms yields them), along the
@@ -279,11 +281,8 @@ class NCSymElement(_Element):
         x = self.to_basis("P") if self.basis == "E" else self
         if n >= MAX_GROUND_SET:
             raise SizeLimitError(f"element {n + 1} outside 1..{MAX_GROUND_SET}")
-        # the block of n gains bit n; no block's lowest element moves
-        terms = {
-            _trusted_partition(n + 1, [B | (B >> (n - 1) & 1) << n for B in pi.masks]): c for pi, c in x.terms.items()
-        }
-        return NCSymElement(n + 1, x.basis, terms)
+        terms = _induct_masks(n, ((pi.masks, c) for pi, c in x.terms.items()))
+        return NCSymElement(n + 1, x.basis, {_trusted_partition(n + 1, masks): c for masks, c in terms.items()})
 
     def act(self, delta: Sequence[int]) -> "NCSymElement":
         """Permute variable positions: basis key pi goes to delta(pi), in its basis."""
@@ -291,10 +290,8 @@ class NCSymElement(_Element):
         if len(delta) != n:
             raise DegreeMismatchError(f"permutation of [{len(delta)}] acting in degree {n}")
         _require_permutation(delta, n)
-        # the image to[B] of every block mask B, read off the subset table of the images of 1..n
-        to = list(map(sum, _selections([1 << (v - 1) for v in delta])))
-        terms = {_trusted_partition(n, sorted([to[B] for B in pi.masks], key=_low)): c for pi, c in self.terms.items()}
-        return NCSymElement(n, self.basis, terms)
+        terms = _act_masks(delta, ((pi.masks, c) for pi, c in self.terms.items()))
+        return NCSymElement(n, self.basis, {_trusted_partition(n, masks): c for masks, c in terms.items()})
 
     def commutative_image(self) -> "CSymElement":
         """Let the variables commute.
@@ -348,6 +345,21 @@ class _PowerSumTable(NCSymElement):
             # agree exactly when the elements do (w[0] is no block's weight)
             return self.degree == other.degree and self._weights[1:] == other._weights[1:]
         return super().__eq__(other)
+
+
+def _induct_masks(n: int, terms: Iterable[tuple[tuple[int, ...], object]]) -> dict:
+    """Induction on block masks: (masks of a partition of {1..n}, c) per term,
+    keyed in the result by the masks with n+1 in the block of n, which gains
+    bit n; no block's lowest element moves, so the keys stay canonical."""
+    return {tuple([B | (B >> (n - 1) & 1) << n for B in masks]): c for masks, c in terms}
+
+
+def _act_masks(delta: Sequence[int], terms: Iterable[tuple[tuple[int, ...], object]]) -> dict:
+    """The permutation delta of 1..n on block masks: (masks, c) per term, keyed
+    in the result by the image to[B] of each block B, read off the subset table
+    of the images of 1..n, and sorted back into canonical order by _low."""
+    to = list(map(sum, _selections([1 << (v - 1) for v in delta])))
+    return {tuple(sorted([to[B] for B in masks], key=_low)): c for masks, c in terms}
 
 
 def _rank_sums(n: int, terms: Iterable[tuple[tuple[int, ...], object]], row_of: Callable, column: int | None) -> dict:

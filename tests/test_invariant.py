@@ -6,7 +6,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from redeiberge.cli import parse_generator_spec
 from redeiberge.digraph import (
     Digraph,
     complete_digraph,
@@ -30,17 +33,19 @@ from redeiberge.invariant import (
     rb_tournament,
     redei_berge,
 )
-from redeiberge.ncsym import CSymElement, NCSymElement, multiply
+from redeiberge.ncsym import CSymElement, NCSymElement, _act_masks, multiply
 from redeiberge.setpart import (
     IntPartition,
     SetPartition,
     _nonzero_partitions,
     enumerate_partitions,
     factorial_weight,
+    inverse_perm,
     parse_set_partition,
 )
 
 from oracles import elementary_coefficient, is_friendly, tournament_formula
+from test_checks import _contract_the_wrong_way
 
 P = parse_set_partition
 
@@ -256,7 +261,7 @@ def test_size_guards():
     with pytest.raises(SizeLimitError):
         rb_by_colorings(discrete_digraph(7))
     with pytest.raises(SizeLimitError):
-        rb_by_deletion_contraction(discrete_digraph(8))
+        rb_by_deletion_contraction(discrete_digraph(9))
     with pytest.raises(SizeLimitError):
         rb_commutative(discrete_digraph(9))
 
@@ -288,6 +293,65 @@ def test_every_route_runs_at_its_capacity_and_refuses_above(name):
     with pytest.raises(SizeLimitError) as refusal:
         redei_berge(path_digraph(capacity + 1), name)
     assert str(refusal.value) == f"{name} route refuses n={capacity + 1} (capacity {capacity})"
+
+
+# -- deletion-contraction on block masks ----------------------------------------------
+
+
+@st.composite
+def digraphs_with_loops(draw, max_n=6):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    return Digraph(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs_with_loops())
+def test_deletion_contraction_equals_p_to_m_on_drawn_digraphs(dg):
+    assert rb_by_deletion_contraction(dg) == rb_by_permutations(dg).to_basis("M")
+
+
+@pytest.mark.parametrize("spec", ["random:8:0.3:1", "tournament:8:1", "complete:8"])
+def test_deletion_contraction_equals_p_to_m_at_its_capacity(spec):
+    dg = parse_generator_spec(spec)
+    assert dg.n == invariant.ROUTES["deletion-contraction"][1]
+    assert rb_by_deletion_contraction(dg) == rb_by_permutations(dg).to_basis("M")
+
+
+def _act_by_delta(delta, terms):
+    """_act_masks acting by the inverse of the permutation it is given: the
+    route, which passes delta^-1, acts by delta."""
+    return _act_masks(inverse_perm(delta), terms)
+
+
+def _induct_into_the_first_block(n, terms):
+    """Induction that puts n+1 into the block of 1, not the block of n."""
+    return {(masks[0] | 1 << n,) + masks[1:]: c for masks, c in terms}
+
+
+@pytest.mark.parametrize(
+    "owner, name, fault",
+    [
+        pytest.param(Digraph, "contract_last_edge", _contract_the_wrong_way, id="contraction-orientation"),
+        pytest.param(invariant, "_act_masks", _act_by_delta, id="act-by-delta"),
+        pytest.param(invariant, "_induct_masks", _induct_into_the_first_block, id="induct-block"),
+    ],
+)
+def test_the_comparison_at_capacity_names_each_fault_of_the_route(monkeypatch, owner, name, fault):
+    dg = parse_generator_spec("random:8:0.3:1")
+    expected = rb_by_permutations(dg).to_basis("M")
+    monkeypatch.setattr(owner, name, fault)
+    assert rb_by_deletion_contraction(dg) != expected
+
+
+def test_the_memo_lives_for_one_call(monkeypatch):
+    # a memo kept past the call would hand the second call the first result
+    dg = parse_generator_spec("random:6:0.3:1")
+    first = rb_by_deletion_contraction(dg)
+    monkeypatch.setattr(Digraph, "contract_last_edge", _contract_the_wrong_way)
+    assert rb_by_deletion_contraction(dg) != first
+    capacity = invariant.ROUTES["deletion-contraction"][1]
+    assert invariant._discrete_expansion.cache_info().maxsize == capacity + 1
 
 
 # -- tournaments -----------------------------------------------------------------------
