@@ -9,10 +9,14 @@ silently dropped.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, hamiltonian_path_tables, has_even_directed_cycle
+from .digraph import Digraph, _complement_columns, _deletion_columns, hamiltonian_path_tables, has_even_directed_cycle
+from .digraph import _LANE_CODES, _selection_lanes, _unpack
 from .errors import SizeLimitError
 from .invariant import (
     ROUTES,
@@ -24,12 +28,12 @@ from .invariant import (
     rb_tournament,
     resolve_route,
     _block_coloring,
-    _block_weight_tables,
+    _block_weight,
     _block_weights,
-    _complement_masks,
+    _cycle_tables,
     _split_on_edge,
 )
-from .ncsym import NCSymElement, multiply
+from .ncsym import NCSymElement, _PowerSumTable, multiply
 from .setpart import _nonzero_partitions, _selections, enumerate_partitions, singletons
 
 MAX_SUBSET_EDGES = 10
@@ -253,15 +257,18 @@ class _CheckRunner:
 
     def _deletion_sum_witness(self, edges: Sequence[tuple[int, int]]) -> str | None:
         """None when W(X) is the alternating sum over the deletions of edges:
-        decided on block tables, with the full comparison for a witness."""
-        resolve_route("permutations", self.dg.n)
+        decided on packed count tables, with the full comparison for a
+        witness, its terms read from the same tables."""
+        n, k = self.dg.n, 1 << len(edges)
+        resolve_route("permutations", n)
         if _deletion_tables_vanish(self.dg, edges):
             return None
-        total = NCSymElement(self.dg.n, "P", {})
-        for S in _selections(edges):
-            if S:
-                term = rb_by_permutations(self.dg.delete_edges(S))
-                total = total + term if len(S) % 2 else total - term
+        in_x, in_complement = (_unpack(t, n, k) for t in _cycle_tables(_deletion_columns(self.dg, edges), k))
+        sizes = [B.bit_count() for B in range(1 << n)]
+        total = NCSymElement(n, "P", {})
+        for S in range(1, k):
+            term = _PowerSumTable(n, list(map(_block_weight, in_x[S], in_complement[S], sizes)))
+            total = total + term if S.bit_count() % 2 else total - term
         return _difference(rb_by_permutations(self.dg), total)
 
 
@@ -290,30 +297,46 @@ def _friendly_counts(digraphs: Sequence[Digraph]) -> dict[tuple[int, ...], list[
     path count of the digraph's loopless complement induced on B, since no
     two consecutive vertices of one class may be an edge.  One Held-Karp
     pass gives the path tables of every digraph, one lane each."""
-    paths = hamiltonian_path_tables([_complement_masks(dg.successor_masks()) for dg in digraphs])
+    paths = hamiltonian_path_tables([_complement_columns(dg.successor_masks(), 1) for dg in digraphs])
     colorings = sorted((_block_coloring(pi), pi.masks) for pi in enumerate_partitions(digraphs[0].n))
     return {colors: [math.prod([table[B] for B in blocks]) for table in paths] for colors, blocks in colorings}
 
 
 def _deletion_tables_vanish(dg: Digraph, edges: Sequence[tuple[int, int]]) -> bool:
-    """The deletion-sum identity on block tables.  The P coefficients of X
-    minus T are products of block weights w_T(B), which read only the edges
-    E(B) of T inside B: checked here as w_T(B) = w_{T & E(B)}(B) for every T
-    within F = edges and every B, so a table that depends on an edge of T
-    outside B answers False.  Then the sum over S of (-1)^|S| p_{X minus
-    S}(pi) is 0 when an edge of F crosses pi, and else the product over the
-    blocks of d(B), the sum of (-1)^|T| w_T(B) over the T inside B."""
-    deletions = (dg.delete_edges(removed) for removed in _selections(edges))  # each held only for its masks
-    tables = _block_weight_tables(deletions)  # w_T, T a bitmask over edges, from one pass over all of them
-    full = len(tables) - 1  # F as a bitmask over edges; a block holding all of F reads every T whole
+    """The deletion-sum identity on packed count tables.  The P coefficients
+    of X minus T are products of block weights w_T(B), read from the cycles
+    through B in X minus T and in its loopless complement, which read only
+    the edges of T inside B: checked for every T within F = edges and every
+    B by one compare of each packed count with itself shifted across each
+    edge of F outside B.  Then the sum over S of (-1)^|S| p_{X minus S}(pi)
+    is 0 when an edge of F crosses pi, and else the product over the blocks
+    of d(B), the sum of (-1)^|T| w_T(B) over the fields of the T inside B."""
+    n, m, k = dg.n, len(edges), 1 << len(edges)
+    code = _LANE_CODES[n]
+    width = 8 * array(code).itemsize
+    upper = [lanes * ((1 << width) - 1) for lanes in _selection_lanes(n, m)]  # full fields: the lanes selecting edge i
+    partner = int.__lshift__ if sys.byteorder == "little" else int.__rshift__  # moves lane T - 2^i onto lane T
+    tables = _cycle_tables(_deletion_columns(dg, edges), k)
+    ends = [1 << u - 1 | 1 << v - 1 for u, v in edges]
     d = []  # 0 on the blocks that an edge of F crosses
-    for B, column in enumerate(zip(*tables)):  # column[T] = w_T(B)
-        inside = sum(1 << i for i, (u, v) in enumerate(edges) if B >> u - 1 & B >> v - 1 & 1)
-        if inside != full and list(column) != [column[T & inside] for T in range(full + 1)]:
-            return False
-        crossed = any(B >> u - 1 & 1 != B >> v - 1 & 1 for u, v in edges)
-        d.append(0 if crossed else sum((-1) ** T.bit_count() * w for T, w in enumerate(column) if T | inside == inside))
-    return next(_nonzero_partitions(d, (1 << dg.n) - 1), None) is None
+    for B in range(1 << n):
+        inside = [i for i, e in enumerate(ends) if B & e == e]
+        outside = [i for i, e in enumerate(ends) if B & e != e]
+        for table in tables:
+            c = table[B]
+            if c and any((partner(c, width << i) ^ c) & upper[i] for i in outside):
+                return False
+        if any(B & ends[i] for i in outside):
+            d.append(0)
+            continue
+        c, x = (memoryview(table[B].to_bytes(k * width // 8, sys.byteorder)).cast(code) for table in tables)
+        even, odd = [0], []  # the lanes T inside B with |T| even, odd
+        for i in inside:
+            even, odd = even + [T | 1 << i for T in odd], odd + [T | 1 << i for T in even]
+        size = repeat(B.bit_count())
+        even, odd = (sum(map(_block_weight, map(c.__getitem__, T), map(x.__getitem__, T), size)) for T in (even, odd))
+        d.append(even - odd)
+    return next(_nonzero_partitions(d, (1 << n) - 1), None) is None
 
 
 def _contraction_tables_agree(moved: Digraph, deleted: Digraph, contracted: Digraph) -> bool:

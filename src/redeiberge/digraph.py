@@ -7,11 +7,13 @@ original digraph lacks one.
 
 The per-subset cycle and path tables come from one Held-Karp loop,
 _held_karp, which counts the cycles of k digraphs on the same vertices at
-once: lane i's count sits in the i-th fixed-width field of one int per
-vertex subset, and a step along an edge keeps the lanes that have it by one
-AND.  One lane is the plain table.  A path table is the cycle table of its
-digraph with an apex joined both ways to every vertex, so the path tables
-of k digraphs come from the same loop, one lane each.
+once: lane i's successors and counts sit in the i-th fixed-width field of
+one int per vertex and per vertex subset, and a step along an edge keeps
+the lanes that have it by one AND.  One lane is the plain table.  A path
+table is the cycle table of its digraph with an apex joined both ways to
+every vertex, so the path tables of k digraphs come from the same loop, one
+lane each.  _deletion_columns packs every deletion of a set of edges by bit
+arithmetic, building none.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import math
 import random
 import sys
 from array import array
-from functools import reduce
-from operator import index, or_
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import MissingEdgeError, SizeLimitError
@@ -186,7 +187,7 @@ def hamiltonian_cycle_tables(lanes: Sequence[Sequence[int]]) -> list[list[int]]:
     """hamiltonian_cycle_counts of every successor list in lanes, all over the
     same n vertices, from one Held-Karp pass: lane i's table is entry i."""
     n = _lane_length(lanes, "cycle-count")
-    return _unpack(_held_karp(lanes), n, len(lanes))
+    return _unpack(_held_karp(_pack(lanes), len(lanes)), n, len(lanes))
 
 
 def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
@@ -205,7 +206,7 @@ def hamiltonian_path_tables(lanes: Sequence[Sequence[int]]) -> list[list[int]]:
     lanes with the apex added: lane i's table is entry i."""
     n = _lane_length(lanes, "Hamiltonian-path")
     apex = 1 << n
-    counts = _held_karp([[mask | apex for mask in lane] + [apex - 1] for lane in lanes])
+    counts = _held_karp(_pack([[mask | apex for mask in lane] + [apex - 1] for lane in lanes]), len(lanes))
     tables = _unpack(counts[apex:], n + 1, len(lanes))
     for table in tables:
         table[0] = 1
@@ -222,6 +223,12 @@ def _lane_length(lanes: Sequence[Sequence[int]], table: str) -> int:
     if n > MAX_GROUND_SET:
         raise SizeLimitError(f"{table} table refuses n={n} (limit {MAX_GROUND_SET})")
     return n
+
+
+def _pack(lanes: Sequence[Sequence[int]]) -> list[int]:
+    """Per vertex, the successors of k lists over n vertices: lane i's in field
+    i of _LANE_CODES[n]'s width (one lane's are its own)."""
+    return [int.from_bytes(array(_LANE_CODES[len(lanes[0])], column), sys.byteorder) for column in zip(*lanes)]
 
 
 def _unpack(counts: list[int], n: int, k: int) -> list[list[int]]:
@@ -246,29 +253,32 @@ _LANE_CODES = tuple(
 )
 
 
-def _held_karp(lanes: Sequence[Sequence[int]]) -> list[int]:
-    """The cycle tables of k successor lists over the same n vertices, with no
-    check.  Entry S holds lane i's count in the i-th field of _LANE_CODES[n]'s
-    width; with one lane, the field is the whole entry.  Paths grow from the
-    lowest vertex of S, so each cycle counts once.  A row is made when a path
-    first reaches S and holds only the ends reached, with every lane's count
-    of paths over S from its lowest vertex to that end; a step v -> w keeps
-    the lanes that have that edge, by one AND with has[v][w]."""
-    n = len(lanes[0])
+def _ones(n: int, k: int) -> int:
+    """A 1 in each of k fields of _LANE_CODES[n]'s width."""
+    return int.from_bytes(array(_LANE_CODES[n], [1]) * k, sys.byteorder)
+
+
+def _held_karp(columns: Sequence[int], k: int) -> list[int]:
+    """The cycle tables of k successor lists over n vertices from their packed
+    columns (see _pack), with no check: entry S holds lane i's count in field
+    i.  Paths grow from the lowest vertex of S, so each cycle counts once.  A
+    row is made when a path first reaches S and holds only the ends reached,
+    with every lane's count of paths over S from its lowest vertex to that
+    end; a step v -> w keeps the lanes that have that edge, by one AND."""
+    n = len(columns)
     vertices = _mask_elements(n)  # the vertices of every bitmask, ascending
     bit = (0,) + tuple(1 << v for v in range(n))  # bit[v]: vertex v's bit
-    if len(lanes) == 1:  # the one lane has every edge that a step takes
-        ones, succ, has = 1, (0, *lanes[0]), [(-1,) * (n + 1)] * (n + 1)
+    if k == 1:  # the one lane has every edge that a step takes
+        ones, succ, has = 1, (0, *columns), [(-1,) * (n + 1)] * (n + 1)
     else:
-        code = _LANE_CODES[n]
-        ones = int.from_bytes(array(code, [1] * len(lanes)), sys.byteorder)  # a 1 in every field
-        field = (1 << 8 * array(code).itemsize) - 1
+        ones = _ones(n, k)
+        field = (1 << 8 * array(_LANE_CODES[n]).itemsize) - 1
         succ = [0]  # succ[v]: the successors of vertex v in any lane
         has = [()]  # has[v][w]: a full field in every lane with the edge v -> w
-        for column in zip(*lanes):  # each lane's successors of one vertex
-            packed = int.from_bytes(array(code, column), sys.byteorder)  # lane i's in field i
-            succ.append(reduce(or_, column))
-            has.append((0,) + tuple((packed >> w & ones) * field for w in range(n)))
+        for packed in columns:
+            lanes_w = [packed >> w & ones for w in range(n)]  # a 1 in every lane with the edge v -> w
+            succ.append(sum(1 << w for w, lanes in enumerate(lanes_w) if lanes))
+            has.append((0,) + tuple(lanes * field for lanes in lanes_w))
     counts = [0] * (1 << n)
     paths: list[dict[int, int] | None] = [None] * (1 << n)  # paths[S][v]: paths over S from its lowest vertex to v
     for v in range(1, n + 1):
@@ -292,6 +302,35 @@ def _held_karp(lanes: Sequence[Sequence[int]]) -> list[int]:
                 else:
                     target[w] = target.get(w, 0) + kept
     return counts
+
+
+def _selection_lanes(n: int, m: int) -> list[int]:
+    """For each of m items, a 1 in the field of _LANE_CODES[n]'s width of the
+    lanes S, bitmasks over the items in _selections order, that select it."""
+    one = array(_LANE_CODES[n], [1]).tobytes()
+    return [int.from_bytes((bytes(len(one) << i) + one * (1 << i)) * (1 << m - i - 1), sys.byteorder) for i in range(m)]
+
+
+def _deletion_columns(dg: Digraph, removed: Sequence[Edge]) -> list[int]:
+    """The packed columns (see _pack) of dg minus S for every selection S of
+    the distinct edges removed, lane S in _selections order: each non-loop
+    edge (u, v) leaves u's column in the lanes that select it."""
+    if len(set(removed)) != len(removed) or not dg.edges.issuperset(removed):
+        dg.delete_edges(removed)  # refuses the edges not in dg
+        raise ValueError(f"repeated edges in {list(removed)}")
+    ones = _ones(dg.n, 1 << len(removed))
+    columns = [ones * mask for mask in dg.successor_masks()]
+    for (u, v), lanes in zip(removed, _selection_lanes(dg.n, len(removed))):
+        if u != v:
+            columns[u - 1] -= lanes << v - 1
+    return columns
+
+
+def _complement_columns(columns: Sequence[int], k: int) -> list[int]:
+    """The packed columns of the loopless complements of k lanes: every vertex
+    but itself that the lane's vertex does not point at (one lane: its masks)."""
+    ones, full = _ones(len(columns), k), (1 << len(columns)) - 1
+    return [ones * (full ^ 1 << v) - x for v, x in enumerate(columns)]
 
 
 def has_even_directed_cycle(dg: Digraph) -> bool:

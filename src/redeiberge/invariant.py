@@ -27,14 +27,13 @@ import itertools
 import math
 from collections import defaultdict
 from functools import lru_cache
-from operator import add, index, mul
-from typing import Iterable, Sequence
+from operator import index
+from typing import Sequence
 
-from .digraph import Digraph, hamiltonian_cycle_tables, hamiltonian_path_counts
+from .digraph import Digraph, _complement_columns, _held_karp, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
 from .ncsym import CSymElement, NCSymElement, _act_masks, _induct_masks, _PowerSumTable
 from .setpart import (
-    MAX_GROUND_SET,
     IntPartition,
     SetPartition,
     _trusted_partition,
@@ -109,38 +108,26 @@ def rb_by_colorings(dg: Digraph) -> NCSymElement:
 
 
 def _block_weights(dg: Digraph) -> list[int]:
-    """The block weights of one digraph (see _block_weight_tables)."""
-    return _block_weight_tables([dg])[0]
+    """The block weight (see _block_weight) of every vertex bitmask B."""
+    in_x, in_complement = _cycle_tables(dg.successor_masks(), 1)
+    return list(map(_block_weight, in_x, in_complement, map(int.bit_count, range(len(in_x)))))
 
 
-def _block_weight_tables(digraphs: Iterable[Digraph]) -> list[list[int]]:
-    """For each digraph, all on the same n vertices, and every vertex bitmask
-    B, the signed count of permutations of B that are one directed cycle of
-    the digraph or of its complement: a fixed point weighs 1 (it is a cycle of
-    exactly one side, the complement holding the missing loops), a longer
-    cycle (-1)**(|B| - 1) in the digraph, +1 in the complement.  One
-    Held-Karp pass counts the cycles of every digraph, one lane each, and one
-    more those of every complement."""
-    lanes = [dg.successor_masks() for dg in digraphs]
-    in_x = hamiltonian_cycle_tables(lanes)
-    tables = hamiltonian_cycle_tables([_complement_masks(successors) for successors in lanes])
-    n = len(lanes[0])
-    for a, weights in zip(in_x, tables):  # each complement's counts become its digraph's weights
-        weights[:] = map(add, weights, map(mul, _SIGNS, a))  # map stops with a
-        for v in range(n):
-            weights[1 << v] = 1
-    return tables
+def _cycle_tables(columns: Sequence[int], k: int) -> tuple[list[int], list[int]]:
+    """The packed cycle tables (see digraph._held_karp) of k digraphs, given
+    by their packed columns, and of their loopless complements."""
+    return _held_karp(columns, k), _held_karp(_complement_columns(columns, k), k)
 
 
-# _SIGNS[B]: (-1)**(|B| - 1), for every bitmask B over MAX_GROUND_SET vertices
-_SIGNS = [1 if B.bit_count() % 2 else -1 for B in range(1 << MAX_GROUND_SET)]
-
-
-def _complement_masks(successors: Sequence[int]) -> list[int]:
-    """Successor masks of the loopless complement: every vertex but itself
-    that it does not point at."""
-    full = (1 << len(successors)) - 1
-    return [full & ~(mask | 1 << v) for v, mask in enumerate(successors)]
+def _block_weight(in_x: int, in_complement: int, size: int) -> int:
+    """The signed count of permutations of a block of size vertices that are
+    one directed cycle of a digraph with in_x cycles through the block, or of
+    its loopless complement with in_complement: a fixed point weighs 1 (a
+    cycle of exactly one side, the complement holding the missing loops), a
+    longer cycle (-1)**(size - 1) in the digraph, +1 in the complement."""
+    if size == 1:
+        return 1
+    return in_complement + in_x if size % 2 else in_complement - in_x
 
 
 def rb_by_permutations(dg: Digraph) -> NCSymElement:
@@ -307,7 +294,7 @@ def monomial_coefficient(dg: Digraph, pi: SetPartition) -> int:
     """
     if pi.n != dg.n:
         raise ValueError(f"partition of [{pi.n}] paired with digraph on {dg.n} vertices")
-    paths = hamiltonian_path_counts(_complement_masks(dg.successor_masks()))
+    paths = hamiltonian_path_counts(_complement_columns(dg.successor_masks(), 1))
     return math.prod(paths[B] for B in pi.masks)
 
 

@@ -1,7 +1,9 @@
 """The identity-verification suite: pass/fail/skipped reporting and witnesses."""
 
 import itertools
+import sys
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,12 @@ from redeiberge.checks import (
 )
 from redeiberge.cli import parse_generator_spec
 from redeiberge.digraph import (
+    _LANE_CODES,
     Digraph,
+    _complement_columns,
+    _deletion_columns,
+    _pack,
+    _unpack,
     complete_digraph,
     cycle_digraph,
     discrete_digraph,
@@ -28,7 +35,7 @@ from redeiberge.digraph import (
     random_digraph,
     random_tournament,
 )
-from redeiberge.invariant import _complement_masks, _split_on_edge, count_friendly, rb_by_permutations
+from redeiberge.invariant import _split_on_edge, count_friendly, rb_by_permutations
 from redeiberge.ncsym import NCSymElement
 from redeiberge.setpart import _selections, parse_set_partition
 
@@ -219,13 +226,7 @@ def test_counting_lemma_names_the_first_failing_coloring(monkeypatch):
 )
 def test_deletion_sums_name_the_first_differing_coefficient(monkeypatch, spec, check, witness):
     dg = parse_generator_spec(spec)
-    delete_edges = Digraph.delete_edges
-
-    def keeps_the_third_of_three(self, removed):
-        removed = list(removed)
-        return delete_edges(self, removed[:2] if self.n == 5 and len(removed) == 3 else removed)
-
-    monkeypatch.setattr(Digraph, "delete_edges", keeps_the_third_of_three)
+    monkeypatch.setattr(checks, "_deletion_columns", _faulty_deletions(lambda S: S[:2] if len(S) == 3 else S))
     (report,) = check_identities(dg, [check])
     assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
 
@@ -241,30 +242,39 @@ def test_deletion_sums_name_the_first_differing_coefficient(monkeypatch, spec, c
     ],
 )
 def test_a_weight_that_reads_edges_outside_its_block_is_named_by_the_full_comparison(monkeypatch, spec, witness):
-    # a 3-vertex block weight that reads the parity of the whole edge set: the
-    # block tables of the deletions still vanish on these instances, so only
-    # the comparison of w_T(B) with w_{T & E(B)}(B) sends them to the full one
-    block_weight_tables = invariant._block_weight_tables
+    # a 3-vertex block weight that reads the parity of the whole edge set,
+    # through the cycle counts of the digraph that the weights of X and of its
+    # deletions read: the block tables of the deletions still vanish on these
+    # instances, so only the locality compare of the counts sends them to the
+    # full comparison.  Lane T of the deletions is X minus the edges that T
+    # selects of sorted(E), so it has |E| - |T| edges
+    dg = parse_generator_spec(spec)
+    cycle_tables = invariant._cycle_tables
 
-    def reads_every_edge(digraphs):
-        digraphs = list(digraphs)
-        return [
-            [w + len(dg.edges) % 2 if B.bit_count() == 3 else w for B, w in enumerate(weights)]
-            for dg, weights in zip(digraphs, block_weight_tables(digraphs))
-        ]
+    def reads_every_edge(columns, k):
+        in_x, in_complement = cycle_tables(columns, k)
+        lanes = _unpack(in_x, dg.n, k)
+        for T, counts in enumerate(lanes):
+            for B in range(len(counts)):
+                counts[B] += B.bit_count() == 3 and (len(dg.edges) - T.bit_count()) % 2
+        if k == 1:
+            return lanes[0], in_complement
+        return [int.from_bytes(array(_LANE_CODES[dg.n], entry), sys.byteorder) for entry in zip(*lanes)], in_complement
 
-    monkeypatch.setattr(invariant, "_block_weight_tables", reads_every_edge)
-    monkeypatch.setattr(checks, "_block_weight_tables", reads_every_edge)
-    (report,) = check_identities(parse_generator_spec(spec), ["subset-decomposition"])
+    monkeypatch.setattr(invariant, "_cycle_tables", reads_every_edge)
+    monkeypatch.setattr(checks, "_cycle_tables", reads_every_edge)
+    (report,) = check_identities(dg, ["subset-decomposition"])
     assert (report.status, report.witness) == ("fail", witness)
 
 
-def _keeps_the_second_of_two(delete_edges):
-    def faulty(self, removed):
-        removed = list(removed)
-        return delete_edges(self, removed[:1] if len(removed) == 2 else removed)
+def _faulty_deletions(fault):
+    """_deletion_columns from literal deletions, each of the edges that
+    fault keeps of its selection."""
 
-    return faulty
+    def deletion_columns(dg, removed):
+        return _pack([dg.delete_edges(fault(S)).successor_masks() for S in _selections(removed)])
+
+    return deletion_columns
 
 
 def _contract_the_wrong_way(dg):
@@ -291,9 +301,9 @@ def _contract_the_wrong_way(dg):
 )
 def test_a_deletion_that_keeps_an_edge_is_named_by_the_full_comparison(monkeypatch, spec, check, witness):
     # on cycle:3 and complete:3 the block tables of the faulty deletions still
-    # vanish, so only the comparison of w_T(B) with w_{T & E(B)}(B) sends
-    # these instances to the full comparison
-    monkeypatch.setattr(Digraph, "delete_edges", _keeps_the_second_of_two(Digraph.delete_edges))
+    # vanish, so only the locality compare of their counts sends these
+    # instances to the full comparison
+    monkeypatch.setattr(checks, "_deletion_columns", _faulty_deletions(lambda S: S[:1] if len(S) == 2 else S))
     (report,) = check_identities(parse_generator_spec(spec), [check])
     assert (report.status, report.witness) == ("fail", witness)
 
@@ -411,10 +421,25 @@ def test_deletion_tables_decide_as_the_alternating_sum(case):
     + ["cycle:8"],
 )
 def test_block_weight_tables_of_the_deletions_equal_the_weights_of_each(spec):
-    # the deletion checks read all 2^|F| tables from one call, one lane per deletion
+    # the deletion checks read the counts of all 2^|F| deletions from one
+    # packed pass per side, one lane per deletion
     dg = parse_generator_spec(spec)
-    deletions = [dg.delete_edges(S) for S in _selections(sorted(dg.edges)[: checks.MAX_SUBSET_EDGES])]
-    assert invariant._block_weight_tables(deletions) == [invariant._block_weights(d) for d in deletions]
+    F = sorted(dg.edges)[: checks.MAX_SUBSET_EDGES]
+    k = 1 << len(F)
+    in_x, in_complement = (_unpack(t, dg.n, k) for t in invariant._cycle_tables(_deletion_columns(dg, F), k))
+    sizes = [B.bit_count() for B in range(1 << dg.n)]
+    weights = [list(map(invariant._block_weight, a, b, sizes)) for a, b in zip(in_x, in_complement)]
+    assert weights == [invariant._block_weights(dg.delete_edges(S)) for S in _selections(F)]
+
+
+@pytest.mark.parametrize("spec", ["tournament:5:1", "random:5:0.3:1"])
+def test_the_deletion_sum_decision_builds_no_deletion(monkeypatch, spec):
+    def refused(self, removed):
+        raise AssertionError("delete_edges called")
+
+    monkeypatch.setattr(Digraph, "delete_edges", refused)
+    (report,) = check_identities(parse_generator_spec(spec), ["subset-decomposition"])
+    assert report.status == "pass"
 
 
 @st.composite
@@ -490,7 +515,7 @@ def test_counting_lemma_makes_one_path_table_call_over_every_deletion(monkeypatc
     assert report.status == "pass"
     deleted = [dg.delete_edges(S) for S in _selections(sorted(dg.edges))]
     assert len(deleted) == 2 ** len(dg.edges) == 64
-    assert calls == [[_complement_masks(d.successor_masks()) for d in deleted]]
+    assert calls == [[_complement_columns(d.successor_masks(), 1) for d in deleted]]
 
 
 def _friendly_counts_match_count_friendly(dg):

@@ -19,6 +19,9 @@ from redeiberge.digraph import (
     discrete_digraph,
     format_digraph,
     _LANE_CODES,
+    _complement_columns,
+    _deletion_columns,
+    _unpack,
     hamiltonian_cycle_counts,
     hamiltonian_cycle_tables,
     hamiltonian_path_counts,
@@ -30,6 +33,7 @@ from redeiberge.digraph import (
     random_tournament,
 )
 from redeiberge.errors import MissingEdgeError, SizeLimitError
+from redeiberge.setpart import _selections
 
 
 @st.composite
@@ -340,6 +344,50 @@ def test_lane_width_holds_the_largest_count_and_isolates_the_lanes():
     assert tables[0] == tables[2] == hamiltonian_cycle_counts(complete)
     assert not any(tables[1])
     assert seconds < 2, seconds
+
+
+@st.composite
+def digraphs_with_removed_edges(draw, max_n=6, max_edges=6):
+    """A digraph with loops allowed, and a list of distinct edges of it."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), min_size=1)))
+    return Digraph(n, edges), draw(st.lists(st.sampled_from(edges), max_size=max_edges, unique=True))
+
+
+def _assert_deletion_columns_hold_every_deletion(dg, removed):
+    k = 1 << len(removed)
+    columns = _deletion_columns(dg, removed)
+    lanes = [dg.delete_edges(S).successor_masks() for S in _selections(removed)]
+    assert _unpack(columns, dg.n, k) == lanes
+    assert _unpack(_complement_columns(columns, k), dg.n, k) == [_complement_columns(lane, 1) for lane in lanes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs_with_removed_edges())
+def test_deletion_columns_hold_every_deletion(case):
+    # lane S of the packed columns is dg minus the edges S selects, loops
+    # (dropped from the masks) included, and so is its loopless complement
+    _assert_deletion_columns_hold_every_deletion(*case)
+
+
+def test_deletion_columns_in_32_bit_fields():
+    dg = random_digraph(12, 0.3, 1)
+    assert array(_LANE_CODES[12]).itemsize == 4
+    _assert_deletion_columns_hold_every_deletion(dg, dg.non_loop_edges()[:2])
+    _assert_deletion_columns_hold_every_deletion(dg, dg.non_loop_edges()[-1:] + sorted(dg.edges)[:1])
+
+
+def test_deletion_columns_refuse_as_delete_edges_does():
+    dg = path_digraph(3)
+    removed = [(1, 2), (3, 1), (2, 1)]
+    with pytest.raises(MissingEdgeError) as expected:
+        dg.delete_edges(removed)
+    with pytest.raises(MissingEdgeError) as refusal:
+        _deletion_columns(dg, removed)
+    assert str(refusal.value) == str(expected.value) == "edges not in digraph: [(2, 1), (3, 1)]"
+    with pytest.raises(ValueError, match="repeated edges"):
+        _deletion_columns(dg, [(1, 2), (2, 3), (1, 2)])
 
 
 @pytest.mark.parametrize("tables", [hamiltonian_cycle_tables, hamiltonian_path_tables])
