@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, _complement_columns, _deletion_columns, hamiltonian_path_tables, has_even_directed_cycle
+from .digraph import Digraph, _complement_columns, _deletion_columns, _held_karp, has_even_directed_cycle
 from .digraph import _LANE_CODES, _selection_lanes, _unpack
 from .errors import SizeLimitError
 from .invariant import (
@@ -178,7 +178,8 @@ class _CheckRunner:
         A friendly count depends only on the partition into color classes, so
         one coloring per set partition is evaluated (see _friendly_counts),
         the first in product order with those classes.  The first failing
-        coloring is therefore the one the full loop over {1..n}^n finds.
+        coloring is therefore the one the full loop over {1..n}^n finds.  No
+        deletion is built: one packed Held-Karp pass counts for all 2^|E|.
         """
         n = self.dg.n
         edges = sorted(self.dg.edges)
@@ -197,7 +198,7 @@ class _CheckRunner:
         ]
         if not qualifying:
             raise _Skip("hypothesis unmet: no qualifying edge subset")
-        for colors, counts in _friendly_counts([self.dg.delete_edges(S) for S in subsets]).items():
+        for colors, counts in _friendly_counts(self.dg, edges).items():
             totals = _alternating_subset_sums(counts)
             for F in qualifying:
                 if totals[F] != counts[0]:
@@ -261,9 +262,10 @@ class _CheckRunner:
         witness, its terms read from the same tables."""
         n, k = self.dg.n, 1 << len(edges)
         resolve_route("permutations", n)
-        if _deletion_tables_vanish(self.dg, edges):
+        tables = _cycle_tables(_deletion_columns(self.dg, edges), k)
+        if _deletion_tables_vanish(n, edges, tables):
             return None
-        in_x, in_complement = (_unpack(t, n, k) for t in _cycle_tables(_deletion_columns(self.dg, edges), k))
+        in_x, in_complement = (_unpack(t, n, k) for t in tables)
         sizes = [B.bit_count() for B in range(1 << n)]
         total = NCSymElement(n, "P", {})
         for S in range(1, k):
@@ -290,33 +292,36 @@ def _alternating_subset_sums(values: Sequence[int]) -> list[int]:
     return sums
 
 
-def _friendly_counts(digraphs: Sequence[Digraph]) -> dict[tuple[int, ...], list[int]]:
-    """The friendly count of each digraph, all on the same n vertices, at
-    every restricted growth string (see _block_coloring) in product order:
-    the product over the blocks B of its partition pi of the Hamiltonian
-    path count of the digraph's loopless complement induced on B, since no
-    two consecutive vertices of one class may be an edge.  One Held-Karp
-    pass gives the path tables of every digraph, one lane each."""
-    paths = hamiltonian_path_tables([_complement_columns(dg.successor_masks(), 1) for dg in digraphs])
-    colorings = sorted((_block_coloring(pi), pi.masks) for pi in enumerate_partitions(digraphs[0].n))
+def _friendly_counts(dg: Digraph, edges: Sequence[tuple[int, int]]) -> dict[tuple[int, ...], list[int]]:
+    """The friendly count of dg minus S for every selection S of edges (lane S
+    in _selections order) at every restricted growth string (see
+    _block_coloring) in product order: the product over the blocks B of its
+    partition of the path count of the deletion's loopless complement on B,
+    since no two consecutive vertices of one class may be an edge.  In each
+    complement an added vertex n + 1 is an apex, so one Held-Karp pass over
+    the packed columns counts those paths as cycles through it and B."""
+    n, k, apex = dg.n, 1 << len(edges), 1 << dg.n
+    columns = _complement_columns(_deletion_columns(Digraph(n + 1, dg.edges), edges), k)
+    paths = _unpack(_held_karp(columns, k)[apex:], n + 1, k)
+    colorings = sorted((_block_coloring(pi), pi.masks) for pi in enumerate_partitions(n))
     return {colors: [math.prod([table[B] for B in blocks]) for table in paths] for colors, blocks in colorings}
 
 
-def _deletion_tables_vanish(dg: Digraph, edges: Sequence[tuple[int, int]]) -> bool:
-    """The deletion-sum identity on packed count tables.  The P coefficients
-    of X minus T are products of block weights w_T(B), read from the cycles
-    through B in X minus T and in its loopless complement, which read only
-    the edges of T inside B: checked for every T within F = edges and every
-    B by one compare of each packed count with itself shifted across each
-    edge of F outside B.  Then the sum over S of (-1)^|S| p_{X minus S}(pi)
-    is 0 when an edge of F crosses pi, and else the product over the blocks
-    of d(B), the sum of (-1)^|T| w_T(B) over the fields of the T inside B."""
-    n, m, k = dg.n, len(edges), 1 << len(edges)
+def _deletion_tables_vanish(n: int, edges: Sequence[tuple[int, int]], tables: tuple[list[int], list[int]]) -> bool:
+    """The deletion-sum identity on tables, invariant._cycle_tables of every
+    deletion of F = edges from the n-vertex X.  The P coefficients of X minus
+    T are products of block weights w_T(B), read from the cycles through B in
+    X minus T and in its loopless complement, which read only the edges of T
+    inside B: checked for every T within F and every B by one compare of each
+    packed count with itself shifted across each edge of F outside B.  Then
+    the sum over S of (-1)^|S| p_{X minus S}(pi) is 0 when an edge of F
+    crosses pi, and else the product over the blocks of d(B), the sum of
+    (-1)^|T| w_T(B) over the fields of the T inside B."""
+    m, k = len(edges), 1 << len(edges)
     code = _LANE_CODES[n]
     width = 8 * array(code).itemsize
     upper = [lanes * ((1 << width) - 1) for lanes in _selection_lanes(n, m)]  # full fields: the lanes selecting edge i
     partner = int.__lshift__ if sys.byteorder == "little" else int.__rshift__  # moves lane T - 2^i onto lane T
-    tables = _cycle_tables(_deletion_columns(dg, edges), k)
     ends = [1 << u - 1 | 1 << v - 1 for u, v in edges]
     d = []  # 0 on the blocks that an edge of F crosses
     for B in range(1 << n):

@@ -6,14 +6,14 @@ is taken inside the full square V x V, so it creates a loop wherever the
 original digraph lacks one.
 
 The per-subset cycle and path tables come from one Held-Karp loop,
-_held_karp, which counts the cycles of k digraphs on the same vertices at
-once: lane i's successors and counts sit in the i-th fixed-width field of
-one int per vertex and per vertex subset, and a step along an edge keeps
-the lanes that have it by one AND.  One lane is the plain table.  A path
-table is the cycle table of its digraph with an apex joined both ways to
-every vertex, so the path tables of k digraphs come from the same loop, one
-lane each.  _deletion_columns packs every deletion of a set of edges by bit
-arithmetic, building none.
+_held_karp, whose one input is packed columns: it counts the cycles of k
+digraphs on the same n vertices at once, lane i's successors and counts in
+the i-th field, _LANE_CODES[n] wide, of one int per vertex and per vertex
+subset, and a step along an edge keeps the lanes that have it by one AND.
+One lane's columns are its successor masks.  A path table is the cycle
+table of its digraph with an apex joined both ways to every vertex.
+_deletion_columns and _complement_columns pack the deletions of a set of
+edges and their loopless complements by bit arithmetic, building none.
 """
 
 from __future__ import annotations
@@ -180,14 +180,8 @@ def hamiltonian_cycle_counts(successors: Sequence[int]) -> list[int]:
     the result counts the cycles through exactly the vertices of bitmask S, each
     once (a 2-cycle once, a single vertex never).
     """
-    return hamiltonian_cycle_tables([successors])[0]
-
-
-def hamiltonian_cycle_tables(lanes: Sequence[Sequence[int]]) -> list[list[int]]:
-    """hamiltonian_cycle_counts of every successor list in lanes, all over the
-    same n vertices, from one Held-Karp pass: lane i's table is entry i."""
-    n = _lane_length(lanes, "cycle-count")
-    return _unpack(_held_karp(_pack(lanes), len(lanes)), n, len(lanes))
+    _lane_length(successors, "cycle-count")
+    return _held_karp(successors, 1)
 
 
 def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
@@ -197,48 +191,24 @@ def hamiltonian_path_counts(successors: Sequence[int]) -> list[int]:
     consecutive pairs are all edges (1 when S has at most one vertex): the
     cycles through S and an apex joined both ways to every vertex.
     """
-    return hamiltonian_path_tables([successors])[0]
+    apex = 1 << _lane_length(successors, "Hamiltonian-path")
+    return [1] + _held_karp([mask | apex for mask in successors] + [apex - 1], 1)[apex + 1:]
 
 
-def hamiltonian_path_tables(lanes: Sequence[Sequence[int]]) -> list[list[int]]:
-    """hamiltonian_path_counts of every successor list in lanes, all over the
-    same n vertices, from one Held-Karp pass over the n + 1 vertices of the
-    lanes with the apex added: lane i's table is entry i."""
-    n = _lane_length(lanes, "Hamiltonian-path")
-    apex = 1 << n
-    counts = _held_karp(_pack([[mask | apex for mask in lane] + [apex - 1] for lane in lanes]), len(lanes))
-    tables = _unpack(counts[apex:], n + 1, len(lanes))
-    for table in tables:
-        table[0] = 1
-    return tables
-
-
-def _lane_length(lanes: Sequence[Sequence[int]], table: str) -> int:
-    """The one length n of the successor lists in lanes; refuses no lanes,
-    lanes of unequal length and n above MAX_GROUND_SET."""
-    lengths = set(map(len, lanes))
-    if len(lengths) != 1:
-        raise ValueError(f"{table} tables need successor lists of one length, got lengths {sorted(lengths)}")
-    (n,) = lengths
+def _lane_length(successors: Sequence[int], table: str) -> int:
+    """The length n of successors; refuses n above MAX_GROUND_SET."""
+    n = len(successors)
     if n > MAX_GROUND_SET:
         raise SizeLimitError(f"{table} table refuses n={n} (limit {MAX_GROUND_SET})")
     return n
 
 
-def _pack(lanes: Sequence[Sequence[int]]) -> list[int]:
-    """Per vertex, the successors of k lists over n vertices: lane i's in field
-    i of _LANE_CODES[n]'s width (one lane's are its own)."""
-    return [int.from_bytes(array(_LANE_CODES[len(lanes[0])], column), sys.byteorder) for column in zip(*lanes)]
-
-
 def _unpack(counts: list[int], n: int, k: int) -> list[list[int]]:
-    """The k lanes' tables from _held_karp's entries over n vertices, each
-    field the narrowest of 8, 16, 32 or 64 bits that holds an n-bit mask and
-    (n - 1)!, the most cycles through n vertices: 8 bits up to n = 6, 16 up
-    to 9, 32 from 10 (and at the 13 vertices of a path table with its apex).
-    Several lanes are unpacked through a memoryview cast."""
-    if k == 1:
-        return [counts]
+    """The k lanes' tables from _held_karp's entries over n vertices, through
+    a memoryview cast, each field the narrowest of 8, 16, 32 or 64 bits that
+    holds an n-bit mask and (n - 1)!, the most cycles through n vertices: 8
+    bits up to n = 6, 16 up to 9, 32 from 10 (and at the 13 vertices of a path
+    table with its apex)."""
     code = _LANE_CODES[n]
     size = k * array(code).itemsize
     fields = memoryview(b"".join([entry.to_bytes(size, sys.byteorder) for entry in counts])).cast(code)
@@ -260,11 +230,11 @@ def _ones(n: int, k: int) -> int:
 
 def _held_karp(columns: Sequence[int], k: int) -> list[int]:
     """The cycle tables of k successor lists over n vertices from their packed
-    columns (see _pack), with no check: entry S holds lane i's count in field
-    i.  Paths grow from the lowest vertex of S, so each cycle counts once.  A
-    row is made when a path first reaches S and holds only the ends reached,
-    with every lane's count of paths over S from its lowest vertex to that
-    end; a step v -> w keeps the lanes that have that edge, by one AND."""
+    columns, with no check: entry S holds lane i's count in field i.  Paths
+    grow from the lowest vertex of S, so each cycle counts once.  A row is
+    made when a path first reaches S and holds only the ends reached, with
+    every lane's count of paths over S from its lowest vertex to that end; a
+    step v -> w keeps the lanes that have that edge, by one AND."""
     n = len(columns)
     vertices = _mask_elements(n)  # the vertices of every bitmask, ascending
     bit = (0,) + tuple(1 << v for v in range(n))  # bit[v]: vertex v's bit
@@ -312,9 +282,9 @@ def _selection_lanes(n: int, m: int) -> list[int]:
 
 
 def _deletion_columns(dg: Digraph, removed: Sequence[Edge]) -> list[int]:
-    """The packed columns (see _pack) of dg minus S for every selection S of
-    the distinct edges removed, lane S in _selections order: each non-loop
-    edge (u, v) leaves u's column in the lanes that select it."""
+    """The packed columns of dg minus S for every selection S of the distinct
+    edges removed, lane S in _selections order: each non-loop edge (u, v)
+    leaves u's column in the lanes that select it."""
     if len(set(removed)) != len(removed) or not dg.edges.issuperset(removed):
         dg.delete_edges(removed)  # refuses the edges not in dg
         raise ValueError(f"repeated edges in {list(removed)}")

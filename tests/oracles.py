@@ -8,15 +8,18 @@ the counting lemma checked coloring by coloring and subset by subset.
 The rest are literal forms of what the library computes faster: the text of
 a set partition, rendered block by block; a basis change summed pair by
 pair into a dict keyed by partition, along the rows coarsenings and
-refinements; and the commutative image, term by term.
+refinements; the commutative image, term by term; and the packed columns of
+several successor lists, packed vertex by vertex.
 """
 
 import itertools
+import sys
+from array import array
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from redeiberge.digraph import Digraph
+from redeiberge.digraph import _LANE_CODES, Digraph
 from redeiberge.invariant import _block_weights
 from redeiberge.ncsym import CSymElement, NCSymElement, _sum
 from redeiberge.setpart import (
@@ -185,3 +188,9 @@ def commutative_image_by_terms(element: NCSymElement) -> CSymElement:
     weight = {"M": multiplicity_weight, "P": lambda pi: 1, "E": factorial_weight}[element.basis]
     terms = _sum((lambda_of(pi), c * weight(pi)) for pi, c in element.terms.items())
     return CSymElement(element.degree, element.basis.lower(), terms)
+
+
+def pack_lanes(lanes: Sequence[Sequence[int]]) -> list[int]:
+    """Per vertex, the successors of k lists over n vertices: lane i's in field
+    i of _LANE_CODES[n]'s width, the packed columns digraph._held_karp reads."""
+    return [int.from_bytes(array(_LANE_CODES[len(lanes[0])], column), sys.byteorder) for column in zip(*lanes)]

@@ -1,6 +1,7 @@
 """The identity-verification suite: pass/fail/skipped reporting and witnesses."""
 
 import itertools
+import math
 import sys
 import time
 from array import array
@@ -26,11 +27,11 @@ from redeiberge.digraph import (
     Digraph,
     _complement_columns,
     _deletion_columns,
-    _pack,
     _unpack,
     complete_digraph,
     cycle_digraph,
     discrete_digraph,
+    hamiltonian_path_counts,
     path_digraph,
     random_digraph,
     random_tournament,
@@ -39,7 +40,7 @@ from redeiberge.invariant import _split_on_edge, count_friendly, rb_by_permutati
 from redeiberge.ncsym import NCSymElement
 from redeiberge.setpart import _selections, parse_set_partition
 
-from oracles import counting_lemma_witness
+from oracles import counting_lemma_witness, pack_lanes
 
 P = parse_set_partition
 
@@ -190,23 +191,24 @@ def test_instance_label_threads_through():
 
 def test_counting_lemma_names_the_first_failing_coloring(monkeypatch):
     # one wrong friendly count: of X minus S for one S of three edges, at the
-    # colorings with classes 123/4, where it is the path count of block 123
+    # colorings with classes 123/4, where it is the path count of block 123,
+    # read from the cycles through 123 and the apex 5
     dg = parse_generator_spec("tournament:4:1")
     edges = sorted(dg.edges)
     S = [(1, 2), (2, 3), (2, 4)]
     lane = sum(1 << edges.index(e) for e in S)
-    path_tables = checks.hamiltonian_path_tables
+    held_karp = checks._held_karp
 
-    def off_by_one(lanes):
-        tables = path_tables(lanes)
-        tables[lane][0b0111] += 1
-        return tables
+    def off_by_one(columns, k):
+        tables = _unpack(held_karp(columns, k), dg.n + 1, k)
+        tables[lane][1 << dg.n | 0b0111] += 1
+        return [int.from_bytes(array(_LANE_CODES[dg.n + 1], entry), sys.byteorder) for entry in zip(*tables)]
 
     def literal_off_by_one(deleted, colors):
         classes_123_4 = colors[0] == colors[1] == colors[2] != colors[3]
         return count_friendly(deleted, colors) + (deleted == dg.delete_edges(S) and classes_123_4)
 
-    monkeypatch.setattr(checks, "hamiltonian_path_tables", off_by_one)
+    monkeypatch.setattr(checks, "_held_karp", off_by_one)
     (report,) = check_identities(dg, ["counting-lemma"])
     assert report.status == "fail"
     assert report.witness == counting_lemma_witness(dg, literal_off_by_one)
@@ -229,6 +231,23 @@ def test_deletion_sums_name_the_first_differing_coefficient(monkeypatch, spec, c
     monkeypatch.setattr(checks, "_deletion_columns", _faulty_deletions(lambda S: S[:2] if len(S) == 3 else S))
     (report,) = check_identities(dg, [check])
     assert (report.status, report.witness) == ("pass" if witness is None else "fail", witness)
+
+
+def test_a_failing_deletion_sum_reads_the_tables_of_its_decision(monkeypatch):
+    # the witness unpacks the packed tables the decision read: one pass over
+    # the 2^10 deletion lanes per side, beside the two one-lane passes of W(X)
+    lanes = []
+    held_karp = invariant._held_karp
+
+    def recording(columns, k):
+        lanes.append(k)
+        return held_karp(columns, k)
+
+    monkeypatch.setattr(checks, "_deletion_columns", _faulty_deletions(lambda S: S[:2] if len(S) == 3 else S))
+    monkeypatch.setattr(invariant, "_held_karp", recording)
+    (report,) = check_identities(parse_generator_spec("tournament:5:2"), ["subset-decomposition"])
+    assert (report.status, report.witness) == ("fail", "coefficient at 1/2/3/45: 0 != -36")
+    assert sorted(lanes) == [1, 1, 1024, 1024]
 
 
 @pytest.mark.parametrize(
@@ -272,7 +291,7 @@ def _faulty_deletions(fault):
     fault keeps of its selection."""
 
     def deletion_columns(dg, removed):
-        return _pack([dg.delete_edges(fault(S)).successor_masks() for S in _selections(removed)])
+        return pack_lanes([dg.delete_edges(fault(S)).successor_masks() for S in _selections(removed)])
 
     return deletion_columns
 
@@ -412,7 +431,8 @@ def digraphs_with_edge_sets(draw, max_n=6, max_edges=5):
 def test_deletion_tables_decide_as_the_alternating_sum(case):
     dg, edges = case
     full = _difference(rb_by_permutations(dg), _literal_deletion_sum(dg, edges))
-    assert _deletion_tables_vanish(dg, edges) == (full is None)
+    k = 1 << len(edges)
+    assert _deletion_tables_vanish(dg.n, edges, invariant._cycle_tables(_deletion_columns(dg, edges), k)) == (full is None)
 
 
 @pytest.mark.parametrize(
@@ -497,32 +517,71 @@ def test_friendly_counts_depend_only_on_the_partition_into_color_classes(dg):
 
 
 def test_counting_lemma_makes_one_path_table_call_over_every_deletion(monkeypatch):
+    # the path tables of the 64 deletions are the cycle tables of their
+    # loopless complements with the isolated vertex 5 added, an apex there,
+    # packed one lane per deletion
     calls = []
-    path_tables = checks.hamiltonian_path_tables
+    held_karp = checks._held_karp
 
-    def recording(lanes):
-        calls.append(lanes)
-        return path_tables(lanes)
+    def recording(columns, k):
+        calls.append((columns, k))
+        return held_karp(columns, k)
 
-    def refused(dg, colors):
-        raise AssertionError("count_friendly called")
+    def refused(*args):
+        raise AssertionError("a deletion or a literal friendly count was made")
 
-    monkeypatch.setattr(checks, "hamiltonian_path_tables", recording)
+    dg = parse_generator_spec("tournament:4:1")
+    edges = sorted(dg.edges)
+    with_apex = Digraph(5, edges)
+    lanes = [_complement_columns(with_apex.delete_edges(S).successor_masks(), 1) for S in _selections(edges)]
+    expected = [(pack_lanes(lanes), 64)]
+    monkeypatch.setattr(checks, "_held_karp", recording)
+    monkeypatch.setattr(Digraph, "delete_edges", refused)
     monkeypatch.setattr(checks, "count_friendly", refused)
     monkeypatch.setattr(invariant, "count_friendly", refused)
-    dg = parse_generator_spec("tournament:4:1")
     (report,) = check_identities(dg, ["counting-lemma"])
     assert report.status == "pass"
-    deleted = [dg.delete_edges(S) for S in _selections(sorted(dg.edges))]
-    assert len(deleted) == 2 ** len(dg.edges) == 64
-    assert calls == [[_complement_columns(d.successor_masks(), 1) for d in deleted]]
+    assert len(lanes) == 2 ** len(edges) == 64
+    assert calls == expected
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [6, 9])
+def test_friendly_counts_read_the_path_tables_at_the_apex_field_width(n, m):
+    # with the apex the path tables span n + 1 vertices, in wider fields than
+    # n takes: 8 -> 16 bits at n = 6, 16 -> 32 at n = 9.  Every block B is the
+    # one block of size above 1 of some partition, so the counts hold each
+    # deletion's path table on every B
+    assert array(_LANE_CODES[n]).itemsize < array(_LANE_CODES[n + 1]).itemsize
+    dg = random_digraph(n, 0.3, 1)
+    edges = dg.non_loop_edges()[:m]
+    paths = [
+        hamiltonian_path_counts(_complement_columns(dg.delete_edges(S).successor_masks(), 1)) for S in _selections(edges)
+    ]
+    for colors, counts in checks._friendly_counts(dg, edges).items():
+        blocks = [sum(1 << v for v, c in enumerate(colors) if c == color) for color in set(colors)]
+        assert counts == [math.prod(table[B] for B in blocks) for table in paths], colors
+
+
+@pytest.mark.parametrize("spec", ["tournament:4:2", "random:4:0.3:1", "random:4:0.3:2"])
+def test_the_counting_lemma_builds_no_deletion(monkeypatch, spec):
+    # random:4:0.3:1 has a loop, a lane that leaves every successor mask alone
+    def refused(self, removed):
+        raise AssertionError("delete_edges called")
+
+    dg = parse_generator_spec(spec)
+    expected = check_identities(dg, ["counting-lemma"])
+    monkeypatch.setattr(Digraph, "delete_edges", refused)
+    assert check_identities(dg, ["counting-lemma"]) == expected
+    assert expected[0].status == "pass"
 
 
 def _friendly_counts_match_count_friendly(dg):
     """_friendly_counts of every deletion of dg, for every partition's
     restricted growth string in product order, against count_friendly."""
-    deleted = [dg.delete_edges(S) for S in _selections(sorted(dg.edges))]
-    table = checks._friendly_counts(deleted)
+    edges = sorted(dg.edges)
+    deleted = [dg.delete_edges(S) for S in _selections(edges)]
+    table = checks._friendly_counts(dg, edges)
     colorings = itertools.product(range(1, dg.n + 1), repeat=dg.n)
     block_colorings = sorted({_restricted_growth(colors) for colors in colorings})
     assert list(table) == block_colorings
@@ -575,7 +634,7 @@ def test_alternating_deletion_sum_matches_the_literal_sum(monkeypatch, dg):
     edges = sorted(dg.edges)[:8]
     expected = _difference(rb_by_permutations(dg), _literal_deletion_sum(dg, edges))
     assert _CheckRunner(dg, None, "")._deletion_sum_witness(edges) == expected
-    monkeypatch.setattr(checks, "_deletion_tables_vanish", lambda dg, edges: False)
+    monkeypatch.setattr(checks, "_deletion_tables_vanish", lambda n, edges, tables: False)
     assert _CheckRunner(dg, None, "")._deletion_sum_witness(edges) == expected
 
 
@@ -585,7 +644,7 @@ def test_alternating_deletion_sum_drops_the_terms_that_cancel(monkeypatch):
     total = _literal_deletion_sum(dg, edges)
     assert P("12") in rb_by_permutations(dg.delete_edges([(2, 1)])).terms
     assert P("12") not in total.terms and total == rb_by_permutations(dg)
-    monkeypatch.setattr(checks, "_deletion_tables_vanish", lambda dg, edges: False)
+    monkeypatch.setattr(checks, "_deletion_tables_vanish", lambda n, edges, tables: False)
     assert _CheckRunner(dg, None, "")._deletion_sum_witness(edges) is None
 
 

@@ -21,11 +21,10 @@ from redeiberge.digraph import (
     _LANE_CODES,
     _complement_columns,
     _deletion_columns,
+    _held_karp,
     _unpack,
     hamiltonian_cycle_counts,
-    hamiltonian_cycle_tables,
     hamiltonian_path_counts,
-    hamiltonian_path_tables,
     has_even_directed_cycle,
     parse_digraph,
     path_digraph,
@@ -34,6 +33,8 @@ from redeiberge.digraph import (
 )
 from redeiberge.errors import MissingEdgeError, SizeLimitError
 from redeiberge.setpart import _selections
+
+from oracles import pack_lanes
 
 
 @st.composite
@@ -316,6 +317,12 @@ def test_cycle_count_table_against_brute_force():
         hamiltonian_cycle_counts([0] * 13)
 
 
+def cycle_tables(lanes):
+    """hamiltonian_cycle_counts of every successor list in lanes, all over the
+    same n vertices, from one _held_karp pass over their packed columns."""
+    return _unpack(_held_karp(pack_lanes(lanes), len(lanes)), len(lanes[0]), len(lanes))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 64])
 def test_cycle_tables_of_many_lanes_equal_the_table_of_each(k):
     # a step keeps only the lanes with its edge, so the lanes mix dense and
@@ -326,7 +333,7 @@ def test_cycle_tables_of_many_lanes_equal_the_table_of_each(k):
         if k > 1:
             sample[-1] = complete_digraph(n)
         lanes = [dg.successor_masks() for dg in sample]
-        tables = hamiltonian_cycle_tables(lanes)
+        tables = cycle_tables(lanes)
         assert len(tables) == k
         for i, dg in enumerate(sample):
             assert tables[i] == hamiltonian_cycle_counts(lanes[i]) == brute_force_cycle_counts(dg), (n, i, dg)
@@ -338,12 +345,20 @@ def test_lane_width_holds_the_largest_count_and_isolates_the_lanes():
     assert [array(code).itemsize for code in _LANE_CODES] == [1] * 7 + [2] * 3 + [4] * 4
     complete, empty = complete_digraph(12).successor_masks(), discrete_digraph(12).successor_masks()
     start = time.perf_counter()
-    tables = hamiltonian_cycle_tables([complete, empty, complete])
+    tables = cycle_tables([complete, empty, complete])
     seconds = time.perf_counter() - start
     assert [table[-1] for table in tables] == [math.factorial(11), 0, math.factorial(11)]
     assert tables[0] == tables[2] == hamiltonian_cycle_counts(complete)
     assert not any(tables[1])
     assert seconds < 2, seconds
+
+
+def test_one_lane_unpacks_to_its_own_table():
+    # one lane's packed table is its plain table, up to (n - 1)! cycles of
+    # the complete digraph in the field of each n
+    for n in range(13):
+        table = hamiltonian_cycle_counts(complete_digraph(n).successor_masks())
+        assert _unpack(table, n, 1) == [table], n
 
 
 @st.composite
@@ -390,22 +405,12 @@ def test_deletion_columns_refuse_as_delete_edges_does():
         _deletion_columns(dg, [(1, 2), (2, 3), (1, 2)])
 
 
-@pytest.mark.parametrize("tables", [hamiltonian_cycle_tables, hamiltonian_path_tables])
-@pytest.mark.parametrize(
-    "lanes, error, match",
-    [
-        ([], ValueError, "successor lists of one length"),
-        ([[0, 0], [0]], ValueError, "successor lists of one length"),
-        ([[0] * 13, [0] * 12], ValueError, "successor lists of one length"),
-        ([[1], [0, 1]], ValueError, "successor lists of one length"),
-        ([[0] * 13, [0] * 13], SizeLimitError, "n=13"),
-    ],
-)
-def test_cycle_tables_refuse_no_lanes_and_lanes_of_unequal_length(tables, lanes, error, match):
-    # and n = 13, the path tables on n itself, not on the 14 vertices with the apex
+@pytest.mark.parametrize("counts", [hamiltonian_cycle_counts, hamiltonian_path_counts])
+def test_count_tables_refuse_n_above_the_ground_set_at_once(counts):
+    # n = 13: the path table on n itself, not on the 14 vertices with the apex
     start = time.perf_counter()
-    with pytest.raises(error, match=match):
-        tables(lanes)
+    with pytest.raises(SizeLimitError, match="n=13"):
+        counts([0] * 13)
     assert time.perf_counter() - start < 0.1
 
 
@@ -471,6 +476,19 @@ def brute_force_path_counts(dg):
     return counts
 
 
+def path_tables(lanes):
+    """hamiltonian_path_counts of every successor list in lanes, all over the
+    same n vertices, from one _held_karp pass over the packed columns of the
+    n + 1 vertices with the apex added."""
+    n, k = len(lanes[0]), len(lanes)
+    apex = 1 << n
+    counts = _held_karp(pack_lanes([[mask | apex for mask in lane] + [apex - 1] for lane in lanes]), k)
+    tables = _unpack(counts[apex:], n + 1, k)
+    for table in tables:
+        table[0] = 1
+    return tables
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 64])
 def test_path_tables_of_many_lanes_equal_the_table_of_each(k):
     # as for the cycle tables, the lanes mix dense and sparse digraphs and loops
@@ -480,7 +498,7 @@ def test_path_tables_of_many_lanes_equal_the_table_of_each(k):
         if k > 1:
             sample[-1] = complete_digraph(n)
         lanes = [dg.successor_masks() for dg in sample]
-        tables = hamiltonian_path_tables(lanes)
+        tables = path_tables(lanes)
         assert len(tables) == k
         for i, dg in enumerate(sample):
             assert tables[i] == hamiltonian_path_counts(lanes[i]) == brute_force_path_counts(dg), (n, i, dg)
@@ -492,7 +510,7 @@ def test_path_lane_width_holds_the_largest_count_and_isolates_the_lanes():
     # would carry into the empty lane beside it
     complete, empty = complete_digraph(12).successor_masks(), discrete_digraph(12).successor_masks()
     start = time.perf_counter()
-    tables = hamiltonian_path_tables([complete, empty, complete])
+    tables = path_tables([complete, empty, complete])
     seconds = time.perf_counter() - start
     assert [table[-1] for table in tables] == [math.factorial(12), 0, math.factorial(12)] == [479001600, 0, 479001600]
     assert tables[0] == tables[2] == [math.factorial(S.bit_count()) for S in range(1 << 12)]
