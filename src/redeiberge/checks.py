@@ -16,7 +16,7 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .digraph import Digraph, _complement_columns, _deletion_columns, _held_karp, has_even_directed_cycle
-from .digraph import _LANE_CODES, _selection_lanes, _unpack
+from .digraph import _LANE_CODES, _disjoint_paths, _selection_lanes, _unpack
 from .errors import SizeLimitError
 from .invariant import (
     ROUTES,
@@ -29,7 +29,6 @@ from .invariant import (
     resolve_route,
     _block_coloring,
     _block_weight,
-    _block_weights,
     _cycle_tables,
     _split_on_edge,
 )
@@ -133,18 +132,18 @@ class _CheckRunner:
         return _difference(rb_by_permutations(self.dg.product(right)), product)
 
     def check_deletion_contraction(self) -> str | None:
-        non_loop = self.dg.non_loop_edges()
+        n, non_loop = self.dg.n, self.dg.non_loop_edges()
         if not non_loop:
             raise _Skip("hypothesis unmet: no non-loop edge")
-        resolve_route("permutations", self.dg.n)
-        for u, v in non_loop:
-            _, moved, contracted = _split_on_edge(self.dg, u, v)
-            deleted = moved.delete_edges([(self.dg.n - 1, self.dg.n)])
-            if _contraction_tables_agree(moved, deleted, contracted):
+        resolve_route("permutations", n)
+        splits = [_split_on_edge(self.dg, u, v)[1:] for u, v in non_loop]
+        weights = _contraction_weights(splits)
+        for i, ((u, v), (moved, contracted)) in enumerate(zip(non_loop, splits)):
+            if _contraction_tables_agree(*weights[3 * i : 3 * i + 3]):
                 continue
             # the tables disagree: the full comparison decides and names the witness
             lhs = rb_by_permutations(moved)
-            rhs = rb_by_permutations(deleted) - rb_by_permutations(contracted).induct()
+            rhs = rb_by_permutations(moved.delete_edges([(n - 1, n)])) - rb_by_permutations(contracted).induct()
             witness = _difference(lhs, rhs)
             if witness is not None:
                 return f"edge ({u},{v}): " + witness
@@ -194,7 +193,7 @@ class _CheckRunner:
         qualifying = [
             F
             for F in sorted(range(1, 1 << len(edges)), key=lambda F: (len(subsets[F]), subsets[F]))
-            if not Digraph(n, subsets[F]).is_disjoint_union_of_paths()
+            if not _disjoint_paths(subsets[F])
         ]
         if not qualifying:
             raise _Skip("hypothesis unmet: no qualifying edge subset")
@@ -344,13 +343,27 @@ def _deletion_tables_vanish(n: int, edges: Sequence[tuple[int, int]], tables: tu
     return next(_nonzero_partitions(d, (1 << n) - 1), None) is None
 
 
-def _contraction_tables_agree(moved: Digraph, deleted: Digraph, contracted: Digraph) -> bool:
-    """The deletion-contraction identity on (n-1, n) in block tables, which
-    holds exactly when the P expansions satisfy it: w_moved(B) = w_deleted(B)
-    - w_contracted(B minus n) when B holds n-1 and n, else w_moved(B) =
-    w_deleted(B); and w_contracted(B) = w_deleted(B) inside 1..n-2."""
-    n = moved.n
-    x, d, c = _block_weights(moved), _block_weights(deleted), _block_weights(contracted)
+def _contraction_weights(splits: Sequence[tuple[Digraph, Digraph]]) -> list[list[int]]:
+    """The block weights of three lanes per split (moved, contracted) on n
+    vertices, from one packed Held-Karp pass per side: moved, moved minus
+    (n-1, n), and contracted with an isolated vertex n, whose weights on the
+    B inside 1..n-1 are the contraction's own."""
+    n, lanes = splits[0][0].n, []
+    for moved, contracted in splits:
+        masks = moved.successor_masks()
+        lanes += [masks, [*masks[:-2], masks[-2] ^ 1 << n - 1, masks[-1]], contracted.successor_masks() + [0]]
+    columns = [int.from_bytes(array(_LANE_CODES[n], column), sys.byteorder) for column in zip(*lanes)]
+    in_x, in_complement = (_unpack(t, n, len(lanes)) for t in _cycle_tables(columns, len(lanes)))
+    sizes = [B.bit_count() for B in range(1 << n)]
+    return [list(map(_block_weight, a, b, sizes)) for a, b in zip(in_x, in_complement)]
+
+
+def _contraction_tables_agree(x: Sequence[int], d: Sequence[int], c: Sequence[int]) -> bool:
+    """The deletion-contraction identity on (n-1, n) in the block weights x of
+    the moved digraph, d of it minus (n-1, n) and c of its contraction, which
+    holds exactly when the P expansions satisfy it: x(B) = d(B) - c(B minus n)
+    when B holds n-1 and n, else x(B) = d(B); and c(B) = d(B) inside 1..n-2."""
+    n = len(x).bit_length() - 1
     both, last, inside = 3 << n - 2, 1 << n - 1, 1 << n - 2
     expected = [d[B] - c[B ^ last] if B & both == both else d[B] for B in range(1 << n)]
     return x == expected and c[:inside] == d[:inside]

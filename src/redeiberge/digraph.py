@@ -47,6 +47,14 @@ class Digraph(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_set)
 
+    @staticmethod
+    def _trusted(n: int, edges: frozenset) -> "Digraph":
+        """The digraph on 1..n with these int-pair edges, unchecked: for results valid by construction."""
+        dg = object.__new__(Digraph)
+        object.__setattr__(dg, "n", n)
+        object.__setattr__(dg, "edges", edges)
+        return dg
+
     def __reduce__(self):
         return type(self), (self.n, self.edges)
 
@@ -79,12 +87,8 @@ class Digraph(_Frozen):
     def delete_edges(self, removed: Iterable[Edge]) -> "Digraph":
         removed = frozenset((index(u), index(v)) for u, v in removed)
         if not removed <= self.edges:
-            missing = sorted(removed - self.edges)
-            raise MissingEdgeError(f"edges not in digraph: {missing}")
-        kept = object.__new__(Digraph)  # the edges left of a valid digraph need no second check
-        object.__setattr__(kept, "n", self.n)
-        object.__setattr__(kept, "edges", self.edges - removed)
-        return kept
+            raise MissingEdgeError(f"edges not in digraph: {sorted(removed - self.edges)}")
+        return Digraph._trusted(self.n, self.edges - removed)
 
     def contract_last_edge(self) -> "Digraph":
         """Contract the edge (n-1, n); the merged vertex takes label n-1.
@@ -94,16 +98,13 @@ class Digraph(_Frozen):
         the old n pointed at w.  Everything else incident to n-1 or n is
         dropped, so contraction never creates a loop.
         """
-        n = self.n
-        if n < 2 or (n - 1, n) not in self.edges:
+        n, edges = self.n, self.edges
+        if n < 2 or (n - 1, n) not in edges:
             raise MissingEdgeError(f"digraph has no edge ({n - 1},{n}) to contract")
-        kept = {(u, v) for u, v in self.edges if u <= n - 2 and v <= n - 2}
-        for w in range(1, n - 1):
-            if (w, n - 1) in self.edges:
-                kept.add((w, n - 1))
-            if (n, w) in self.edges:
-                kept.add((n - 1, w))
-        return Digraph(n - 1, kept)
+        kept = {(u, v) for u, v in edges if u <= n - 2 and v <= n - 2}
+        kept.update((w, n - 1) for w in range(1, n - 1) if (w, n - 1) in edges)
+        kept.update((n - 1, w) for w in range(1, n - 1) if (n, w) in edges)
+        return Digraph._trusted(n - 1, frozenset(kept))
 
     def relabel(self, delta: Sequence[int]) -> "Digraph":
         """Rename vertex i to delta[i-1]; delta must be a permutation of 1..n."""
@@ -132,9 +133,7 @@ class Digraph(_Frozen):
 
     def is_disjoint_union_of_paths(self) -> bool:
         """No loop, distinct tails, distinct heads, and no directed cycle."""
-        loops = any(u == v for u, v in self.edges)
-        tails, heads = {u for u, _ in self.edges}, {v for _, v in self.edges}
-        return not loops and len(tails) == len(self.edges) == len(heads) and self.find_directed_cycle() is None
+        return _disjoint_paths(self.edges)
 
     def find_directed_cycle(self) -> list[Edge] | None:
         """One directed cycle of length >= 2 (loops are not cycles here) as an
@@ -171,6 +170,20 @@ class Digraph(_Frozen):
             if u != v:
                 masks[u - 1] |= 1 << (v - 1)
         return masks
+
+
+def _disjoint_paths(edges: Sequence[Edge] | frozenset[Edge]) -> bool:
+    """No loop, distinct tails and heads, and no directed cycle in the distinct
+    edges: with one successor per tail, no walk from a tail comes back onto it."""
+    successor = dict(edges)
+    if len(successor) != len(edges) or len(set(successor.values())) != len(edges):
+        return False
+    for start, w in successor.items():
+        while w != start and w in successor:
+            w = successor[w]
+        if w == start:
+            return False
+    return True
 
 
 def hamiltonian_cycle_counts(successors: Sequence[int]) -> list[int]:

@@ -39,7 +39,6 @@ from .setpart import (
     _trusted_partition,
     enumerate_partitions,
     factorial_weight,
-    inverse_perm,
 )
 
 # The one table of routes: name -> (function, largest n it accepts), in bench row order.  Each
@@ -183,13 +182,15 @@ def _discrete_expansion(n: int) -> dict[tuple[int, ...], int]:
 
 
 def _split_on_edge(dg: Digraph, u: int, v: int) -> tuple[tuple[int, ...], Digraph, Digraph]:
-    """The deletion-contraction step on the edge (u, v): the permutation delta
-    sending u to n-1 and v to n, order-preserving elsewhere; the digraph
-    relabeled by delta; and that digraph with (n-1, n) contracted."""
+    """The deletion-contraction step on the non-loop edge (u, v), unchecked
+    since valid by construction: delta^-1, the vertices in the order of their
+    images under the delta sending u to n-1 and v to n, order-preserving
+    elsewhere; the digraph relabeled by delta; and that with (n-1, n) contracted."""
     n = dg.n
-    delta = inverse_perm([w for w in range(1, n + 1) if w != u and w != v] + [u, v])
-    moved = dg.relabel(delta)
-    return delta, moved, moved.contract_last_edge()
+    order = (*(w for w in range(1, n + 1) if w != u and w != v), u, v)
+    delta = dict(zip(order, range(1, n + 1)))
+    moved = Digraph._trusted(n, frozenset([(delta[a], delta[b]) for a, b in dg.edges]))
+    return order, moved, moved.contract_last_edge()
 
 
 def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
@@ -221,10 +222,10 @@ def _deletion_contraction(dg: Digraph, memo: dict) -> dict[tuple[int, ...], int]
     if not dg.edges:
         return _discrete_expansion(dg.n)
     e = min(dg.edges)
-    delta, _, contracted = _split_on_edge(dg, *e)
+    order, _, contracted = _split_on_edge(dg, *e)
     inducted = _induct_masks(dg.n - 1, _deletion_contraction(contracted, memo).items())
     terms = dict(_deletion_contraction(dg.delete_edges([e]), memo))
-    for masks, c in _act_masks(inverse_perm(delta), inducted.items()).items():
+    for masks, c in _act_masks(order, inducted.items()).items():
         c = terms.get(masks, 0) - c
         if c:
             terms[masks] = c

@@ -485,7 +485,42 @@ def test_contraction_tables_decide_as_the_full_comparison(case):
     deleted = moved.delete_edges([(dg.n - 1, dg.n)])
     for c in (contracted, _contract_the_wrong_way(moved), other):
         full = _difference(rb_by_permutations(moved), rb_by_permutations(deleted) - rb_by_permutations(c).induct())
-        assert _contraction_tables_agree(moved, deleted, c) == (full is None)
+        weights = map(invariant._block_weights, (moved, deleted, c))
+        assert _contraction_tables_agree(*weights) == (full is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs_with_a_non_loop_edge())
+@example((Digraph(4, [(1, 4), (3, 4), (4, 1), (4, 3)]), (3, 4), Digraph(3, [(1, 3), (2, 1)])))
+def test_the_packed_contraction_decision_equals_the_per_edge_decision(case):
+    # every non-loop edge with its right contraction, the wrong orientation and
+    # an unrelated digraph, all packed as lanes of one pass per side
+    dg, _, other = case
+    splits = []
+    for u, v in dg.non_loop_edges():
+        _, moved, contracted = _split_on_edge(dg, u, v)
+        splits += [(moved, c) for c in (contracted, _contract_the_wrong_way(moved), other)]
+    packed = checks._contraction_weights(splits)
+    for i, (moved, c) in enumerate(splits):
+        deleted = moved.delete_edges([(dg.n - 1, dg.n)])
+        one_by_one = _contraction_tables_agree(*map(invariant._block_weights, (moved, deleted, c)))
+        assert _contraction_tables_agree(*packed[3 * i : 3 * i + 3]) == one_by_one
+
+
+def test_deletion_contraction_makes_one_pass_pair_over_every_edge(monkeypatch):
+    # the 10 edges of a 5-vertex tournament, three lanes each: moved, deleted
+    # and the contraction with an isolated vertex added
+    lanes = []
+    held_karp = invariant._held_karp
+
+    def recording(columns, k):
+        lanes.append(k)
+        return held_karp(columns, k)
+
+    monkeypatch.setattr(invariant, "_held_karp", recording)
+    (report,) = check_identities(parse_generator_spec("tournament:5:1"), ["deletion-contraction"])
+    assert report.status == "pass"
+    assert lanes == [30, 30]
 
 
 def _restricted_growth(colors):

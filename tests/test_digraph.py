@@ -21,6 +21,7 @@ from redeiberge.digraph import (
     _LANE_CODES,
     _complement_columns,
     _deletion_columns,
+    _disjoint_paths,
     _held_karp,
     _unpack,
     hamiltonian_cycle_counts,
@@ -183,6 +184,22 @@ def test_relabel_is_a_group_action(dg, data):
     assert dg.relabel(delta).relabel(inverse) == dg
 
 
+def test_the_public_constructions_still_check():
+    # relabel and the constructor check their input; only the results of a
+    # valid digraph's own constructions skip the check
+    dg = Digraph(3, [(1, 2), (2, 3), (3, 3)])
+    for delta in ((1, 2, 2), (0, 1, 2), (1, 2, 4)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            dg.relabel(delta)
+    with pytest.raises(ValueError, match=r"edge \(3,4\) out of range for n=3"):
+        Digraph(3, [(1, 2), (3, 4)])
+    for built in (dg.relabel((3, 1, 2)), dg.delete_edges([(3, 3)]), dg.contract_last_edge()):
+        assert type(built) is Digraph and type(built.edges) is frozenset
+        assert built == Digraph(built.n, built.edges) and hash(built) == hash(Digraph(built.n, built.edges))
+        with pytest.raises(AttributeError):
+            built.n = 0
+
+
 def test_product_examples():
     assert discrete_digraph(1) * discrete_digraph(1) == path_digraph(2)
     x = Digraph(3, [(1, 2), (3, 3)])
@@ -219,6 +236,15 @@ def test_is_disjoint_union_of_paths_examples():
     assert not Digraph(3, [(1, 2), (1, 3)]).is_disjoint_union_of_paths()  # out-degree 2
     assert not Digraph(3, [(1, 3), (2, 3)]).is_disjoint_union_of_paths()  # in-degree 2
     assert not Digraph(1, [(1, 1)]).is_disjoint_union_of_paths()  # loop
+
+
+@given(digraphs(max_n=6))
+def test_disjoint_paths_is_the_path_union_rule(dg):
+    # the edge-list predicate the counting lemma filters by, on a set and on a sorted list
+    edges = dg.edges
+    rule = all(u != v for u, v in edges) and len({u for u, _ in edges}) == len(edges) == len({v for _, v in edges})
+    rule = rule and dg.find_directed_cycle() is None
+    assert _disjoint_paths(edges) == _disjoint_paths(sorted(edges)) == dg.is_disjoint_union_of_paths() == rule
 
 
 def test_find_directed_cycle_examples():

@@ -45,7 +45,7 @@ from redeiberge.setpart import (
 )
 
 from oracles import elementary_coefficient, is_friendly, tournament_formula
-from test_checks import _contract_the_wrong_way
+from test_checks import _contract_the_wrong_way, digraphs_with_a_non_loop_edge
 
 P = parse_set_partition
 
@@ -316,6 +316,21 @@ def test_deletion_contraction_equals_p_to_m_at_its_capacity(spec):
     dg = parse_generator_spec(spec)
     assert dg.n == invariant.ROUTES["deletion-contraction"][1]
     assert rb_by_deletion_contraction(dg) == rb_by_permutations(dg).to_basis("M")
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs_with_a_non_loop_edge())
+def test_split_on_edge_equals_the_validated_path(case):
+    # inverse_perm, relabel and a contraction built through Digraph.__init__,
+    # on every non-loop edge
+    dg, n = case[0], case[0].n
+    for u, v in dg.non_loop_edges():
+        order = tuple(w for w in range(1, n + 1) if w not in (u, v)) + (u, v)
+        moved = dg.relabel(inverse_perm(order))
+        kept = {(a, b) for a, b in moved.edges if a <= n - 2 and b <= n - 2}
+        kept |= {(w, n - 1) for w in range(1, n - 1) if (w, n - 1) in moved.edges}
+        kept |= {(n - 1, w) for w in range(1, n - 1) if (n, w) in moved.edges}
+        assert invariant._split_on_edge(dg, u, v) == (order, moved, Digraph(n - 1, kept))
 
 
 def _act_by_delta(delta, terms):
