@@ -12,6 +12,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -103,6 +104,10 @@ class _CheckRunner:
     refusal from a route, into the one report per check.
     """
 
+    # the instance's P expansion and M image, built once on first read (a refusal is not kept)
+    p = cached_property(lambda self: rb_by_permutations(self.dg))
+    m = cached_property(lambda self: self.p.to_basis("M"))
+
     def __init__(self, dg: Digraph, other: Digraph | None, instance: str):
         self.dg = dg
         self.other = other
@@ -116,19 +121,19 @@ class _CheckRunner:
         return VerificationReport(check, self.instance, "pass" if witness is None else "fail", witness)
 
     def check_opposite(self) -> str | None:
-        return _difference(rb_by_permutations(self.dg), rb_by_permutations(self.dg.opposite()))
+        return _difference(self.p, rb_by_permutations(self.dg.opposite()))
 
     def check_tournament_complement(self) -> str | None:
         if not self.dg.is_tournament():
             raise _Skip("hypothesis unmet: not a tournament")
-        return _difference(rb_by_permutations(self.dg), rb_by_permutations(self.dg.complement()))
+        return _difference(self.p, rb_by_permutations(self.dg.complement()))
 
     def check_product(self) -> str | None:
         right = self.other if self.other is not None else self.dg
         total = self.dg.n + right.n
         if total > MAX_PRODUCT_SIZE:
             raise _Skip(f"combined size {total} > {MAX_PRODUCT_SIZE}")
-        product = multiply(rb_by_permutations(self.dg), rb_by_permutations(right))
+        product = multiply(self.p, self.p if right is self.dg else rb_by_permutations(right))
         return _difference(rb_by_permutations(self.dg.product(right)), product)
 
     def check_deletion_contraction(self) -> str | None:
@@ -206,20 +211,18 @@ class _CheckRunner:
 
     def check_cross_algorithm(self) -> str | None:
         by_delcon = rb_by_deletion_contraction(self.dg)  # refuses before the other expansions
-        in_m = rb_by_permutations(self.dg).to_basis("M")
-        witness = _difference(in_m, by_delcon)
+        witness = _difference(self.m, by_delcon)
         if witness is not None or self.dg.n > ROUTES["definition"][1]:
             return witness
-        return _difference(in_m, rb_by_colorings(self.dg))
+        return _difference(self.m, rb_by_colorings(self.dg))
 
     def check_commutative(self) -> str | None:
         resolve_route("permutations", self.dg.n)  # each refusal comes before any work
         expected = rb_commutative(self.dg)
-        return _difference(rb_by_permutations(self.dg).to_basis("M").commutative_image(), expected)
+        return _difference(self.m.commutative_image(), expected)
 
     def check_integrality(self) -> str | None:
-        wp = rb_by_permutations(self.dg)
-        for element, label in ((wp, "P"), (wp.to_basis("M"), "M")):
+        for element, label in ((self.p, "P"), (self.m, "M")):
             if not element.is_integral():
                 bad = next(k for k, c in element.terms.items() if c.denominator != 1)
                 return f"{label}-basis coefficient at {bad} is {element.terms[bad]}"
@@ -228,11 +231,10 @@ class _CheckRunner:
     def check_p_nonnegativity(self) -> str | None:
         if has_even_directed_cycle(self.dg):
             raise _Skip("hypothesis unmet: has an even directed cycle")
-        wp = rb_by_permutations(self.dg)
-        for key, coeff in wp.terms.items():
+        for key, coeff in self.p.terms.items():
             if coeff < 0:
                 return f"negative power-sum coefficient {coeff} at {key}"
-        bottom = wp.coefficient(singletons(self.dg.n))
+        bottom = self.p.coefficient(singletons(self.dg.n))
         if bottom < 1:
             return f"coefficient at the all-singletons partition is {bottom}, expected >= 1"
         return None
@@ -240,7 +242,7 @@ class _CheckRunner:
     def check_tournament_formula(self) -> str | None:
         if not self.dg.is_tournament():
             raise _Skip("hypothesis unmet: not a tournament")
-        return _difference(rb_tournament(self.dg), rb_by_permutations(self.dg))
+        return _difference(rb_tournament(self.dg), self.p)
 
     def check_berge_parity(self) -> str | None:
         count = self.dg.hamiltonian_path_count()
@@ -270,7 +272,7 @@ class _CheckRunner:
         for S in range(1, k):
             term = _PowerSumTable(n, list(map(_block_weight, in_x[S], in_complement[S], sizes)))
             total = total + term if S.bit_count() % 2 else total - term
-        return _difference(rb_by_permutations(self.dg), total)
+        return _difference(self.p, total)
 
 
 # definition order of the check_* methods is report order

@@ -36,6 +36,7 @@ from .ncsym import CSymElement, NCSymElement, _act_masks, _induct_masks, _PowerS
 from .setpart import (
     IntPartition,
     SetPartition,
+    _mask_elements,
     _trusted_partition,
     enumerate_partitions,
     factorial_weight,
@@ -150,23 +151,18 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
         raise ValueError("tournament expansion requires a tournament")
     resolve_route("permutations", dg.n)
     n = dg.n
-    successors = dg.successor_masks()
+    successors, elements = dg.successor_masks(), _mask_elements(n)
     weights = [0] * (1 << n)
+
+    def extend(low, last, path):  # path: a mask from the vertex of bit low, through higher ones, to last
+        if successors[last] & low and path.bit_count() & 1:  # no loop closes a path of one vertex
+            weights[path] += 2
+        for w in elements[successors[last] & -low << 1 & ~path]:  # successors above low, off the path
+            extend(low, w - 1, path | 1 << w - 1)
+
     for v in range(n):
-        low = 1 << v
-        weights[low] = 1
-        higher = -low << 1  # the vertices above v
-        paths = [(v, low)]  # (last vertex, path mask)
-        while paths:
-            last, path = paths.pop()
-            ahead = successors[last]
-            if ahead & low and path.bit_count() & 1:  # no loop closes a path of one vertex
-                weights[path] += 2
-            ahead &= higher & ~path
-            while ahead:
-                bit = ahead & -ahead
-                paths.append((bit.bit_length() - 1, path | bit))
-                ahead ^= bit
+        weights[1 << v] = 1
+        extend(1 << v, v, 1 << v)
     return _PowerSumTable(n, weights)
 
 

@@ -167,6 +167,37 @@ def test_commutative_refuses_before_converting(monkeypatch):
     assert (report.status, report.witness) == ("skipped", "descent algorithm limited to n <= 8")
 
 
+@pytest.mark.parametrize("spec", ["tournament:4:1", "random:5:0.3:1"])
+def test_one_p_expansion_and_one_m_image_per_instance(monkeypatch, spec):
+    # the checks that read W(X) share one P expansion of the instance and one
+    # M image of it; the parities and deletion-contraction build neither
+    dg = parse_generator_spec(spec)
+    built, converted = [], []
+    to_basis = NCSymElement.to_basis
+
+    def counting_p(x):
+        element = rb_by_permutations(x)
+        if x == dg:
+            built.append(element)
+        return element
+
+    def counting_to_basis(element, target):
+        if target == "M" and any(element is b for b in built):
+            converted.append(element)
+        return to_basis(element, target)
+
+    monkeypatch.setattr(checks, "rb_by_permutations", counting_p)
+    monkeypatch.setattr(NCSymElement, "to_basis", counting_to_basis)
+    reports = check_identities(dg)
+    assert not [(r.check, r.witness) for r in reports if r.status == "fail"]
+    assert (len(built), len(converted)) == (1, 1)
+    built.clear()
+    converted.clear()
+    reports = check_identities(dg, ["berge-parity", "redei-parity", "deletion-contraction"])
+    assert not [(r.check, r.witness) for r in reports if r.status == "fail"]
+    assert (built, converted) == ([], [])
+
+
 def test_checks_pass_on_seeded_instances():
     for seed in range(8):
         dg = random_digraph(4, 0.35, seed)
@@ -692,6 +723,12 @@ def test_compare_elements_failure_carries_witness():
     witness = _difference(lhs, rhs)
     assert "12" in witness and "2" in witness and "3" in witness
     assert _difference(lhs, lhs) is None
+
+
+def test_difference_names_a_degree_or_basis_mismatch():
+    # two zero elements share every coefficient, yet are unequal
+    for rhs in (NCSymElement(3, "P", {}), NCSymElement(2, "M", {})):
+        assert _difference(NCSymElement(2, "P", {}), rhs) == "elements differ in degree or basis"
 
 
 def test_verification_report_validation():

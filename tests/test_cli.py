@@ -346,6 +346,12 @@ def test_usage_error_on_bad_generator(capsys, spec, message):
     assert run(capsys, "compute", spec) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
+def test_parse_generator_spec_refuses_an_unknown_kind():
+    # load_instance reads an unknown kind as a file path, so only a direct call gets here
+    with pytest.raises(cli.UsageError, match=r"^unknown generator kind 'wheel'; expected one of \("):
+        cli.parse_generator_spec("wheel:4")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["compute", "cycle:3", "--basis", "q"], ["verify"], ["frobnicate"]],

@@ -208,6 +208,12 @@ def test_product_examples():
     assert discrete_digraph(2) * discrete_digraph(1) == Digraph(3, [(1, 3), (2, 3)])
 
 
+def test_product_with_a_non_digraph_is_refused():
+    assert path_digraph(2).__mul__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        path_digraph(2) * 2
+
+
 def test_product_shifts_right_factor():
     left = path_digraph(2)
     right = Digraph(2, [(2, 1)])
