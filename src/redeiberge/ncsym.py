@@ -8,11 +8,11 @@ and scalar arithmetic; each class adds what differs.
 An NCSymElement is of one of two kinds.  The plain kind holds its terms.
 _PowerSumTable, the P expansion of the permutation and tournament routes,
 holds the block table w whose products over the blocks are its
-coefficients; its terms are built on first read.  Both kinds print and
-change basis from the block masks that _mask_terms yields in output order,
-so a table's outputs, basis changes and == against another table build no
-key; every other operation reads terms, and whatever it returns, a copy or
-a pickle included, is plain.
+coefficients; its terms are built on first read.  Both kinds print from
+the texts that _text_terms yields in output order, and change basis from
+the block masks that _mask_terms yields, so a table's outputs, basis changes
+and == against another table build no key; every other operation reads
+terms, and whatever it returns, a copy or a pickle included, is plain.
 
 NCSym elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
@@ -57,6 +57,7 @@ from .errors import DegreeMismatchError, SizeLimitError
 from .setpart import (
     MAX_GROUND_SET,
     IntPartition,
+    _block_labels,
     _coarser,
     _finer,
     _Frozen,
@@ -219,14 +220,18 @@ class NCSymElement(_Element):
         return all(c.denominator == 1 for c in self.terms.values())
 
     def _labels(self) -> list[tuple[str, object]]:
-        texts, letter = _mask_texts(self.degree), self.basis.lower()
-        return [(f"{letter}[{'/'.join([texts[B] for B in masks])}]", c) for masks, c in self._mask_terms()]
+        letter = self.basis.lower()
+        return [(f"{letter}[{text}]", c) for text, c in self._text_terms()]
 
     def to_json_dict(self) -> dict:
         """Serialized form, keys degree, basis, terms, in output order."""
-        texts = _mask_texts(self.degree)
-        terms = [{"blocks": "/".join([texts[B] for B in masks]), "coeff": str(c)} for masks, c in self._mask_terms()]
+        terms = [{"blocks": text, "coeff": str(c)} for text, c in self._text_terms()]
         return {"degree": self.degree, "basis": self.basis, "terms": terms}
+
+    def _text_terms(self) -> list[tuple[str, object]]:
+        """(str(pi), coefficient) per term, in output order: what repr, lines() and JSON print."""
+        texts = _mask_texts(self.degree)
+        return [("/".join([texts[B] for B in pi.masks]), c) for pi, c in self._sorted_terms()]
 
     def __add__(self, other: "NCSymElement") -> "NCSymElement":
         if not isinstance(other, NCSymElement):
@@ -317,7 +322,7 @@ class _PowerSumTable(NCSymElement):
 
     terms is built on first read, one key per nonzero product.  The class
     holds only the storage: outputs and basis changes read the enumerator's
-    masks (_mask_terms), and == against another table compares the tables, so
+    texts and masks, and == against another table compares the tables, so
     none of these builds a key.  A copy or a pickle is a plain NCSymElement.
     """
 
@@ -338,6 +343,10 @@ class _PowerSumTable(NCSymElement):
 
     def _mask_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return _nonzero_partitions(self._weights, (1 << self.degree) - 1)
+
+    def _text_terms(self) -> list[tuple[str, int]]:
+        n = self.degree  # each label is "/" and a block's text, so a key is "/" + str(pi)
+        return [(key[1:], c) for key, c in _nonzero_partitions(self._weights, (1 << n) - 1, _block_labels(n)[1])]
 
     def __eq__(self, other):
         if isinstance(other, _PowerSumTable):

@@ -7,10 +7,10 @@ IntPartition the tuple of its parts, so equality, hashing, order and
 immutability are tuple's, and the canonical form makes them agree with the
 partition.  All weights use Python's arbitrary-precision integers.
 One generator, _nonzero_partitions, lists the partitions of a bitmask into
-nonzero-weight blocks in SetPartition order; enumerate_partitions, the
-power-sum terms and the lattice tables come from it, and _trusted_partition
-turns its block masks into keys without validating them again.  A block's
-text is read by its mask (_mask_texts).
+nonzero-weight blocks in SetPartition order, each keyed by the concatenated
+labels of its blocks (_block_labels): its block masks, from which
+enumerate_partitions, the lattice tables and _trusted_partition's keys come,
+or "/" + its text, which the power-sum table prints as it is enumerated.
 The lattice table of a degree n <= MAX_LATTICE_DEGREE (_lattice) lists every
 partition of {1..n} once, in SetPartition order, with mu(0-hat, pi): a
 partition's rank is its position there, looked up by pi.masks.  These are the
@@ -46,6 +46,10 @@ MAX_LATTICE_DEGREE = 10
 # every row are shared through the per-degree lattice tables, which replace an
 # intern cache of row entries.
 LATTICE_CACHE_SIZE = 8192
+
+# _nonzero_partitions completes a rest of at most this many elements from a memo of
+# its call and expands a larger one on its stack; of 3, 4 and 5, 5 measured fastest
+_MEMO_REST = 5
 
 
 class _Frozen:
@@ -167,6 +171,13 @@ def _mask_texts(n: int) -> tuple[str, ...]:
     return tuple(["{" + ",".join(map(str, b)) + "}" for b in _mask_elements(n)])
 
 
+@lru_cache(maxsize=MAX_GROUND_SET + 1)
+def _block_labels(n: int) -> tuple[tuple[tuple[int], ...], tuple[str, ...]]:
+    """For every bitmask B over n elements, its labels (B,) and "/" + its text,
+    whose concatenations over the blocks of pi are pi.masks and "/" + str(pi)."""
+    return tuple([(B,) for B in range(1 << n)]), tuple(["/" + text for text in _mask_texts(n)])
+
+
 class IntPartition(tuple):
     """A weakly decreasing sequence of positive integer parts; the instance is
     the tuple of its parts."""
@@ -217,41 +228,58 @@ def singletons(n: int) -> SetPartition:
     return SetPartition([[i] for i in range(1, n + 1)])
 
 
-def _nonzero_partitions(weights: Sequence[int], ground: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (blocks, product of their weights) for every set partition of the
+def _nonzero_partitions(weights: Sequence[int], ground: int, labels: Sequence | None = None) -> Iterator[tuple]:
+    """Yield (key, product of the block weights) for every set partition of the
     bitmask ground into nonzero-weight blocks, in SetPartition order: by the
-    first block's elements, then by the rest; blocks are bitmasks, ordered by
-    their lowest vertex.
+    first block's elements, then by the rest; blocks are ordered by their
+    lowest vertex, and the key concatenates their labels, labels[B] for the
+    block mask B: by default (B,), so the key is the tuple of block masks.
 
     Depth first over an explicit stack of partial partitions (the rest of the
-    ground, the blocks so far, their product); a partial whose rest is empty
-    is yielded when popped.  The next block is the lowest vertex of the rest
-    with any subset of the others.  Each rest's nonzero-weight candidates are
-    listed once per call, sorted by their elements and pushed in reverse, so
-    the first candidate pops first.
+    ground, the key so far, its product).  A rest of more than _MEMO_REST
+    elements pushes one partial per first block, last first, so the first
+    pops first; a smaller one yields its terms from one list, built from its
+    completions, which a memo of the call lists once per rest.
     """
     elements = _mask_elements(ground.bit_length())
-    candidates: dict[int, list[int]] = {}  # rest -> its first blocks, last first
-    stack = [(ground, (), 1)]
+    labels = labels or _block_labels(ground.bit_length())[0]
+    memo = {0: [(labels[0][:0], 1)]}  # rest -> its completions (label tail, product); 0's is the empty key
+    stack = [(ground, labels[0][:0], 1)]
     while stack:
-        rest, blocks, coeff = stack.pop()
-        if not rest:
-            yield blocks, coeff
-            continue
-        firsts = candidates.get(rest)
-        if firsts is None:
-            low = rest & -rest
-            others = sub = rest ^ low
-            firsts = []
-            while True:  # every submask of others, descending
-                if weights[low | sub]:
-                    firsts.append(low | sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & others
-            firsts.sort(key=elements.__getitem__, reverse=True)
-            candidates[rest] = firsts
-        stack += [(rest ^ block, blocks + (block,), coeff * weights[block]) for block in firsts]
+        rest, key, coeff = stack.pop()
+        if rest.bit_count() <= _MEMO_REST:
+            yield from [(key + tail, coeff * c) for tail, c in _completions(weights, labels, elements, memo, rest)]
+        else:
+            firsts = _first_blocks(weights, elements, rest)[::-1]
+            stack += [(rest ^ B, key + labels[B], coeff * weights[B]) for B in firsts]
+
+
+def _completions(weights, labels, elements, memo: dict, rest: int) -> list[tuple]:
+    """(label tail, product) for every partition of rest into nonzero-weight
+    blocks, in order, kept in memo; module-level, so that no closure cycle
+    leaves the memo of a call to the cyclic garbage collector."""
+    tails = memo.get(rest)
+    if tails is None:
+        tails = memo[rest] = [
+            (labels[B] + tail, weights[B] * c)
+            for B in _first_blocks(weights, elements, rest)
+            for tail, c in _completions(weights, labels, elements, memo, rest ^ B)
+        ]
+    return tails
+
+
+def _first_blocks(weights: Sequence[int], elements: Sequence[tuple], rest: int) -> list[int]:
+    """The nonzero-weight blocks of rest that hold its lowest vertex, by their elements."""
+    low = rest & -rest
+    others = sub = rest ^ low
+    firsts = []
+    while True:  # every submask of others, descending
+        if weights[low | sub]:
+            firsts.append(low | sub)
+        if not sub:
+            break
+        sub = (sub - 1) & others
+    return sorted(firsts, key=elements.__getitem__)
 
 
 def enumerate_partitions(n: int) -> list[SetPartition]:

@@ -37,6 +37,8 @@ from redeiberge.ncsym import CSymElement, NCSymElement, _act_masks, multiply
 from redeiberge.setpart import (
     IntPartition,
     SetPartition,
+    _MEMO_REST,
+    _block_labels,
     _nonzero_partitions,
     enumerate_partitions,
     factorial_weight,
@@ -505,6 +507,24 @@ def test_enumerator_order_at_n_12():
     keys = [SetPartition.from_masks(12, blocks) for blocks, _ in _nonzero_partitions(weights, (1 << 12) - 1)]
     assert len(keys) == 5677
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("size", [_MEMO_REST, _MEMO_REST + 1])
+def test_enumerator_on_grounds_at_the_memo_bound(size):
+    # a ground of _MEMO_REST elements completes from the memo alone and one of
+    # _MEMO_REST + 1 from the stack first; zero weights anywhere (singletons
+    # included) or none, in masks and in rendered keys
+    rng = random.Random(size)
+    for trial in range(40):
+        n = rng.randint(size, 9)
+        vertices = sorted(rng.sample(range(n), size))
+        ground = sum(1 << v for v in vertices)
+        weights = [1 if trial % 4 == 0 else rng.choice((0, 0, 1, -2, 3)) for _ in range(1 << n)]
+        expected = literal_nonzero_partitions(weights, vertices)
+        assert list(_nonzero_partitions(weights, ground)) == expected
+        labels = _block_labels(n)[1]
+        rendered = [("".join([labels[B] for B in blocks]), c) for blocks, c in expected]
+        assert list(_nonzero_partitions(weights, ground, labels)) == rendered
 
 
 # -- commutative oracle -------------------------------------------------------------------

@@ -3,8 +3,12 @@ expansion as a block table, against the plain NCSymElement of the same
 terms."""
 
 import copy
+import gc
+import itertools
 import pickle
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,10 +17,10 @@ from hypothesis import strategies as st
 
 from redeiberge import ncsym
 from redeiberge.cli import GENERATOR_KINDS, parse_generator_spec
-from redeiberge.digraph import Digraph, random_digraph, random_tournament
+from redeiberge.digraph import Digraph, complete_digraph, discrete_digraph, random_digraph, random_tournament
 from redeiberge.invariant import _block_weights, rb_by_permutations, rb_tournament
 from redeiberge.ncsym import NCSymElement, _PowerSumTable
-from redeiberge.setpart import SetPartition, singletons
+from redeiberge.setpart import SetPartition, _block_labels, _nonzero_partitions, singletons
 
 
 def _specs():
@@ -149,3 +153,72 @@ def test_the_brace_form_renders_the_same_past_the_route_capacity(n):
     assert x.lines() == plain.lines()
     assert x.to_json_dict() == plain.to_json_dict()
     assert ("{" in x.lines()[0]) == (n > 9)
+
+
+RENDERED_DIGRAPHS = {
+    "sparse": lambda n: random_digraph(n, 0.2, n),
+    "complete": complete_digraph,
+    "discrete": discrete_digraph,
+    "tournament": lambda n: random_tournament(n, n),
+}
+
+
+@pytest.mark.parametrize("kind", RENDERED_DIGRAPHS)
+@pytest.mark.parametrize("n", range(0, 13))
+def test_the_table_prints_its_keys_as_they_are_enumerated(kind, n):
+    # the route refuses n > 8, so the table is built from the mask core; past
+    # n = 9 blocks print as {a,b}.  An element of fewer than 6000 terms prints
+    # as the plain one; of any element, the first 6000 keys rendered by the
+    # enumerator are str() of the validated partitions of its masks
+    weights = _block_weights(RENDERED_DIGRAPHS[kind](n))
+    full = (1 << n) - 1
+    head = list(itertools.islice(_nonzero_partitions(weights, full), 6000))
+    if len(head) < 6000:
+        x = _PowerSumTable(n, weights)
+        plain = NCSymElement(n, "P", dict(_PowerSumTable(n, weights).terms))
+        assert x.to_json_dict() == plain.to_json_dict()
+        assert x.lines() == plain.lines()
+        assert repr(x) == repr(plain)
+    rendered = itertools.islice(_nonzero_partitions(weights, full, _block_labels(n)[1]), 6000)
+    assert [(key[1:], c) for key, c in rendered] == [(str(SetPartition.from_masks(n, m)), c) for m, c in head]
+
+
+# -- the enumerator's memo: bounded, and freed with its call
+
+
+def test_the_first_partition_of_twelve_elements_comes_at_once():
+    start = time.perf_counter()
+    first = next(_nonzero_partitions([1] * 4096, 4095))
+    assert time.perf_counter() - start < 0.1
+    assert first == ((1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048), 1)
+
+
+def test_streaming_the_n_12_table_keeps_memory_flat():
+    weights = _block_weights(parse_generator_spec("random:12:0.3:7"))
+    labels = _block_labels(12)[1]  # the label tables are not the enumerator's own
+    tracemalloc.start()
+    try:
+        count = total = 0
+        for _, c in _nonzero_partitions(weights, (1 << 12) - 1, labels):
+            count += 1
+            total += c
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1932328 is the one-block monomial coefficient that test_invariant records
+    assert (count, total) == (565481, 1932328)
+    assert peak < 8 * 2**20, peak
+
+
+def test_reading_a_table_leaves_no_garbage_cycle():
+    x = rb_by_permutations(parse_generator_spec("random:8:0.3:7"))
+    gc.collect()
+    gc.disable()
+    try:
+        x.to_json_dict()
+        x.lines()
+        x.to_basis("M")
+        next(_nonzero_partitions(x._weights, (1 << 8) - 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -20,6 +20,7 @@ from redeiberge.setpart import (
     MAX_LATTICE_DEGREE,
     IntPartition,
     SetPartition,
+    _block_labels,
     _coarser,
     _finer,
     _lattice,
@@ -208,7 +209,8 @@ def test_json_round_trip_past_the_digit_run_form(n):
 
 
 def test_block_text_cache_is_bounded():
-    assert _mask_texts.cache_info().maxsize == MAX_GROUND_SET + 1
+    for cache in (_mask_texts, _block_labels):
+        assert cache.cache_info().maxsize == MAX_GROUND_SET + 1
 
 
 @pytest.mark.parametrize(
