@@ -30,6 +30,7 @@ from .invariant import (
     resolve_route,
     _block_coloring,
     _block_weight,
+    _contracted,
     _cycle_tables,
     _split_on_edge,
 )
@@ -146,12 +147,10 @@ class _CheckRunner:
         for i, ((u, v), (moved, contracted)) in enumerate(zip(non_loop, splits)):
             if _contraction_tables_agree(*weights[3 * i : 3 * i + 3]):
                 continue
-            # the tables disagree: the full comparison decides and names the witness
+            # the tables disagree, which decides; the full comparison names the witness
             lhs = rb_by_permutations(moved)
             rhs = rb_by_permutations(moved.delete_edges([(n - 1, n)])) - rb_by_permutations(contracted).induct()
-            witness = _difference(lhs, rhs)
-            if witness is not None:
-                return f"edge ({u},{v}): " + witness
+            return f"edge ({u},{v}): " + (_difference(lhs, rhs) or "the block tables disagree, the expansions agree")
         return None
 
     def check_subset_decomposition(self) -> str | None:
@@ -363,12 +362,12 @@ def _contraction_weights(splits: Sequence[tuple[Digraph, Digraph]]) -> list[list
 def _contraction_tables_agree(x: Sequence[int], d: Sequence[int], c: Sequence[int]) -> bool:
     """The deletion-contraction identity on (n-1, n) in the block weights x of
     the moved digraph, d of it minus (n-1, n) and c of its contraction, which
-    holds exactly when the P expansions satisfy it: x(B) = d(B) - c(B minus n)
-    when B holds n-1 and n, else x(B) = d(B); and c(B) = d(B) inside 1..n-2."""
+    holds exactly when the P expansions satisfy it: x is the route's relation
+    (see invariant._contracted) with delta the identity, and c(B) = d(B)
+    inside 1..n-2."""
     n = len(x).bit_length() - 1
-    both, last, inside = 3 << n - 2, 1 << n - 1, 1 << n - 2
-    expected = [d[B] - c[B ^ last] if B & both == both else d[B] for B in range(1 << n)]
-    return x == expected and c[:inside] == d[:inside]
+    inside = 1 << n - 2
+    return tuple(x) == _contracted(d, c, range(1 << n), 3 << n - 2) and c[:inside] == d[:inside]
 
 
 def _find_triangle(dg: Digraph) -> tuple | None:

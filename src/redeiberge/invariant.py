@@ -12,7 +12,8 @@ it for tournaments:
                             Hamiltonian cycle counts;
   * rb_by_deletion_contraction -- the recursion W(X) = W(X minus e) minus
                             W(X contract e) inducted, the contraction taken
-                            after relabeling the chosen edge to (n-1, n);
+                            after relabeling the chosen edge to (n-1, n),
+                            run on power-sum block tables;
   * rb_tournament        -- Grinberg-Stanley's formula, a power-sum block
                             table of the tournament's odd directed cycles.
 
@@ -32,15 +33,8 @@ from typing import Sequence
 
 from .digraph import Digraph, _complement_columns, _held_karp, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
-from .ncsym import CSymElement, NCSymElement, _act_masks, _induct_masks, _PowerSumTable
-from .setpart import (
-    IntPartition,
-    SetPartition,
-    _mask_elements,
-    _trusted_partition,
-    enumerate_partitions,
-    factorial_weight,
-)
+from .ncsym import CSymElement, NCSymElement, _PowerSumTable
+from .setpart import IntPartition, SetPartition, _mask_elements, _selections, enumerate_partitions
 
 # The one table of routes: name -> (function, largest n it accepts), in bench row order.  Each
 # function is read from the module when called, so a wrapper set on the module attribute runs.
@@ -170,11 +164,10 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
 
 
 @lru_cache(maxsize=ROUTES["deletion-contraction"][1] + 1)
-def _discrete_expansion(n: int) -> dict[tuple[int, ...], int]:
-    """The edge-free base case on block masks: pi.masks -> the product of
-    |B|! over the blocks of pi, for every set partition pi (loops never
-    affect the function); shared by every call, so never changed."""
-    return {pi.masks: factorial_weight(pi) for pi in enumerate_partitions(n)}
+def _discrete_weights(n: int) -> tuple[int, ...]:
+    """The edge-free base case, the block table (|B|-1)! of every bitmask B
+    (loops never affect the function); shared by every call."""
+    return tuple(math.factorial(max(B.bit_count() - 1, 0)) for B in range(1 << n))
 
 
 def _split_on_edge(dg: Digraph, u: int, v: int) -> tuple[tuple[int, ...], Digraph, Digraph]:
@@ -189,6 +182,16 @@ def _split_on_edge(dg: Digraph, u: int, v: int) -> tuple[tuple[int, ...], Digrap
     return order, moved, moved.contract_last_edge()
 
 
+def _contracted(d: Sequence[int], c: Sequence[int], to: Sequence[int], ends: int) -> tuple[int, ...]:
+    """The deletion-contraction relation on block tables: the table of X from
+    d, that of X minus e, and c, that of the contraction of delta X on
+    (n-1, n), with to[B] the bitmask delta B.  It is d(B) - c(delta B minus
+    n) on the blocks B that hold both ends of e, and d(B) elsewhere; c(delta B)
+    = d(B) on the blocks that hold neither, so the P expansions then agree."""
+    rest = (1 << len(d).bit_length() - 2) - 1  # the bitmask of 1..n-1
+    return tuple([d[B] - c[to[B] & rest] if B & ends == ends else d[B] for B in range(len(d))])
+
+
 def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
     """Monomial-basis expansion by the deletion-contraction recursion.
 
@@ -196,39 +199,32 @@ def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
     for the smallest non-loop edge e, which the order-preserving relabeling
     delta moves onto (n-1, n), the edge a contraction is defined for.  W
     commutes with relabeling, so only the contraction is relabeled.  Loops
-    never affect W, so the recursion runs on the loopless digraph, over M
-    coefficients keyed by block masks (see _deletion_contraction), and only
-    the result becomes an element.
+    never affect W, so the recursion runs on the loopless digraph, over P
+    block tables (see _deletion_contraction), and only the result becomes
+    an element, converted to M.
     """
     n = dg.n
     resolve_route("deletion-contraction", n)  # n only shrinks below, so this refuses at the top only
-    terms = _deletion_contraction(Digraph(n, dg.non_loop_edges()), {})
-    return NCSymElement(n, "M", {_trusted_partition(n, masks): c for masks, c in terms.items()})
+    table = _deletion_contraction(Digraph(n, dg.non_loop_edges()), {})
+    return _PowerSumTable(n, table).to_basis("M")
 
 
-def _deletion_contraction(dg: Digraph, memo: dict) -> dict[tuple[int, ...], int]:
-    """W of a loopless digraph as block masks -> nonzero M coefficient.  memo,
-    made by the top-level call, holds the result of every digraph met, keyed
-    by the exact digraph (n, edges), as Haggard, Pearce and Royle cache the
-    graphs their Tutte recursion has computed.  Its results and those of
-    _discrete_expansion are shared, so the difference is taken in a copy."""
+def _deletion_contraction(dg: Digraph, memo: dict) -> tuple[int, ...]:
+    """The block table (see _PowerSumTable) of W of a loopless digraph.  memo,
+    made by the top-level call, holds the table of every digraph met, keyed by
+    the exact digraph (n, edges), as Haggard, Pearce and Royle cache the
+    graphs their Tutte recursion has computed."""
     key = (dg.n, dg.edges)
     if key in memo:
         return memo[key]
     if not dg.edges:
-        return _discrete_expansion(dg.n)
-    e = min(dg.edges)
-    order, _, contracted = _split_on_edge(dg, *e)
-    inducted = _induct_masks(dg.n - 1, _deletion_contraction(contracted, memo).items())
-    terms = dict(_deletion_contraction(dg.delete_edges([e]), memo))
-    for masks, c in _act_masks(order, inducted.items()).items():
-        c = terms.get(masks, 0) - c
-        if c:
-            terms[masks] = c
-        else:
-            del terms[masks]
-    memo[key] = terms
-    return terms
+        return _discrete_weights(dg.n)
+    u, v = e = min(dg.edges)
+    order, _, contracted = _split_on_edge(dg, u, v)
+    to = list(map(sum, _selections([1 << order.index(w) for w in range(1, dg.n + 1)])))
+    deleted = _deletion_contraction(dg.delete_edges([e]), memo)
+    memo[key] = _contracted(deleted, _deletion_contraction(contracted, memo), to, 1 << u - 1 | 1 << v - 1)
+    return memo[key]
 
 
 # -- commutative oracle via descent sets --------------------------------------

@@ -6,7 +6,7 @@ partitions.  Their base, _Element, owns validation, immutability, equality
 and scalar arithmetic; each class adds what differs.
 
 An NCSymElement is of one of two kinds.  The plain kind holds its terms.
-_PowerSumTable, the P expansion of the permutation and tournament routes,
+_PowerSumTable, the P expansion that every route but the definition builds,
 holds the block table w whose products over the blocks are its
 coefficients; its terms are built on first read.  Both kinds print from
 the texts that _text_terms yields in output order, and change basis from
@@ -32,9 +32,7 @@ in the test suite):
 
 All other routes compose through P.  A key is the tuple (n, blocks, masks),
 and every basis change, act, induct and multiply reads its block masks; act
-relabels them in every basis, since m, p and e are each equivariant.  act and
-induct are _act_masks and _induct_masks on an element's terms, which the
-deletion-contraction route also calls on its mask-keyed dicts.  Each
+relabels them in every basis, since m, p and e are each equivariant.  Each
 basis change adds its terms into one list indexed by rank, a partition's place
 in SetPartition order among those of its degree (setpart's lattice table,
 whose rank dict is keyed by pi.masks, as _mask_terms yields them), along the
@@ -286,8 +284,9 @@ class NCSymElement(_Element):
         x = self.to_basis("P") if self.basis == "E" else self
         if n >= MAX_GROUND_SET:
             raise SizeLimitError(f"element {n + 1} outside 1..{MAX_GROUND_SET}")
-        terms = _induct_masks(n, ((pi.masks, c) for pi, c in x.terms.items()))
-        return NCSymElement(n + 1, x.basis, {_trusted_partition(n + 1, masks): c for masks, c in terms.items()})
+        last = 1 << n - 1  # the block of n gains bit n; no lowest element moves, so the keys stay canonical
+        terms = {_trusted_partition(n + 1, [B | (B & last) << 1 for B in pi.masks]): c for pi, c in x.terms.items()}
+        return NCSymElement(n + 1, x.basis, terms)
 
     def act(self, delta: Sequence[int]) -> "NCSymElement":
         """Permute variable positions: basis key pi goes to delta(pi), in its basis."""
@@ -295,8 +294,11 @@ class NCSymElement(_Element):
         if len(delta) != n:
             raise DegreeMismatchError(f"permutation of [{len(delta)}] acting in degree {n}")
         _require_permutation(delta, n)
-        terms = _act_masks(delta, ((pi.masks, c) for pi, c in self.terms.items()))
-        return NCSymElement(n, self.basis, {_trusted_partition(n, masks): c for masks, c in terms.items()})
+        # each block B goes to to[B], read off the subset table of the images of
+        # 1..n, and the images are sorted back into canonical order by _low
+        to = list(map(sum, _selections([1 << (v - 1) for v in delta])))
+        terms = {_trusted_partition(n, sorted([to[B] for B in pi.masks], key=_low)): c for pi, c in self.terms.items()}
+        return NCSymElement(n, self.basis, terms)
 
     def commutative_image(self) -> "CSymElement":
         """Let the variables commute.
@@ -318,7 +320,7 @@ class NCSymElement(_Element):
 class _PowerSumTable(NCSymElement):
     """The P expansion whose coefficient at pi is the product of w(B) over the
     blocks B of pi, held as the table w of every vertex bitmask (w = 1 on
-    singletons): the element of the permutation and tournament routes.
+    singletons): what every route but the definition builds.
 
     terms is built on first read, one key per nonzero product.  The class
     holds only the storage: outputs and basis changes read the enumerator's
@@ -354,21 +356,6 @@ class _PowerSumTable(NCSymElement):
             # agree exactly when the elements do (w[0] is no block's weight)
             return self.degree == other.degree and self._weights[1:] == other._weights[1:]
         return super().__eq__(other)
-
-
-def _induct_masks(n: int, terms: Iterable[tuple[tuple[int, ...], object]]) -> dict:
-    """Induction on block masks: (masks of a partition of {1..n}, c) per term,
-    keyed in the result by the masks with n+1 in the block of n, which gains
-    bit n; no block's lowest element moves, so the keys stay canonical."""
-    return {tuple([B | (B >> (n - 1) & 1) << n for B in masks]): c for masks, c in terms}
-
-
-def _act_masks(delta: Sequence[int], terms: Iterable[tuple[tuple[int, ...], object]]) -> dict:
-    """The permutation delta of 1..n on block masks: (masks, c) per term, keyed
-    in the result by the image to[B] of each block B, read off the subset table
-    of the images of 1..n, and sorted back into canonical order by _low."""
-    to = list(map(sum, _selections([1 << (v - 1) for v in delta])))
-    return {tuple(sorted([to[B] for B in masks], key=_low)): c for masks, c in terms}
 
 
 def _rank_sums(n: int, terms: Iterable[tuple[tuple[int, ...], object]], row_of: Callable, column: int | None) -> dict:

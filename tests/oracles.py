@@ -8,8 +8,9 @@ the counting lemma checked coloring by coloring and subset by subset.
 The rest are literal forms of what the library computes faster: the text of
 a set partition, rendered block by block; a basis change summed pair by
 pair into a dict keyed by partition, along the rows coarsenings and
-refinements; the commutative image, term by term; and the packed columns of
-several successor lists, packed vertex by vertex.
+refinements; the commutative image, term by term; the packed columns of
+several successor lists, packed vertex by vertex; and the
+deletion-contraction recursion on whole M elements, with no memo.
 """
 
 import itertools
@@ -26,7 +27,9 @@ from redeiberge.setpart import (
     SetPartition,
     _nonzero_partitions,
     coarsenings,
+    enumerate_partitions,
     factorial_weight,
+    inverse_perm,
     lambda_of,
     mobius,
     mobius_from_bottom,
@@ -194,3 +197,19 @@ def pack_lanes(lanes: Sequence[Sequence[int]]) -> list[int]:
     """Per vertex, the successors of k lists over n vertices: lane i's in field
     i of _LANE_CODES[n]'s width, the packed columns digraph._held_karp reads."""
     return [int.from_bytes(array(_LANE_CODES[len(lanes[0])], column), sys.byteorder) for column in zip(*lanes)]
+
+
+def deletion_contraction(dg: Digraph) -> NCSymElement:
+    """W(X) in the M basis by the paper's recursion, through the public
+    digraph and element operations only: W(X) = W(X minus e) - delta^-1
+    (W(delta X contract (n-1, n)) inducted) for the smallest non-loop edge
+    e = (u, v), delta sending u to n-1 and v to n and keeping the order of
+    the rest; with no non-loop edge, the coefficient at pi is the product of
+    |B|! over its blocks.  No memo: exponential in the number of edges."""
+    n, edges = dg.n, dg.non_loop_edges()
+    if not edges:
+        return NCSymElement(n, "M", {pi: factorial_weight(pi) for pi in enumerate_partitions(n)})
+    u, v = edges[0]
+    order = tuple(w for w in range(1, n + 1) if w not in (u, v)) + (u, v)  # delta^-1
+    contracted = dg.relabel(inverse_perm(order)).contract_last_edge()
+    return deletion_contraction(dg.delete_edges([(u, v)])) - deletion_contraction(contracted).induct().act(order)

@@ -1,6 +1,7 @@
 """The three expansion algorithms, the commutative descent oracle, and the
 coefficient formulas, cross-checked against each other and brute force."""
 
+import gc
 import itertools
 import math
 import random
@@ -19,7 +20,7 @@ from redeiberge.digraph import (
     random_digraph,
     random_tournament,
 )
-from redeiberge import invariant
+from redeiberge import checks, invariant
 from redeiberge.checks import ALL_CHECKS, check_identities
 from redeiberge.errors import SizeLimitError, SymmetryViolationError
 from redeiberge.invariant import (
@@ -33,7 +34,7 @@ from redeiberge.invariant import (
     rb_tournament,
     redei_berge,
 )
-from redeiberge.ncsym import CSymElement, NCSymElement, _act_masks, multiply
+from redeiberge.ncsym import CSymElement, NCSymElement, multiply
 from redeiberge.setpart import (
     IntPartition,
     SetPartition,
@@ -46,7 +47,7 @@ from redeiberge.setpart import (
     parse_set_partition,
 )
 
-from oracles import elementary_coefficient, is_friendly, tournament_formula
+from oracles import deletion_contraction, elementary_coefficient, is_friendly, tournament_formula
 from test_checks import _contract_the_wrong_way, digraphs_with_a_non_loop_edge
 
 P = parse_set_partition
@@ -335,30 +336,54 @@ def test_split_on_edge_equals_the_validated_path(case):
         assert invariant._split_on_edge(dg, u, v) == (order, moved, Digraph(n - 1, kept))
 
 
-def _act_by_delta(delta, terms):
-    """_act_masks acting by the inverse of the permutation it is given: the
-    route, which passes delta^-1, acts by delta."""
-    return _act_masks(inverse_perm(delta), terms)
+@settings(max_examples=60, deadline=None)
+@given(digraphs_with_loops())
+def test_deletion_contraction_equals_the_literal_recursion(dg):
+    assert rb_by_deletion_contraction(dg) == deletion_contraction(dg)
 
 
-def _induct_into_the_first_block(n, terms):
-    """Induction that puts n+1 into the block of 1, not the block of n."""
-    return {(masks[0] | 1 << n,) + masks[1:]: c for masks, c in terms}
+# the originals, which the faults below call while they stand patched in
+_split_on_edge, _discrete_weights = invariant._split_on_edge, invariant._discrete_weights
+_contracted = invariant._contracted
 
 
+def _split_by_delta(dg, u, v):
+    """_split_on_edge handing back delta, not delta^-1, as its vertex order."""
+    order, moved, contracted = _split_on_edge(dg, u, v)
+    return inverse_perm(order), moved, contracted
+
+
+def _leaf_off_on_three_blocks(n):
+    """The edge-free block table with 1 added on every 3-element block."""
+    return tuple(w + (B.bit_count() == 3) for B, w in enumerate(_discrete_weights(n)))
+
+
+def _contracted_with_plus(d, c, to, ends):
+    """The deletion-contraction relation with + in place of -: 2d - (d - c)."""
+    return tuple(2 * a - b for a, b in zip(d, _contracted(d, c, to, ends)))
+
+
+@pytest.mark.parametrize("spec", ["random:8:0.3:1", "tournament:5:2"])
 @pytest.mark.parametrize(
-    "owner, name, fault",
+    "owners, name, fault",
     [
-        pytest.param(Digraph, "contract_last_edge", _contract_the_wrong_way, id="contraction-orientation"),
-        pytest.param(invariant, "_act_masks", _act_by_delta, id="act-by-delta"),
-        pytest.param(invariant, "_induct_masks", _induct_into_the_first_block, id="induct-block"),
+        pytest.param([Digraph], "contract_last_edge", _contract_the_wrong_way, id="contraction-orientation"),
+        pytest.param([invariant], "_split_on_edge", _split_by_delta, id="delta-for-its-inverse"),
+        pytest.param([invariant], "_discrete_weights", _leaf_off_on_three_blocks, id="leaf-off-by-one"),
+        pytest.param([invariant, checks], "_contracted", _contracted_with_plus, id="relation-plus"),
     ],
 )
-def test_the_comparison_at_capacity_names_each_fault_of_the_route(monkeypatch, owner, name, fault):
-    dg = parse_generator_spec("random:8:0.3:1")
+def test_verify_names_each_fault_of_the_route(monkeypatch, spec, owners, name, fault):
+    # the route differs from P->M without raising, and so cross-algorithm
+    # fails; a fault of the shared relation fails deletion-contraction too
+    dg = parse_generator_spec(spec)
     expected = rb_by_permutations(dg).to_basis("M")
-    monkeypatch.setattr(owner, name, fault)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, fault)
     assert rb_by_deletion_contraction(dg) != expected
+    status = {report.check: report.status for report in check_identities(dg)}
+    assert status["cross-algorithm"] == "fail"
+    assert (status["deletion-contraction"] == "fail") == (name in ("_contracted", "contract_last_edge"))
 
 
 def test_the_memo_lives_for_one_call(monkeypatch):
@@ -368,7 +393,21 @@ def test_the_memo_lives_for_one_call(monkeypatch):
     monkeypatch.setattr(Digraph, "contract_last_edge", _contract_the_wrong_way)
     assert rb_by_deletion_contraction(dg) != first
     capacity = invariant.ROUTES["deletion-contraction"][1]
-    assert invariant._discrete_expansion.cache_info().maxsize == capacity + 1
+    assert invariant._discrete_weights.cache_info().maxsize == capacity + 1
+
+
+@pytest.mark.parametrize("spec", ["tournament:8:1", "random:8:0.3:1"])
+def test_the_memo_is_freed_without_the_cycle_collector(spec):
+    # a memo held in a reference cycle (a self-recursive closure, say) would
+    # outlive the call until the next collection
+    dg = parse_generator_spec(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        rb_by_deletion_contraction(dg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- tournaments -----------------------------------------------------------------------
