@@ -34,7 +34,7 @@ from .invariant import (
     _cycle_tables,
     _split_on_edge,
 )
-from .ncsym import NCSymElement, _PowerSumTable, multiply
+from .ncsym import NCSymElement, _ProductTable, multiply
 from .setpart import _nonzero_partitions, _selections, enumerate_partitions, singletons
 
 MAX_SUBSET_EDGES = 10
@@ -269,7 +269,7 @@ class _CheckRunner:
         sizes = [B.bit_count() for B in range(1 << n)]
         total = NCSymElement(n, "P", {})
         for S in range(1, k):
-            term = _PowerSumTable(n, list(map(_block_weight, in_x[S], in_complement[S], sizes)))
+            term = _ProductTable(n, "P", list(map(_block_weight, in_x[S], in_complement[S], sizes)))
             total = total + term if S.bit_count() % 2 else total - term
         return _difference(self.p, total)
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .digraph import Digraph, _complement_columns, _held_karp, hamiltonian_path_counts
 from .errors import SizeLimitError, SymmetryViolationError
-from .ncsym import CSymElement, NCSymElement, _PowerSumTable
+from .ncsym import CSymElement, NCSymElement, _ProductTable
 from .setpart import IntPartition, SetPartition, _mask_elements, _selections, enumerate_partitions
 
 # The one table of routes: name -> (function, largest n it accepts), in bench row order.  Each
@@ -132,7 +132,7 @@ def rb_by_permutations(dg: Digraph) -> NCSymElement:
     coefficient is a product of block weights (see _block_weights).
     """
     resolve_route("permutations", dg.n)
-    return _PowerSumTable(dg.n, _block_weights(dg))
+    return _ProductTable(dg.n, "P", _block_weights(dg))
 
 
 def rb_tournament(dg: Digraph) -> NCSymElement:
@@ -157,7 +157,7 @@ def rb_tournament(dg: Digraph) -> NCSymElement:
     for v in range(n):
         weights[1 << v] = 1
         extend(1 << v, v, 1 << v)
-    return _PowerSumTable(n, weights)
+    return _ProductTable(n, "P", weights)
 
 
 # -- deletion-contraction -----------------------------------------------------
@@ -206,11 +206,11 @@ def rb_by_deletion_contraction(dg: Digraph) -> NCSymElement:
     n = dg.n
     resolve_route("deletion-contraction", n)  # n only shrinks below, so this refuses at the top only
     table = _deletion_contraction(Digraph(n, dg.non_loop_edges()), {})
-    return _PowerSumTable(n, table).to_basis("M")
+    return _ProductTable(n, "P", table).to_basis("M")
 
 
 def _deletion_contraction(dg: Digraph, memo: dict) -> tuple[int, ...]:
-    """The block table (see _PowerSumTable) of W of a loopless digraph.  memo,
+    """The block table (see _ProductTable) of W of a loopless digraph.  memo,
     made by the top-level call, holds the table of every digraph met, keyed by
     the exact digraph (n, edges), as Haggard, Pearce and Royle cache the
     graphs their Tutte recursion has computed."""

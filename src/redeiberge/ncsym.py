@@ -6,13 +6,15 @@ partitions.  Their base, _Element, owns validation, immutability, equality
 and scalar arithmetic; each class adds what differs.
 
 An NCSymElement is of one of two kinds.  The plain kind holds its terms.
-_PowerSumTable, the P expansion that every route but the definition builds,
-holds the block table w whose products over the blocks are its
-coefficients; its terms are built on first read.  Both kinds print from
-the texts that _text_terms yields in output order, and change basis from
-the block masks that _mask_terms yields, so a table's outputs, basis changes
-and == against another table build no key; every other operation reads
-terms, and whatever it returns, a copy or a pickle included, is plain.
+_ProductTable, a P or M element, holds the block table whose products over
+the blocks are its coefficients, and builds its terms on first read: every
+route but the definition builds a P table, whose M image is the table of its
+exponential transform (_exponential).  Both kinds print from the texts that
+_text_terms yields and change basis from the block masks that _mask_terms
+yields, in output order; a table's commutative image sums over its table per
+block-size shape, so its outputs, basis changes, image and == build no key.
+Every other operation reads terms, and whatever it returns, a copy or a
+pickle included, is plain.
 
 NCSym elements are finite rational linear combinations of the monomial (M),
 power-sum (P) or elementary (E) basis, indexed by set partitions of one
@@ -47,13 +49,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import attrgetter, index
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegreeMismatchError, SizeLimitError
 from .setpart import (
     MAX_GROUND_SET,
+    MAX_LATTICE_DEGREE,
     IntPartition,
     _block_labels,
     _coarser,
@@ -68,12 +71,9 @@ from .setpart import (
     _trusted_partition,
     apply_perm,  # apply_perm, coarsenings, insert_last, mobius, mobius_from_bottom
     coarsenings,  # and refinements are not called here; perfbench's tracer
-    factorial_weight,  # wraps them under this module
-    insert_last,
-    lambda_of,
+    insert_last,  # wraps them under this module
     mobius,
     mobius_from_bottom,
-    multiplicity_weight,
     parse_set_partition,
     refinements,
 )
@@ -141,6 +141,14 @@ class _Element(_Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", kept)
+
+    @classmethod
+    def _trusted(cls, degree: int, basis: str, terms: dict):
+        """The element of terms exact, nonzero and of this degree by construction, unchecked."""
+        element = object.__new__(cls)
+        for name, value in (("degree", degree), ("basis", basis), ("terms", terms)):
+            object.__setattr__(element, name, value)
+        return element
 
     def __reduce__(self):
         return self._ALGEBRA, (self.degree, self.basis, self.terms)
@@ -261,8 +269,7 @@ class NCSymElement(_Element):
             row_of, column = (_coarser, 1) if self.basis == "M" else (_finer, 2)
             return NCSymElement(n, "P", _rank_sums(n, self._mask_terms(), row_of, column)).to_basis(target)
         if target == "M":
-            # p_pi = sum_{sigma >= pi} m_sigma
-            return NCSymElement(n, "M", _rank_sums(n, self._mask_terms(), _coarser, None))
+            return self._to_monomial()
         # p_pi = (1 / mu(0, pi)) sum_{sigma <= pi} mu(sigma, pi) e_sigma, summed
         # as numerators over (n-1)!, which every |mu(0, pi)| = prod (|B|-1)!
         # divides; mu(0, pi) is the lattice table's bottom at the rank of pi
@@ -270,7 +277,10 @@ class NCSymElement(_Element):
         d = factorial(max(n - 1, 0))
         numerators = ((masks, c * (d // bottom[rank[masks]])) for masks, c in self._mask_terms())
         terms = _rank_sums(n, numerators, _finer, 1)
-        return NCSymElement(n, "E", {sigma: Fraction(c, d) for sigma, c in terms.items()})
+        return NCSymElement._trusted(n, "E", {s: c // d if c % d == 0 else Fraction(c, d) for s, c in terms.items()})
+
+    def _to_monomial(self) -> "NCSymElement":  # p_pi = sum_{sigma >= pi} m_sigma
+        return NCSymElement(self.degree, "M", _rank_sums(self.degree, self._mask_terms(), _coarser, None))
 
     def _mask_terms(self) -> Iterator[tuple[tuple[int, ...], object]]:
         """(pi.masks, coefficient) per term (pi, coefficient), in output order."""
@@ -306,33 +316,40 @@ class NCSymElement(_Element):
         Keys collapse to their block-size partitions; the coefficient picks up
         the multiplicity factor |pi| in the M basis, pi! in the E basis, and
         nothing in the P basis.  Both factors depend on the block sizes only,
-        so the coefficients are summed per shape first, and each shape's
-        partition and factor are computed once, from its first key.
+        so the coefficients are summed per shape first, a shape coded as the
+        sum of unit[s] = (n+1)**(s-1) over its blocks of size s (_shape_sums).
         """
-        weight = {"M": multiplicity_weight, "P": lambda pi: 1, "E": factorial_weight}[self.basis]
-        shapes: dict = {}  # block sizes, ascending -> [its first key, the sum of its coefficients]
-        for pi, c in self.terms.items():
-            shapes.setdefault(tuple(sorted(map(len, pi.blocks))), [pi, 0])[1] += c
-        terms = {lambda_of(pi): total * weight(pi) for pi, total in shapes.values()}
-        return CSymElement(self.degree, self.basis.lower(), terms)
+        n, terms = self.degree, {}
+        factor = {"M": lambda s, r: factorial(r), "P": lambda s, r: 1, "E": lambda s, r: factorial(s) ** r}[self.basis]
+        unit = [0] + [(n + 1) ** (s - 1) for s in range(1, n + 1)]
+        for code, total in self._shape_sums(unit).items():
+            counts = [(s, code // unit[s] % (n + 1)) for s in range(1, n + 1)]  # r blocks of each size s
+            parts = [s for s, r in counts for _ in range(r)]
+            terms[IntPartition(parts)] = total * prod(itertools.starmap(factor, counts))
+        return CSymElement(n, self.basis.lower(), terms)
+
+    def _shape_sums(self, unit: Sequence[int]) -> dict:
+        """The sum of the coefficients per shape code, unit[s] coding a block of size s."""
+        return _sum((sum([unit[B.bit_count()] for B in pi.masks]), c) for pi, c in self.terms.items())
 
 
-class _PowerSumTable(NCSymElement):
-    """The P expansion whose coefficient at pi is the product of w(B) over the
-    blocks B of pi, held as the table w of every vertex bitmask (w = 1 on
-    singletons): what every route but the definition builds.
+class _ProductTable(NCSymElement):
+    """The P or M element whose coefficient at pi is the product of
+    weights[B] over the blocks B of pi, held as the table of every vertex
+    bitmask (1 on singletons): the P expansion of every route but the
+    definition, or its M image (see _exponential).
 
     terms is built on first read, one key per nonzero product.  The class
-    holds only the storage: outputs and basis changes read the enumerator's
-    texts and masks, and == against another table compares the tables, so
+    holds only the storage: outputs, basis changes, the commutative image
+    and == read the enumerator's texts and masks or the table itself, so
     none of these builds a key.  A copy or a pickle is a plain NCSymElement.
     """
 
     __slots__ = ("_weights",)
 
-    def __init__(self, degree: int, weights: Sequence[int]):
+    def __init__(self, degree: int, basis: str, weights: Sequence[int]):
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", "P")
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_weights", tuple(weights))
 
     def __getattr__(self, name):
@@ -351,11 +368,57 @@ class _PowerSumTable(NCSymElement):
         return [(key[1:], c) for key, c in _nonzero_partitions(self._weights, (1 << n) - 1, _block_labels(n)[1])]
 
     def __eq__(self, other):
-        if isinstance(other, _PowerSumTable):
+        if not isinstance(other, NCSymElement) or (self.degree, self.basis) != (other.degree, other.basis):
+            return False
+        if isinstance(other, _ProductTable):
             # the coefficient at {B} with singletons is w(B), so the tables
             # agree exactly when the elements do (w[0] is no block's weight)
-            return self.degree == other.degree and self._weights[1:] == other._weights[1:]
-        return super().__eq__(other)
+            return self._weights[1:] == other._weights[1:]
+        return dict(self._mask_terms()) == {pi.masks: c for pi, c in other.terms.items()}
+
+    def is_integral(self) -> bool:
+        return all(w.denominator == 1 for w in self._weights[1:])  # each weight is a coefficient
+
+    def _to_monomial(self) -> "_ProductTable":
+        if self.degree > MAX_LATTICE_DEGREE:  # the size contract of every basis change
+            raise SizeLimitError(f"degree {self.degree} exceeds the basis-change limit {MAX_LATTICE_DEGREE}")
+        return _ProductTable(self.degree, "M", _exponential(self._weights))
+
+    def _shape_sums(self, unit: Sequence[int]) -> dict:
+        return _shape_completions(self._weights, unit, {0: {0: 1}}, (1 << self.degree) - 1)
+
+
+def _exponential(w: Sequence[int]) -> list[int]:
+    """The exponential transform h of the P table w, its M table, as p_pi sums
+    m_sigma over sigma >= pi: h[S], the sum of the products of w over the
+    partitions of S, sums w[B] h[S minus B] over the blocks B of S holding its lowest element."""
+    h = [1] * len(w)
+    for S in range(1, len(w)):
+        low, others = S & -S, S & S - 1
+        total, sub = 0, others + 1  # so that the first step down is to others
+        while sub:  # B = low | sub for every submask sub of others, descending
+            sub = (sub - 1) & others
+            total += w[low | sub] * h[others ^ sub]
+        h[S] = total
+    return h
+
+
+def _shape_completions(weights: Sequence[int], unit: Sequence[int], memo: dict, rest: int) -> dict:
+    """Shape code -> the sum of the products of weights over the partitions
+    of rest of that shape, unit[s] coding a block of size s; kept in memo, and
+    module-level, so that no closure cycle leaves the memo to the collector."""
+    sums = memo.get(rest)
+    if sums is None:
+        sums = memo[rest] = {}
+        low, others = rest & -rest, rest & rest - 1
+        sub = others + 1
+        while sub:  # the blocks low | sub of rest, as in _exponential
+            sub = (sub - 1) & others
+            if w := weights[low | sub]:
+                step = unit[(low | sub).bit_count()]
+                for code, c in _shape_completions(weights, unit, memo, others ^ sub).items():
+                    sums[code + step] = sums.get(code + step, 0) + w * c
+    return sums
 
 
 def _rank_sums(n: int, terms: Iterable[tuple[tuple[int, ...], object]], row_of: Callable, column: int | None) -> dict:

@@ -1,6 +1,7 @@
 """The element of the permutation and tournament routes, which holds its P
-expansion as a block table, against the plain NCSymElement of the same
-terms."""
+expansion as a block table, and its M image, the table of the exponential
+transform, against the plain NCSymElement of the same terms and its lattice
+P->M."""
 
 import copy
 import gc
@@ -15,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import commutative_image_by_terms
 from redeiberge import ncsym
+from redeiberge.checks import check_identities
 from redeiberge.cli import GENERATOR_KINDS, parse_generator_spec
 from redeiberge.digraph import Digraph, complete_digraph, discrete_digraph, random_digraph, random_tournament
 from redeiberge.invariant import _block_weights, rb_by_permutations, rb_tournament
-from redeiberge.ncsym import NCSymElement, _PowerSumTable
+from redeiberge.errors import SizeLimitError
+from redeiberge.ncsym import NCSymElement, _ProductTable
 from redeiberge.setpart import SetPartition, _block_labels, _nonzero_partitions, singletons
 
 
@@ -31,10 +35,22 @@ def _specs():
             yield {"random": f"random:{n}:0.4:{n}", "tournament": f"tournament:{n}:{n}"}.get(kind, f"{kind}:{n}")
 
 
-def _same(a, b):
-    """Equal plain elements that print the same."""
-    assert type(a) is type(b) is NCSymElement
+def _same(a, b, kind=NCSymElement):
+    """Equal elements that print the same, a of the given kind and b plain."""
+    assert type(a) is kind and type(b) is NCSymElement
     assert a == b and b == a and repr(a) == repr(b)
+
+
+def _agree_in_m(x, plain):
+    """The M table of x against the lattice P->M of the plain element: keys,
+    order, text, JSON and commutative image; its terms are read last."""
+    m, lattice = x.to_basis("M"), plain.to_basis("M")
+    _same(m, lattice, _ProductTable)
+    assert m.basis == "M" and m.is_integral()
+    assert m.lines() == lattice.lines() and m.to_json_dict() == lattice.to_json_dict()
+    assert m.commutative_image() == lattice.commutative_image() == commutative_image_by_terms(lattice)
+    assert m.to_basis("P") == plain and m.to_basis("E") == plain.to_basis("E")
+    assert list(m.terms) == list(lattice.terms) and m.terms == lattice.terms
 
 
 def _agree(dg, route=rb_by_permutations):
@@ -46,10 +62,10 @@ def _agree(dg, route=rb_by_permutations):
     assert x.to_json_dict() == plain.to_json_dict()
     assert x == plain and plain == x and x == route(dg) and x == rb_by_permutations(dg)
     assert not (x != plain or plain != x)
-    for basis in "ME":
-        _same(x.to_basis(basis), plain.to_basis(basis))
+    _same(x.to_basis("E"), plain.to_basis("E"))
+    _agree_in_m(x, plain)
     assert x.to_basis("P") == plain
-    assert x.commutative_image() == plain.commutative_image()
+    assert x.commutative_image() == plain.commutative_image() == commutative_image_by_terms(plain)
     # the route builds its terms on the first read, after all of the above
     assert repr(x) == repr(plain)
     assert x.terms == plain.terms and list(x.terms) == list(plain.terms)
@@ -115,6 +131,69 @@ def test_the_table_equality_is_exact():
     assert rb_by_permutations(random_digraph(3, 0.5, 1)) != rb_by_permutations(random_digraph(4, 0.5, 1))
 
 
+def test_a_p_table_and_an_m_table_of_equal_weights_differ():
+    weights = _block_weights(random_digraph(5, 0.4, 1))
+    p, m = _ProductTable(5, "P", weights), _ProductTable(5, "M", weights)
+    assert p != m and m != p and p.terms == m.terms
+    assert p != NCSymElement(5, "M", dict(m.terms)) and m != NCSymElement(5, "P", dict(p.terms))
+
+
+def _whole_block_dropped(w):
+    """The exponential transform whose submask loop starts one step late, so
+    h[S] leaves out the block S itself once S has two elements."""
+    h = [1] * len(w)
+    for S in range(1, len(w)):
+        low = S & -S
+        others = S ^ low
+        sub, h[S] = (others - 1) & others, 0
+        while True:
+            h[S] += w[low | sub] * h[others ^ sub]
+            if not sub:
+                break
+            sub = (sub - 1) & others
+    return h
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        _whole_block_dropped,
+        lambda w, exponential=ncsym._exponential: exponential([c + (B == 0b110) for B, c in enumerate(w)]),
+    ],
+    ids=["h-drops-one-block", "w-one-too-large-on-23"],
+)
+@pytest.mark.parametrize("spec", ["random:5:0.4:1", "tournament:6:2", "complete:4", "cycle:7"])
+def test_the_m_table_comparison_catches_a_wrong_transform(monkeypatch, mutant, spec):
+    dg = parse_generator_spec(spec)
+    plain = NCSymElement(dg.n, "P", dict(rb_by_permutations(dg).terms))
+    monkeypatch.setattr(ncsym, "_exponential", mutant)
+    with pytest.raises(AssertionError):
+        _agree_in_m(rb_by_permutations(dg), plain)
+
+
+def test_the_table_refuses_p_to_m_past_the_lattice_degree_at_once():
+    x = _ProductTable(11, "P", _block_weights(random_digraph(11, 0.3, 7)))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        x.to_basis("M")
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("spec", ["random:5:0.3:1", "tournament:5:2", "random:6:0.5:3", "cycle:4"])
+def test_a_passing_verify_reads_no_m_table_terms(monkeypatch, spec):
+    read = []
+    terms_of = _ProductTable.__getattr__
+
+    def recording(self, name):
+        read.append(self.basis)
+        return terms_of(self, name)
+
+    monkeypatch.setattr(_ProductTable, "__getattr__", recording)
+    status = {r.check: r.status for r in check_identities(parse_generator_spec(spec))}
+    assert "fail" not in status.values() and status["cross-algorithm"] == status["integrality"] == "pass"
+    assert "M" not in read
+
+
 @pytest.mark.parametrize(
     "dg, route",
     [
@@ -135,11 +214,14 @@ def test_rendering_equality_and_conversion_build_no_key(monkeypatch, dg, route):
     trusted = ncsym._trusted_partition
     for basis in "ME":  # the lattice tables exist before the count starts
         NCSymElement(dg.n, "P", {singletons(dg.n): 1}).to_basis(basis)
+    plain_m = NCSymElement(dg.n, "M", dict(route(dg).to_basis("M").terms))
     monkeypatch.setattr(ncsym, "_trusted_partition", counting)
     x, y = route(dg), rb_by_permutations(dg)
-    for read in (x.lines, x.to_json_dict, x.__repr__, lambda: x == y, lambda: x.to_basis("M"), lambda: x.to_basis("E")):
+    m = x.to_basis("M")
+    reads = (x.lines, x.to_json_dict, x.__repr__, lambda: x == y, lambda: x.to_basis("E"), x.commutative_image)
+    for read in reads + (m.lines, m.to_json_dict, m.commutative_image, m.is_integral, lambda: m == plain_m):
         read()
-    assert built == []
+    assert m == y.to_basis("M") and built == []
     terms = x.terms
     assert len(built) == len(terms) > 0 and x.terms is terms  # built once, on the first read
 
@@ -148,8 +230,8 @@ def test_rendering_equality_and_conversion_build_no_key(monkeypatch, dg, route):
 def test_the_brace_form_renders_the_same_past_the_route_capacity(n):
     # the route refuses n > 8, so its element is built from the block table here
     weights = _block_weights(random_digraph(n, 0.3, 7))
-    x = _PowerSumTable(n, weights)
-    plain = NCSymElement(n, "P", dict(_PowerSumTable(n, weights).terms))
+    x = _ProductTable(n, "P", weights)
+    plain = NCSymElement(n, "P", dict(_ProductTable(n, "P", weights).terms))
     assert x.lines() == plain.lines()
     assert x.to_json_dict() == plain.to_json_dict()
     assert ("{" in x.lines()[0]) == (n > 9)
@@ -174,8 +256,8 @@ def test_the_table_prints_its_keys_as_they_are_enumerated(kind, n):
     full = (1 << n) - 1
     head = list(itertools.islice(_nonzero_partitions(weights, full), 6000))
     if len(head) < 6000:
-        x = _PowerSumTable(n, weights)
-        plain = NCSymElement(n, "P", dict(_PowerSumTable(n, weights).terms))
+        x = _ProductTable(n, "P", weights)
+        plain = NCSymElement(n, "P", dict(_ProductTable(n, "P", weights).terms))
         assert x.to_json_dict() == plain.to_json_dict()
         assert x.lines() == plain.lines()
         assert repr(x) == repr(plain)
